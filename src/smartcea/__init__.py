@@ -63,7 +63,14 @@ from .inference import (
     risk_difference,
     wald_ci,
 )
-from .study import StudyConfig, StudyMetrics, StudyResult, relative_variance, run_study
+from .study import (
+    StudyConfig,
+    StudyMetrics,
+    StudyResult,
+    icer_table,
+    relative_variance,
+    run_study,
+)
 
 __all__ = [
     "__version__",
@@ -101,6 +108,7 @@ __all__ = [
     "embedded_regimes",
     "estimate_g",
     "icer",
+    "icer_table",
     "icer_variance_decomposition",
     "ipw_mean",
     "is_consistent",

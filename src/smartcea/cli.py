@@ -34,12 +34,19 @@ from .cea import (
     Frontier,
     PlanePoint,
     efficient_frontier,
-    plane_points,
     render_plane_svg,
 )
 from .core import Dataset, RegimeSpec
-from .dgp import DgpConfig, embedded_regimes, simulate_smart, true_values
+from .dgp import (
+    STAGE1_SUPPORT,
+    STAGE2_SUPPORT,
+    DgpConfig,
+    embedded_regimes,
+    simulate_smart,
+    true_values,
+)
 from .estimate import (
+    FluctuationDiverged,
     RegimeMeanRequest,
     ZeroSupport,
     estimate_g,
@@ -47,23 +54,15 @@ from .estimate import (
 )
 from .glm import RankDeficient, SeparationDetected
 from .inference import (
-    PER_HUNDRED,
     DegenerateDenominator,
     IcerResult,
     TooManyDegenerate,
     bootstrap_ci,
     contrast,
-    icer,
-    risk_difference,
 )
-from .study import TRUTH_MC_DRAWS, StudyConfig, run_study
+from .study import TRUTH_MC_DRAWS, StudyConfig, icer_table, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
-
-# Benchmark treatment supports; ingestion validates codes against these.
-STAGE1_SUPPORT = frozenset({0, 1})
-STAGE2_SUPPORT = {0: frozenset({3, 4}), 1: frozenset({1, 2})}
-
 
 class UsageError(Exception):
     """Bad flags or config: reported and exited with code 2."""
@@ -539,8 +538,8 @@ def ingest_dataset(path: str) -> Dataset:
 
     return Dataset(
         x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c,
-        stage1_support=set(STAGE1_SUPPORT),
-        stage2_support={b: set(v) for b, v in STAGE2_SUPPORT.items()},
+        stage1_support=STAGE1_SUPPORT,
+        stage2_support=STAGE2_SUPPORT,
         x1_names=tuple(x1_cols),
     )
 
@@ -670,40 +669,24 @@ def _run_estimate(config: RunConfig) -> None:
 
 def _icer_results(
     dataset: Dataset, regimes: tuple[RegimeSpec, ...], settings: dict
-) -> list[tuple[int, IcerResult | None]]:
-    """ICER per non-reference regime; None marks a degenerate denominator."""
+) -> dict[int, IcerResult | None]:
+    """ICER per non-reference regime; None marks an undefined ratio."""
     reference = next(
         (r for r in regimes if r.id == settings["reference"]), None
     )
     if reference is None:
         raise CliError(f"reference regime {settings['reference']} not in regime table")
-    estimator = settings["estimator"]
-    g = estimate_g(dataset, _g_mode(settings))
+    return icer_table(
+        dataset, regimes, reference, settings["estimator"],
+        estimate_g(dataset, _g_mode(settings)),
+        cv_threshold=settings.get("cv_threshold", 2.0),
+        alpha=settings.get("alpha", 0.05),
+    )
 
-    def mean(regime: RegimeSpec, outcome: str):
-        return regime_mean(
-            dataset,
-            RegimeMeanRequest(regime=regime, outcome=outcome, estimator=estimator, g=g),
-        )
 
-    ref_y = mean(reference, "y")
-    ref_c = mean(reference, "c")
-    out: list[tuple[int, IcerResult | None]] = []
-    for regime in regimes:
-        if regime.id == reference.id:
-            continue
-        rd_eff = risk_difference(mean(regime, "y"), ref_y, PER_HUNDRED)
-        rd_cost = risk_difference(mean(regime, "c"), ref_c, 1.0)
-        try:
-            res = icer(
-                rd_cost, rd_eff,
-                cv_threshold=settings.get("cv_threshold", 2.0),
-                alpha=settings.get("alpha", 0.05),
-            )
-        except DegenerateDenominator:
-            res = None
-        out.append((regime.id, res))
-    return out
+def _only(regimes: tuple[RegimeSpec, ...], *ids) -> tuple[RegimeSpec, ...]:
+    """The regimes whose id is among ``ids``, in table order."""
+    return tuple(r for r in regimes if r.id in ids)
 
 
 ICER_TABLE_HEADER = [
@@ -717,7 +700,7 @@ def _run_icer_table(config: RunConfig) -> None:
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
     rows = []
-    for rid, res in _icer_results(dataset, regimes, s):
+    for rid, res in _icer_results(dataset, regimes, s).items():
         if res is None:
             rows.append([rid, float("nan"), float("nan"), float("nan"),
                          float("nan"), float("nan"), float("nan"), float("nan"), False])
@@ -731,7 +714,7 @@ def _run_contrast(config: RunConfig) -> None:
     s = config.settings
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
-    results = dict(_icer_results(dataset, regimes, s))
+    results = _icer_results(dataset, _only(regimes, s["reference"], s["i"], s["j"]), s)
     for key in ("i", "j"):
         rid = s[key]
         if rid not in results:
@@ -882,11 +865,13 @@ def _run_bootstrap(config: RunConfig) -> None:
         rid = s.get(key)
         if rid is not None and not any(r.id == rid for r in regimes):
             raise CliError(f"regime {rid} not in regime table")
-    if s["i"] == s["reference"]:
+    if s["reference"] in (s["i"], s.get("j")):
         raise CliError("regime of interest equals the reference")
 
+    analyzed = _only(regimes, s["reference"], s["i"], s.get("j"))
+
     def statistic(resampled: Dataset) -> float:
-        results = dict(_icer_results(resampled, regimes, s))
+        results = _icer_results(resampled, analyzed, s)
         res_i = results[s["i"]]
         if res_i is None:
             raise DegenerateDenominator(f"regime {s['i']}")
@@ -935,6 +920,7 @@ RUNTIME_ERRORS = (
     ZeroSupport,
     SeparationDetected,
     RankDeficient,
+    FluctuationDiverged,
     ValueError,
 )
 

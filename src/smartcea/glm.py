@@ -9,14 +9,13 @@ inverse-probability fluctuation weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SeparationDetected",
     "RankDeficient",
-    "DesignMatrix",
     "GlmFit",
     "expit",
     "logit",
@@ -61,42 +60,6 @@ def logit(p):
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Dense design matrix with column labels for diagnostics.
-
-    The intercept, when wanted, is an explicit column of ones; nothing is
-    added implicitly.
-    """
-
-    values: np.ndarray
-    column_labels: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("design values must be 2-dimensional")
-        if values.shape[1] < 1:
-            raise ValueError("design must have at least one column")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("design values must be finite")
-        labels = tuple(self.column_labels)
-        if not labels:
-            labels = tuple(f"col{j}" for j in range(values.shape[1]))
-        if len(labels) != values.shape[1]:
-            raise ValueError("column_labels length does not match column count")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_labels", labels)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def columns(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class GlmFit:
     coefficients: np.ndarray
     converged: bool
@@ -106,8 +69,6 @@ class GlmFit:
 
 
 def _as_matrix(design) -> np.ndarray:
-    if isinstance(design, DesignMatrix):
-        return design.values
     X = np.asarray(design, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("design must be 2-dimensional")
@@ -124,7 +85,7 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
 
     Parameters
     ----------
-    design : DesignMatrix or array_like, shape (n, p)
+    design : array_like, shape (n, p)
         Include the intercept column explicitly.
     response : array_like, shape (n,)
         Values in [0, 1]; fractional responses fit the quasibinomial score.

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import RegimeSpec
+from .core import Dataset, RegimeSpec
 from .dgp import TARGET_ICER, DgpConfig, TruthTable, embedded_regimes, simulate_smart, true_values
 from .estimate import (
+    GModel,
     RegimeMeanRequest,
     SeparationDetected,
     ZeroSupport,
@@ -48,6 +50,7 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "run_study",
+    "icer_table",
     "RelativeVariance",
     "relative_variance",
     "TRUTH_MC_DRAWS",
@@ -204,54 +207,74 @@ def _rep_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, rep)).generate_state(1, np.uint64)[0])
 
 
-def _default_analyze(
-    dataset, regime: RegimeSpec, reference: RegimeSpec, estimator: str, g, config: StudyConfig
-) -> IcerResult:
-    def mean(r: RegimeSpec, out: str):
-        return regime_mean(
-            dataset, RegimeMeanRequest(regime=r, outcome=out, estimator=estimator, g=g)
-        )
+def icer_table(
+    dataset: Dataset,
+    regimes: Sequence[RegimeSpec],
+    reference: RegimeSpec,
+    estimator: str,
+    g: GModel,
+    cv_threshold: float = 2.0,
+    alpha: float = 0.05,
+) -> dict[int, IcerResult | None]:
+    """ICER of each non-reference regime in ``regimes`` against ``reference``.
 
-    rd_eff = risk_difference(mean(regime, "y"), mean(reference, "y"), PER_HUNDRED)
-    rd_cost = risk_difference(mean(regime, "c"), mean(reference, "c"), 1.0)
-    return icer(rd_cost, rd_eff, cv_threshold=config.cv_threshold, alpha=config.alpha)
+    Every (regime, outcome) mean is estimated once, for the reference and the
+    given regimes only.  ``None`` marks an undefined ratio: a numerically
+    zero effect difference, or no consistent record for the regime or the
+    reference.  Keys follow the order of ``regimes``.
+    """
+
+    def means(regime: RegimeSpec):
+        try:
+            return [
+                regime_mean(
+                    dataset,
+                    RegimeMeanRequest(regime=regime, outcome=out, estimator=estimator, g=g),
+                )
+                for out in ("y", "c")
+            ]
+        except ZeroSupport:
+            return None
+
+    ref = means(reference)
+    out: dict[int, IcerResult | None] = {}
+    for regime in regimes:
+        if regime.id == reference.id:
+            continue
+        est = None if ref is None else means(regime)
+        if est is None:
+            out[regime.id] = None
+            continue
+        rd_eff = risk_difference(est[0], ref[0], PER_HUNDRED)
+        rd_cost = risk_difference(est[1], ref[1], 1.0)
+        try:
+            out[regime.id] = icer(rd_cost, rd_eff, cv_threshold=cv_threshold, alpha=alpha)
+        except DegenerateDenominator:
+            out[regime.id] = None
+    return out
 
 
-def _run_one_rep(
-    config: StudyConfig, rep: int, analyze: Callable | None
-) -> dict[tuple[str, int], tuple]:
+def _run_one_rep(config: StudyConfig, rep: int) -> dict[tuple[str, int], tuple]:
     """One repetition: simulate once, analyze under every estimator.
 
-    Returns (estimator, regime_id) -> (icer, se, lo, hi, cv_c, cv_e) or
-    ("failed",) when the cell's statistic is undefined for this rep.
+    Returns (estimator, regime_id) -> (icer, se, lo, hi, cv_c, cv_e, reliable)
+    or ("failed",) when the cell's statistic is undefined for this rep.
     """
     dataset = simulate_smart(DgpConfig(n=config.n, seed=_rep_seed(config.seed, rep)))
     reference = next(r for r in config.regimes if r.id == config.reference_id)
-    targets = [r for r in config.regimes if r.id != config.reference_id]
     out: dict[tuple[str, int], tuple] = {}
     for est in config.estimators:
-        if analyze is not None:
-            for regime in targets:
-                try:
-                    res = analyze(dataset, regime, reference, est, config)
-                except (DegenerateDenominator, ZeroSupport):
-                    out[(est, regime.id)] = ("failed",)
-                    continue
-                out[(est, regime.id)] = _cell(res)
-            continue
         try:
             g = estimate_g(dataset, config.g_modes[est])
         except (SeparationDetected, ZeroSupport):
-            for regime in targets:
-                out[(est, regime.id)] = ("failed",)
-            continue
-        for regime in targets:
-            try:
-                res = _default_analyze(dataset, regime, reference, est, g, config)
-            except (DegenerateDenominator, ZeroSupport):
-                out[(est, regime.id)] = ("failed",)
-                continue
-            out[(est, regime.id)] = _cell(res)
+            results = dict.fromkeys(r.id for r in config.regimes if r.id != reference.id)
+        else:
+            results = icer_table(
+                dataset, config.regimes, reference, est, g,
+                cv_threshold=config.cv_threshold, alpha=config.alpha,
+            )
+        for rid, res in results.items():
+            out[(est, rid)] = ("failed",) if res is None else _cell(res)
     return out
 
 
@@ -280,7 +303,6 @@ def _truth_icers(config: StudyConfig, truth: TruthTable) -> dict[int, float]:
 def run_study(
     config: StudyConfig,
     truth: TruthTable | None = None,
-    analyze: Callable | None = None,
     retain_degenerate: bool = False,
     threads: int = 1,
     progress: Callable[[int], None] | None = None,
@@ -288,12 +310,13 @@ def run_study(
     """Run the full simulation study described by ``config``.
 
     ``truth`` defaults to a fresh :func:`~smartcea.dgp.true_values` table at
-    :data:`TRUTH_MC_DRAWS` draws under the study's master seed.  ``analyze``
-    replaces the built-in estimation pipeline (signature: dataset, regime,
-    reference, estimator, config -> IcerResult); custom hooks run serially.
+    :data:`TRUTH_MC_DRAWS` draws under the study's master seed.  Each
+    repetition runs every estimator once through :func:`icer_table`.
     ``retain_degenerate`` keeps unreliable-but-defined reps in the moments.
     ``threads`` caps process-level parallelism across reps; results are
     identical for any thread count because each rep is self-contained.
+    ``progress(rep)`` is called as each repetition's result arrives, in
+    repetition order.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -319,32 +342,23 @@ def run_study(
     failed = {key: np.zeros(config.reps, dtype=bool) for key in cells}
     unreliable = {key: np.zeros(config.reps, dtype=bool) for key in cells}
 
-    if threads > 1 and analyze is None:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rep_results = list(
-                pool.map(_run_one_rep, [config] * config.reps, range(config.reps), [None] * config.reps)
-            )
-        if progress is not None:
-            for rep in range(config.reps):
-                progress(rep)
-    else:
-        rep_results = []
-        for rep in range(config.reps):
-            rep_results.append(_run_one_rep(config, rep, analyze))
+    parallel = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with parallel as pool:
+        rep_map = map if pool is None else pool.map
+        results = rep_map(_run_one_rep, [config] * config.reps, range(config.reps))
+        for rep, result in enumerate(results):
+            for key in cells:
+                cell = result[key]
+                if cell[0] == "failed":
+                    failed[key][rep] = True
+                    continue
+                *values, reliable = cell
+                for name, v in zip(("icer", "se", "lo", "hi", "cv_c", "cv_e"), values):
+                    store[key][name][rep] = v
+                if not reliable:
+                    unreliable[key][rep] = True
             if progress is not None:
                 progress(rep)
-
-    for rep, result in enumerate(rep_results):
-        for key in cells:
-            cell = result[key]
-            if cell[0] == "failed":
-                failed[key][rep] = True
-                continue
-            value, se, lo, hi, cv_c, cv_e, reliable = cell
-            for name, v in zip(("icer", "se", "lo", "hi", "cv_c", "cv_e"), (value, se, lo, hi, cv_c, cv_e)):
-                store[key][name][rep] = v
-            if not reliable:
-                unreliable[key][rep] = True
 
     rows: list[StudyRow] = []
     draws: dict[tuple[str, int], RepDraws] = {}

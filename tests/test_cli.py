@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from smartcea import estimate, study
 from smartcea.cli import ingest_dataset, main, read_regime_file
-from smartcea.dgp import DgpConfig, simulate_smart
+from smartcea.core import consistency_mask
+from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 
 
 def run_cli(*argv, capsys=None):
@@ -314,6 +316,78 @@ def test_bootstrap_cli(tmp_path, data_csv):
     row = rows[0]
     assert row["statistic"] == "icer_2"
     assert float(row["ci_lower"]) <= float(row["estimate"]) <= float(row["ci_upper"])
+
+
+def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys):
+    def diverge(z, q, weights):
+        raise estimate.FluctuationDiverged("forced")
+
+    monkeypatch.setattr(estimate, "_fluctuate", diverge)
+    code, _, err = run_cli(
+        "icer-table", "--data", str(data_csv), "--out", str(tmp_path / "x.csv"),
+        capsys=capsys,
+    )
+    assert code == 1
+    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
+    assert line.startswith("error kind=FluctuationDiverged subcommand=icer-table")
+
+
+@pytest.mark.parametrize(
+    ("argv", "means_per_analysis"),
+    [(("--i", "3"), 4), (("--i", "2", "--j", "4"), 6)],
+)
+def test_bootstrap_estimates_only_the_regimes_it_reads(
+    tmp_path, data_csv, monkeypatch, argv, means_per_analysis
+):
+    calls = []
+    inner = study.regime_mean
+
+    def counting(dataset, request):
+        calls.append(request.regime.id)
+        return inner(dataset, request)
+
+    monkeypatch.setattr(study, "regime_mean", counting)
+    code = main([
+        "bootstrap", "--data", str(data_csv), *argv, "--estimator", "ipw",
+        "--replicates", "100", "--seed", "5", "--out", str(tmp_path / "boot.csv"),
+    ])
+    assert code == 0
+    assert len(calls) == means_per_analysis * (100 + 1)
+    assert set(calls) == {1, *(int(v) for v in argv[1::2])}
+
+
+def test_bootstrap_rejects_the_reference_as_second_regime(tmp_path, data_csv, capsys):
+    code, _, err = run_cli(
+        "bootstrap", "--data", str(data_csv), "--i", "2", "--j", "1",
+        "--replicates", "100", "--seed", "5", "--out", str(tmp_path / "boot.csv"),
+        capsys=capsys,
+    )
+    assert code == 1
+    assert "error kind=CliError subcommand=bootstrap" in err
+
+
+def test_regime_without_support_gets_an_undefined_row(tmp_path, data_csv):
+    # Drop every record consistent with regime 8: its ICER is undefined, and
+    # nothing else in the table or a contrast that does not read it changes.
+    mask = consistency_mask(ingest_dataset(str(data_csv)), embedded_regimes()[7])
+    lines = data_csv.read_text().splitlines(keepends=True)
+    body = [ln for ln in lines if not ln.startswith("#")]
+    trimmed = tmp_path / "trimmed.csv"
+    trimmed.write_text(body[0] + "".join(ln for ln, drop in zip(body[1:], mask) if not drop))
+    table = tmp_path / "icers.csv"
+    assert main([
+        "icer-table", "--data", str(trimmed), "--estimator", "ipw", "--out", str(table),
+    ]) == 0
+    _, rows = _rows(table)
+    assert [r["regime"] for r in rows] == [str(i) for i in range(2, 9)]
+    last = rows[-1]
+    assert all(last[k] == "nan" for k in ("icer", "ci_lower", "ci_upper", "rd_cost", "rd_eff"))
+    assert last["reliable"] == "false"
+    assert all(r["icer"] != "nan" for r in rows[:-1])
+    assert main([
+        "contrast", "--data", str(trimmed), "--estimator", "ipw",
+        "--i", "2", "--j", "4", "--out", str(tmp_path / "contrast.csv"),
+    ]) == 0
 
 
 def test_entry_point_subprocess():

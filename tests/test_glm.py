@@ -9,7 +9,6 @@ import pytest
 
 from smartcea.glm import (
     SCORE_TOL,
-    DesignMatrix,
     RankDeficient,
     SeparationDetected,
     expit,
@@ -19,9 +18,8 @@ from smartcea.glm import (
 )
 
 
-def _design(columns: dict[str, np.ndarray]) -> DesignMatrix:
-    values = np.column_stack(list(columns.values()))
-    return DesignMatrix(values=values, column_labels=tuple(columns))
+def _design(columns: dict[str, np.ndarray]) -> np.ndarray:
+    return np.column_stack(list(columns.values()))
 
 
 def test_expit_logit_inverse():

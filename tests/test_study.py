@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from smartcea.core import EstimateWithIC
-from smartcea.dgp import TARGET_ICER, DgpConfig, true_values
-from smartcea.inference import icer
+from smartcea import study
+from smartcea.core import EstimateWithIC, consistency_mask
+from smartcea.dgp import TARGET_ICER, DgpConfig, embedded_regimes, simulate_smart, true_values
+from smartcea.estimate import RegimeMeanRequest, estimate_g, regime_mean
+from smartcea.inference import PER_HUNDRED, icer, risk_difference
 from smartcea.study import (
     StudyConfig,
+    icer_table,
     relative_variance,
     run_study,
 )
@@ -30,11 +33,18 @@ def _result_with_icer(value, width=50.0, seed=0):
     return icer(est(value * 10.0, width), est(10.0, 0.5))
 
 
-def _stub_analyze(truth_icers):
-    def analyze(dataset, regime, reference, estimator, config):
-        return _result_with_icer(truth_icers[regime.id])
+def _stub_icer_table(icer_for):
+    """A stand-in for ``study.icer_table`` with ``icer_for(dataset, regime,
+    estimator)`` as every non-reference regime's ICER."""
 
-    return analyze
+    def table(dataset, regimes, reference, estimator, g, cv_threshold, alpha):
+        return {
+            r.id: _result_with_icer(icer_for(dataset, r, estimator))
+            for r in regimes
+            if r.id != reference.id
+        }
+
+    return table
 
 
 def test_config_validation():
@@ -52,15 +62,16 @@ def test_config_validation():
         StudyConfig(reference_id=99)
 
 
-def test_stub_estimator_returning_truth_scores_perfectly():
+def test_stub_estimator_returning_truth_scores_perfectly(monkeypatch):
     config = StudyConfig(reps=10, n=50, seed=1, estimators=("ipw",))
     truth_icers = {
         r.id: TRUTH.icer_for(r.id) if np.isfinite(TRUTH.icer_for(r.id)) else 0.0
         for r in config.regimes
     }
-    result = run_study(
-        config, truth=TRUTH, analyze=_stub_analyze(truth_icers), retain_degenerate=True
+    monkeypatch.setattr(
+        study, "icer_table", _stub_icer_table(lambda d, r, e: truth_icers[r.id])
     )
+    result = run_study(config, truth=TRUTH, retain_degenerate=True)
     for rid in (2, 4, 6, 8):
         metrics = result.row("ipw", rid).metrics
         assert abs(metrics.bias) < 1e-12
@@ -81,8 +92,10 @@ def test_study_is_deterministic():
 
 def test_results_independent_of_thread_count():
     config = StudyConfig(reps=6, n=300, seed=9)
-    serial = run_study(config, truth=TRUTH, threads=1)
-    parallel = run_study(config, truth=TRUTH, threads=2)
+    calls = {1: [], 2: []}
+    serial = run_study(config, truth=TRUTH, threads=1, progress=calls[1].append)
+    parallel = run_study(config, truth=TRUTH, threads=2, progress=calls[2].append)
+    assert calls[1] == calls[2] == list(range(config.reps))
     for key in serial.draws:
         assert np.array_equal(
             serial.draws[key].icer, parallel.draws[key].icer, equal_nan=True
@@ -90,16 +103,18 @@ def test_results_independent_of_thread_count():
     assert serial.rows == parallel.rows
 
 
-def test_estimators_see_the_same_datasets_within_a_rep():
+def test_estimators_see_the_same_datasets_within_a_rep(monkeypatch):
     seen = []
 
-    def recording_analyze(dataset, regime, reference, estimator, config):
+    def recording(dataset, regime, estimator):
         if regime.id == 2:
             seen.append((estimator, float(dataset.x1[0, 0])))
-        return _result_with_icer(1.0)
+        return 1.0
 
+    monkeypatch.setattr(study, "icer_table", _stub_icer_table(recording))
     config = StudyConfig(reps=3, n=100, seed=5)
-    run_study(config, truth=TRUTH, analyze=recording_analyze, retain_degenerate=True)
+    run_study(config, truth=TRUTH, retain_degenerate=True)
+    assert len(seen) == 2 * config.reps
     by_rep = {}
     for (est, value), rep in zip(seen, [0, 0, 1, 1, 2, 2][: len(seen)]):
         by_rep.setdefault(rep, []).append(value)
@@ -209,3 +224,74 @@ def test_row_lookup_raises_for_unknown_cell():
         result.row("tmle", 2)
     with pytest.raises(KeyError):
         result.row("ipw", 1)
+
+
+@pytest.fixture()
+def counted_means(monkeypatch):
+    """Count the regime means the study module estimates."""
+    calls = []
+
+    def counting(dataset, request):
+        calls.append((request.regime.id, request.outcome))
+        return regime_mean(dataset, request)
+
+    monkeypatch.setattr(study, "regime_mean", counting)
+    return calls
+
+
+def test_icer_table_estimates_each_mean_once(counted_means):
+    data = simulate_smart(DgpConfig(n=600, seed=4))
+    g = estimate_g(data, "fitted")
+    regimes = embedded_regimes()
+    table = icer_table(data, regimes, regimes[0], "tmle", g)
+    assert len(counted_means) == 16
+    assert len(set(counted_means)) == 16
+    assert list(table) == [2, 3, 4, 5, 6, 7, 8]
+
+    def mean(regime, outcome):
+        return regime_mean(data, RegimeMeanRequest(regime, outcome, "tmle", g))
+
+    for regime in regimes[1:]:
+        expected = icer(
+            risk_difference(mean(regime, "c"), mean(regimes[0], "c"), 1.0),
+            risk_difference(mean(regime, "y"), mean(regimes[0], "y"), PER_HUNDRED),
+        )
+        got = table[regime.id]
+        assert got.icer == expected.icer
+        assert np.array_equal(got.ic_icer, expected.ic_icer)
+        assert (got.ci, got.reliable) == (expected.ci, expected.reliable)
+
+
+def test_icer_table_only_estimates_the_regimes_it_is_given(counted_means):
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    g = estimate_g(data, "known")
+    regimes = embedded_regimes()
+    table = icer_table(data, (regimes[3], regimes[1]), regimes[0], "ipw", g)
+    assert list(table) == [4, 2]
+    assert {rid for rid, _ in counted_means} == {1, 2, 4}
+    assert len(counted_means) == 6
+
+
+def test_icer_table_marks_regimes_without_support_undefined():
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+
+    def table_without(regime):
+        trimmed = data.take(np.flatnonzero(~consistency_mask(data, regime)))
+        g = estimate_g(trimmed, "known")
+        return icer_table(trimmed, regimes, regimes[0], "ipw", g)
+
+    without_8 = table_without(regimes[7])
+    assert without_8[8] is None
+    assert all(without_8[rid] is not None for rid in range(2, 8))
+    without_reference = table_without(regimes[0])
+    assert list(without_reference) == [2, 3, 4, 5, 6, 7, 8]
+    assert all(res is None for res in without_reference.values())
+
+
+def test_study_repetition_runs_each_estimator_once(counted_means):
+    # Progress fires as each repetition finishes: 16 means per estimator.
+    seen_at_progress = []
+    config = StudyConfig(reps=2, n=300, seed=9)
+    run_study(config, truth=TRUTH, progress=lambda rep: seen_at_progress.append(len(counted_means)))
+    assert seen_at_progress == [32, 64]
