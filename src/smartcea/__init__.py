@@ -24,10 +24,7 @@ from .core import (
     Dataset,
     EstimateWithIC,
     RegimeSpec,
-    TrajectoryRecord,
     consistency_mask,
-    is_consistent,
-    regime_grid,
 )
 from .dgp import (
     DgpConfig,
@@ -95,7 +92,6 @@ __all__ = [
     "StudyMetrics",
     "StudyResult",
     "TooManyDegenerate",
-    "TrajectoryRecord",
     "TruthTable",
     "ZeroSupport",
     "bootstrap_ci",
@@ -111,9 +107,7 @@ __all__ = [
     "icer_table",
     "icer_variance_decomposition",
     "ipw_mean",
-    "is_consistent",
     "plane_points",
-    "regime_grid",
     "regime_mean",
     "relative_variance",
     "render_plane_svg",

@@ -41,6 +41,7 @@ from .dgp import (
     STAGE1_SUPPORT,
     STAGE2_SUPPORT,
     DgpConfig,
+    TruthTable,
     embedded_regimes,
     simulate_smart,
     true_values,
@@ -89,6 +90,15 @@ class Option:
 
 def _pos_int(v):
     return v >= 1
+
+
+def _estimator_names(value: str) -> tuple[str, ...]:
+    return tuple(e.strip() for e in value.split(",") if e.strip())
+
+
+def _estimator_list(value: str) -> bool:
+    names = _estimator_names(value)
+    return bool(names) and len(set(names)) == len(names) and set(names) <= {"ipw", "tmle"}
 
 
 def _seed_opt():
@@ -247,8 +257,8 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("n", int, 1809, "records per repetition", ">= 2", lambda v: v >= 2),
             _seed_opt(),
             Option(
-                "estimators", str, "ipw,tmle",
-                "comma-separated estimators to compare", choices=None,
+                "estimators", str, "ipw,tmle", "comma-separated estimators to compare",
+                "comma-separated subset of ipw,tmle, not empty", _estimator_list,
             ),
             Option("retain_degenerate", bool, False,
                    "keep unreliable-but-defined reps in the moments", is_flag=True),
@@ -278,10 +288,6 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         ),
     ),
 }
-
-# Subcommands that draw random numbers and therefore demand a seed.
-STOCHASTIC = ("simulate", "truth", "mc-study", "bootstrap")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -557,13 +563,16 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
         raise CliError(f"cannot read {path}: {err}") from None
     regimes: list[RegimeSpec] = []
     seen: set[int] = set()
+    first = True
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         fields = text.replace(",", " ").split()
-        if lineno == 1 and fields and not fields[0].lstrip("-").isdigit():
-            continue  # header row
+        if first:
+            first = False
+            if not fields[0].lstrip("-").isdigit():
+                continue  # header row
         if len(fields) != 4:
             raise CliError(f"{path} line {lineno}: expected 4 fields, got {len(fields)}")
         try:
@@ -623,13 +632,17 @@ def _run_truth(config: RunConfig) -> None:
         seed=s["seed"],
         reference_id=s["reference"],
     )
-    header = ["regime", "ey", "ec", "rd_cost", "rd_eff", "icer", "mc_se_ey", "mc_se_ec"]
-    rows = [
-        [r.id, table.ey[k], table.ec[k], table.rd_cost[k], table.rd_eff[k],
-         table.icer[k], table.mc_se_ey[k], table.mc_se_ec[k]]
-        for k, r in enumerate(table.regimes)
-    ]
-    write_csv(s["out"], config, header, rows)
+    _write_truth(s["out"], config, table)
+
+
+def _write_truth(path: str, config: RunConfig, table: TruthTable) -> None:
+    write_csv(
+        path, config,
+        ["regime", "ey", "ec", "rd_cost", "rd_eff", "icer", "mc_se_ey", "mc_se_ec"],
+        [[r.id, table.ey[k], table.ec[k], table.rd_cost[k], table.rd_eff[k],
+          table.icer[k], table.mc_se_ey[k], table.mc_se_ec[k]]
+         for k, r in enumerate(table.regimes)],
+    )
 
 
 def _g_mode(settings: dict) -> str:
@@ -802,12 +815,11 @@ def _run_plot(config: RunConfig) -> None:
 
 def _run_mc_study(config: RunConfig) -> None:
     s = config.settings
-    estimators = tuple(e.strip() for e in s["estimators"].split(",") if e.strip())
     study_config = StudyConfig(
         reps=s["reps"],
         n=s["n"],
         seed=s["seed"],
-        estimators=estimators,
+        estimators=_estimator_names(s["estimators"]),
         alpha=s["alpha"],
         cv_threshold=s["cv_threshold"],
     )
@@ -825,14 +837,7 @@ def _run_mc_study(config: RunConfig) -> None:
         mc_draws=TRUTH_MC_DRAWS,
         seed=s["seed"],
     )
-    truth_path = s["out"] + ".truth.csv"
-    write_csv(
-        truth_path, config,
-        ["regime", "ey", "ec", "rd_cost", "rd_eff", "icer", "mc_se_ey", "mc_se_ec"],
-        [[r.id, truth.ey[k], truth.ec[k], truth.rd_cost[k], truth.rd_eff[k],
-          truth.icer[k], truth.mc_se_ey[k], truth.mc_se_ec[k]]
-         for k, r in enumerate(truth.regimes)],
-    )
+    _write_truth(s["out"] + ".truth.csv", config, truth)
     result = run_study(
         study_config,
         truth=truth,

@@ -15,33 +15,16 @@ along the branch the record actually followed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "TrajectoryRecord",
     "Dataset",
     "RegimeSpec",
     "EstimateWithIC",
-    "is_consistent",
     "consistency_mask",
-    "regime_grid",
 ]
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One subject's trajectory through a two-stage SMART."""
-
-    id: int
-    x1: tuple[float, ...]
-    a1: int
-    l2: int
-    s2: float
-    a2: int
-    y: int
-    c: float
 
 
 @dataclass(frozen=True)
@@ -183,23 +166,6 @@ class Dataset:
     def n(self) -> int:
         return self.x1.shape[0]
 
-    def record(self, i: int) -> TrajectoryRecord:
-        """Materialize row ``i`` as a :class:`TrajectoryRecord`."""
-        return TrajectoryRecord(
-            id=int(self.ids[i]),
-            x1=tuple(float(v) for v in self.x1[i]),
-            a1=int(self.a1[i]),
-            l2=int(self.l2[i]),
-            s2=float(self.s2[i]),
-            a2=int(self.a2[i]),
-            y=int(self.y[i]),
-            c=float(self.c[i]),
-        )
-
-    def iter_records(self) -> Iterator[TrajectoryRecord]:
-        for i in range(self.n):
-            yield self.record(i)
-
     def take(self, indices) -> "Dataset":
         """Row subset (with replacement allowed), e.g. for bootstrap resampling."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -226,44 +192,14 @@ class Dataset:
         raise ValueError(f"unknown outcome {name!r}, expected 'y' or 'c'")
 
 
-def is_consistent(record: TrajectoryRecord, regime: RegimeSpec) -> bool:
-    """Whether the record's observed treatments follow the regime.
-
-    Only the branch actually taken constrains consistency; the recommendation
-    for the unobserved branch is vacuous.
-    """
-    return record.a1 == regime.d1 and record.a2 == regime.d2(record.l2)
-
-
 def consistency_mask(dataset: Dataset, regime: RegimeSpec) -> np.ndarray:
-    """Vectorized :func:`is_consistent` over all records; bool array of length n."""
+    """Whether each record's observed treatments follow the regime.
+
+    Only the branch a record actually took constrains it; the recommendation
+    for the unobserved branch is vacuous.  Bool array of length n.
+    """
     d2 = np.where(dataset.l2 == 1, regime.d2_if_lapse, regime.d2_if_no_lapse)
     return (dataset.a1 == regime.d1) & (dataset.a2 == d2)
-
-
-def regime_grid(
-    stage1_support,
-    stage2_support: Mapping[int, frozenset[int]],
-) -> tuple[RegimeSpec, ...]:
-    """All embedded regimes over the given supports.
-
-    Enumeration is lexicographic in (d1, d2_if_lapse, d2_if_no_lapse), d1
-    ascending first; ids are assigned 1..K in that order.  This order is a
-    convention of this library, not of any trial's published numbering; see
-    the dgp module for the benchmark design's calibrated numbering.  Designs
-    where some combinations are redundant (one stage-2 option equivalent to
-    another under a particular stage-1 arm) should filter the returned grid.
-    """
-    regimes = []
-    k = 1
-    for d1 in sorted(stage1_support):
-        for dl in sorted(stage2_support[1]):
-            for dn in sorted(stage2_support[0]):
-                regimes.append(
-                    RegimeSpec(id=k, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn)
-                )
-                k += 1
-    return tuple(regimes)
 
 
 @dataclass

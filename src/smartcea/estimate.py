@@ -128,8 +128,6 @@ def _design(
     dataset: Dataset, terms: tuple[str, ...], strata_terms: tuple[str, ...]
 ) -> np.ndarray:
     if "saturated" in terms:
-        if terms != ("saturated",):
-            raise ValueError("'saturated' must be the only term in its stage")
         strata = np.hstack([_term_columns(dataset, t) for t in strata_terms])
         return _cell_indicators(strata)
     cols = [np.ones((dataset.n, 1))]
@@ -141,8 +139,6 @@ def _design(
 class GModel:
     """Treatment mechanism, known or fitted, evaluated per record.
 
-    ``known_probs`` maps (stage, conditioning cell) to a probability: stage 1
-    cells are the arm codes, stage 2 cells are (branch, option) pairs.
     ``fits`` holds the logistic fits behind a fitted model ('stage1', and
     ('stage2', branch) per branch).  ``stage1_probs`` / ``stage2_probs`` are
     the evaluated per-record probabilities the estimators consume;
@@ -151,9 +147,7 @@ class GModel:
     """
 
     kind: str
-    known_probs: dict | None
     fits: dict | None
-    truncation_bounds: tuple[float, float]
     stage1_probs: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     stage2_probs: dict[tuple[int, int], np.ndarray] = field(
         repr=False, default_factory=dict
@@ -162,23 +156,6 @@ class GModel:
     def __post_init__(self) -> None:
         if self.kind not in ("known", "fitted"):
             raise ValueError(f"unknown g kind {self.kind!r}")
-        if self.kind == "known":
-            if self.known_probs is None:
-                raise ValueError("known g requires known_probs")
-            stage1 = {c: p for (s, c), p in self.known_probs.items() if s == 1}
-            stage2: dict[int, float] = {}
-            for (s, c), p in self.known_probs.items():
-                if not 0.0 < p <= 1.0:
-                    raise ValueError(f"known probability for {(s, c)} outside (0, 1]")
-                if s == 2:
-                    stage2[c[0]] = stage2.get(c[0], 0.0) + p
-            if abs(sum(stage1.values()) - 1.0) > 1e-9:
-                raise ValueError("stage-1 known probabilities must sum to 1")
-            for branch, total in stage2.items():
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"stage-2 known probabilities on branch {branch} must sum to 1"
-                    )
 
     def stage1(self, d1: int) -> np.ndarray:
         if d1 not in self.stage1_probs:
@@ -241,21 +218,14 @@ def estimate_g(
     n = dataset.n
     if kind == "known":
         p1 = 1.0 / len(dataset.stage1_support)
-        known: dict = {(1, d): p1 for d in dataset.stage1_support}
         stage1_probs = {d: np.full(n, p1) for d in dataset.stage1_support}
         stage2_probs = {}
         for branch in (0, 1):
             p2 = 1.0 / len(dataset.stage2_support[branch])
             for option in dataset.stage2_support[branch]:
-                known[(2, (branch, option))] = p2
                 stage2_probs[(branch, option)] = np.full(n, p2)
         return GModel(
-            kind="known",
-            known_probs=known,
-            fits=None,
-            truncation_bounds=(0.0, 1.0),
-            stage1_probs=stage1_probs,
-            stage2_probs=stage2_probs,
+            kind="known", fits=None, stage1_probs=stage1_probs, stage2_probs=stage2_probs
         )
 
     if kind != "fitted":
@@ -296,12 +266,7 @@ def estimate_g(
         stage2_probs[(branch, lo2)] = 1.0 - p_hi2
         fits[("stage2", branch)] = fit2
     return GModel(
-        kind="fitted",
-        known_probs=None,
-        fits=fits,
-        truncation_bounds=(truncation, 1.0 - truncation),
-        stage1_probs=stage1_probs,
-        stage2_probs=stage2_probs,
+        kind="fitted", fits=fits, stage1_probs=stage1_probs, stage2_probs=stage2_probs
     )
 
 

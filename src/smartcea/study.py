@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,11 +31,11 @@ from .dgp import TARGET_ICER, DgpConfig, TruthTable, embedded_regimes, simulate_
 from .estimate import (
     GModel,
     RegimeMeanRequest,
-    SeparationDetected,
     ZeroSupport,
     estimate_g,
     regime_mean,
 )
+from .glm import RankDeficient, SeparationDetected
 from .inference import (
     PER_HUNDRED,
     DegenerateDenominator,
@@ -193,14 +193,23 @@ def relative_variance(
             )
         if mask_a.sum() < 2:
             raise ValueError(f"regime {rid}: fewer than 2 aligned reps")
-        va = float(np.var(a[mask_a]))
-        vb = float(np.var(b[mask_b]))
-        if va == 0.0 or vb == 0.0:
+        ratio = _variance_ratio(a, b, mask_a)
+        if not ratio:
             raise ValueError(f"regime {rid}: zero variance in one estimate stream")
         out[rid] = RelativeVariance(
-            tmle_over_ipw=va / vb, ipw_over_tmle=vb / va, n_aligned=int(mask_a.sum())
+            tmle_over_ipw=ratio, ipw_over_tmle=1.0 / ratio, n_aligned=int(mask_a.sum())
         )
     return out
+
+
+def _variance_ratio(num: np.ndarray, den: np.ndarray, aligned: np.ndarray) -> float | None:
+    """var(num) / var(den) over the aligned reps; None when undefined."""
+    if aligned.sum() < 2:
+        return None
+    v_den = float(np.var(den[aligned]))
+    if v_den == 0.0:
+        return None
+    return float(np.var(num[aligned])) / v_den
 
 
 def _rep_seed(seed: int, rep: int) -> int:
@@ -220,8 +229,9 @@ def icer_table(
 
     Every (regime, outcome) mean is estimated once, for the reference and the
     given regimes only.  ``None`` marks an undefined ratio: a numerically
-    zero effect difference, or no consistent record for the regime or the
-    reference.  Keys follow the order of ``regimes``.
+    zero effect difference, or a regime or reference whose mean is not
+    identified (no consistent record, or too few to span an outcome-model
+    design).  Keys follow the order of ``regimes``.
     """
 
     def means(regime: RegimeSpec):
@@ -233,7 +243,7 @@ def icer_table(
                 )
                 for out in ("y", "c")
             ]
-        except ZeroSupport:
+        except (ZeroSupport, RankDeficient):
             return None
 
     ref = means(reference)
@@ -360,22 +370,17 @@ def run_study(
             if progress is not None:
                 progress(rep)
 
+    def kept_reps(key: tuple[str, int]) -> np.ndarray:
+        kept = ~failed[key]
+        return kept if retain_degenerate else kept & ~unreliable[key]
+
     rows: list[StudyRow] = []
     draws: dict[tuple[str, int], RepDraws] = {}
-    kept_masks: dict[tuple[str, int], np.ndarray] = {}
-    for key in cells:
-        kept = ~failed[key]
-        if not retain_degenerate:
-            kept = kept & ~unreliable[key]
-        kept_masks[key] = kept
-
     for est, rid in cells:
         key = (est, rid)
-        kept = kept_masks[key]
+        kept = kept_reps(key)
         s = store[key]
-        masked = {
-            name: np.where(kept, s[name], np.nan) for name in s
-        }
+        masked = {name: np.where(kept, s[name], np.nan) for name in s}
         draws[key] = RepDraws(
             icer=masked["icer"],
             se=masked["se"],
@@ -408,10 +413,10 @@ def run_study(
                 avg_cv_eff=float(np.mean(s["cv_e"][kept])),
             )
         if est == "tmle" and "ipw" in config.estimators:
-            metrics = _attach_rel_var(
-                metrics, store[("tmle", rid)]["icer"], store[("ipw", rid)]["icer"],
-                kept_masks[("tmle", rid)], kept_masks[("ipw", rid)],
-            )
+            aligned = kept & kept_reps(("ipw", rid))
+            ratio = _variance_ratio(s["icer"], store[("ipw", rid)]["icer"], aligned)
+            if ratio is not None:
+                metrics = replace(metrics, rel_var_vs_ipw=ratio)
         rows.append(
             StudyRow(
                 estimator=est,
@@ -423,31 +428,4 @@ def run_study(
         )
     return StudyResult(
         config=config, truth=truth, truth_icers=truth_icers, rows=tuple(rows), draws=draws
-    )
-
-
-def _attach_rel_var(
-    metrics: StudyMetrics,
-    tmle_vals: np.ndarray,
-    ipw_vals: np.ndarray,
-    tmle_kept: np.ndarray,
-    ipw_kept: np.ndarray,
-) -> StudyMetrics:
-    """var(TMLE)/var(IPW) over the reps both estimators kept."""
-    aligned = tmle_kept & ipw_kept
-    if aligned.sum() < 2:
-        return metrics
-    v_ipw = float(np.var(ipw_vals[aligned]))
-    if v_ipw == 0.0:
-        return metrics
-    ratio = float(np.var(tmle_vals[aligned])) / v_ipw
-    return StudyMetrics(
-        bias=metrics.bias,
-        variance=metrics.variance,
-        mse=metrics.mse,
-        mean_ci_width=metrics.mean_ci_width,
-        coverage_pct=metrics.coverage_pct,
-        avg_cv_cost=metrics.avg_cv_cost,
-        avg_cv_eff=metrics.avg_cv_eff,
-        rel_var_vs_ipw=ratio,
     )

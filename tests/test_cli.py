@@ -114,6 +114,13 @@ def test_regime_file_parsing(tmp_path):
     assert [r.id for r in regimes] == [1, 2]
     assert regimes[0].d2_if_lapse == 1
 
+    spec.write_text("# note\nid,d1,d2_if_lapse,d2_if_no_lapse\n1,0,1,3\n")
+    assert read_regime_file(str(spec)) == (regimes[0],)
+
+    spec.write_text("1 0 1 3\nid d1 d2_if_lapse d2_if_no_lapse\n")
+    with pytest.raises(Exception, match="line 2: malformed integer"):
+        read_regime_file(str(spec))
+
     spec.write_text("1 0 1 3\n1 1 1 3\n")
     with pytest.raises(Exception, match="duplicate regime id 1"):
         read_regime_file(str(spec))
@@ -150,6 +157,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+    for value in ("foo", ",", "ipw,foo", "ipw,ipw"):
+        code, _, err = run_cli(
+            "mc-study", "--reps", "1", "--seed", "1", "--estimators", value,
+            "--out", str(tmp_path / "x.csv"), capsys=capsys,
+        )
+        assert code == 2
+        assert "estimators: must be comma-separated subset of ipw,tmle" in err
 
 
 def test_runtime_errors_exit_1_with_machine_readable_line(tmp_path, capsys):
@@ -366,14 +381,20 @@ def test_bootstrap_rejects_the_reference_as_second_regime(tmp_path, data_csv, ca
     assert "error kind=CliError subcommand=bootstrap" in err
 
 
-def test_regime_without_support_gets_an_undefined_row(tmp_path, data_csv):
-    # Drop every record consistent with regime 8: its ICER is undefined, and
-    # nothing else in the table or a contrast that does not read it changes.
+def _without_regime_8(tmp_path, data_csv):
+    """The trial with every record consistent with regime 8 dropped."""
     mask = consistency_mask(ingest_dataset(str(data_csv)), embedded_regimes()[7])
     lines = data_csv.read_text().splitlines(keepends=True)
     body = [ln for ln in lines if not ln.startswith("#")]
     trimmed = tmp_path / "trimmed.csv"
     trimmed.write_text(body[0] + "".join(ln for ln, drop in zip(body[1:], mask) if not drop))
+    return trimmed
+
+
+def test_regime_without_support_gets_an_undefined_row(tmp_path, data_csv):
+    # Drop every record consistent with regime 8: its ICER is undefined, and
+    # nothing else in the table or a contrast that does not read it changes.
+    trimmed = _without_regime_8(tmp_path, data_csv)
     table = tmp_path / "icers.csv"
     assert main([
         "icer-table", "--data", str(trimmed), "--estimator", "ipw", "--out", str(table),
@@ -388,6 +409,22 @@ def test_regime_without_support_gets_an_undefined_row(tmp_path, data_csv):
         "contrast", "--data", str(trimmed), "--estimator", "ipw",
         "--i", "2", "--j", "4", "--out", str(tmp_path / "contrast.csv"),
     ]) == 0
+
+
+def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv):
+    # Without regime 8's records, the stage-2 outcome fits of regimes 4, 6
+    # and 8 see too few rows to span their design: those rows are undefined
+    # and the rest of the TMLE table is still written.
+    trimmed = _without_regime_8(tmp_path, data_csv)
+    table = tmp_path / "icers.csv"
+    assert main([
+        "icer-table", "--data", str(trimmed), "--estimator", "tmle", "--out", str(table),
+    ]) == 0
+    _, rows = _rows(table)
+    assert [r["regime"] for r in rows if r["icer"] == "nan"] == ["4", "6", "8"]
+    for r in rows:
+        if r["icer"] == "nan":
+            assert (r["rd_eff"], r["reliable"]) == ("nan", "false")
 
 
 def test_entry_point_subprocess():

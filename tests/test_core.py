@@ -1,23 +1,11 @@
-"""Trajectory containers, regime consistency, and grid enumeration."""
+"""Trajectory containers and regime consistency."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from smartcea.core import (
-    Dataset,
-    EstimateWithIC,
-    RegimeSpec,
-    TrajectoryRecord,
-    consistency_mask,
-    is_consistent,
-    regime_grid,
-)
-
-
-def _record(a1=0, l2=1, a2=1):
-    return TrajectoryRecord(id=1, x1=(0.0,), a1=a1, l2=l2, s2=0.0, a2=a2, y=1, c=2.0)
+from smartcea.core import Dataset, EstimateWithIC, RegimeSpec, consistency_mask
 
 
 def test_d2_selects_branch():
@@ -28,19 +16,23 @@ def test_d2_selects_branch():
 
 def test_is_consistent_uses_taken_branch_only():
     regime = RegimeSpec(id=1, d1=0, d2_if_lapse=1, d2_if_no_lapse=3)
-    assert is_consistent(_record(a1=0, l2=1, a2=1), regime)
-    assert not is_consistent(_record(a1=0, l2=1, a2=2), regime)
-    assert is_consistent(_record(a1=0, l2=0, a2=3), regime)
-    assert not is_consistent(_record(a1=0, l2=0, a2=4), regime)
-    assert not is_consistent(_record(a1=1, l2=1, a2=1), regime)
+    # (a1, l2, a2) per record: follows on the lapse branch, wrong lapse
+    # option, follows on the no-lapse branch, wrong no-lapse option, wrong
+    # stage-1 arm.
+    cases = [(0, 1, 1, True), (0, 1, 2, False), (0, 0, 3, True), (0, 0, 4, False),
+             (1, 1, 1, False)]
+    a1, l2, a2, expected = (list(col) for col in zip(*cases))
+    data = Dataset(x1=[0.0] * 5, a1=a1, l2=l2, s2=[0.0] * 5, a2=a2, y=[1] * 5, c=[2.0] * 5)
+    assert consistency_mask(data, regime).tolist() == expected
 
 
 def test_consistency_mask_matches_per_record(trial, regimes):
     for regime in regimes:
         mask = consistency_mask(trial, regime)
-        by_record = np.array(
-            [is_consistent(rec, regime) for rec in trial.iter_records()]
-        )
+        by_record = np.array([
+            trial.a1[i] == regime.d1 and trial.a2[i] == regime.d2(trial.l2[i])
+            for i in range(trial.n)
+        ])
         assert np.array_equal(mask, by_record)
 
 
@@ -102,13 +94,6 @@ def test_outcome_accessor(trial):
         trial.outcome("z")
 
 
-def test_record_round_trip(trial):
-    rec = trial.record(5)
-    assert rec.a1 == trial.a1[5]
-    assert rec.x1 == tuple(trial.x1[5])
-    assert rec.c == trial.c[5]
-
-
 def test_take_preserves_supports_and_allows_replacement(trial):
     sub = trial.take([0, 0, 3, 2])
     assert sub.n == 4
@@ -116,27 +101,6 @@ def test_take_preserves_supports_and_allows_replacement(trial):
     assert sub.stage2_support == trial.stage2_support
     assert np.array_equal(sub.x1[0], trial.x1[0])
     assert np.array_equal(sub.x1[1], trial.x1[0])
-
-
-def test_regime_grid_benchmark_supports():
-    grid = regime_grid({0, 1}, {0: {3, 4}, 1: {1, 2}})
-    assert len(grid) == 8
-    assert [r.id for r in grid] == list(range(1, 9))
-    triples = [(r.d1, r.d2_if_lapse, r.d2_if_no_lapse) for r in grid]
-    assert len(set(triples)) == 8
-    assert triples == sorted(triples)  # d1 ascending first
-
-
-def test_regime_grid_supports_filtering_redundant_rows():
-    # A three-arm first stage with three lapse options and two no-lapse
-    # options enumerates 18 rows; a design where the two no-lapse
-    # continuations coincide under one particular first-stage arm trims to
-    # 15 by filtering, without special casing in the enumeration itself.
-    grid = regime_grid({0, 1, 2}, {0: {4, 5}, 1: {1, 2, 3}})
-    assert len(grid) == 18
-    kept = [r for r in grid if not (r.d1 == 2 and r.d2_if_no_lapse == 5)]
-    assert len(kept) == 15
-    assert len({(r.d1, r.d2_if_lapse, r.d2_if_no_lapse) for r in kept}) == 15
 
 
 def test_estimate_with_ic_se_matches_definition():

@@ -8,7 +8,8 @@ import pytest
 from smartcea import study
 from smartcea.core import EstimateWithIC, consistency_mask
 from smartcea.dgp import TARGET_ICER, DgpConfig, embedded_regimes, simulate_smart, true_values
-from smartcea.estimate import RegimeMeanRequest, estimate_g, regime_mean
+from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, estimate_g, regime_mean
+from smartcea.glm import RankDeficient, SeparationDetected
 from smartcea.inference import PER_HUNDRED, icer, risk_difference
 from smartcea.study import (
     StudyConfig,
@@ -287,6 +288,29 @@ def test_icer_table_marks_regimes_without_support_undefined():
     without_reference = table_without(regimes[0])
     assert list(without_reference) == [2, 3, 4, 5, 6, 7, 8]
     assert all(res is None for res in without_reference.values())
+
+
+@pytest.mark.parametrize(
+    "failure", [RankDeficient, SeparationDetected, FluctuationDiverged]
+)
+def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+
+    def failing(dataset, request):
+        if request.regime.id == 4:
+            raise failure("forced")
+        return regime_mean(dataset, request)
+
+    monkeypatch.setattr(study, "regime_mean", failing)
+    g = estimate_g(data, "known")
+    if failure is not RankDeficient:
+        with pytest.raises(failure):
+            icer_table(data, regimes, regimes[0], "ipw", g)
+        return
+    table = icer_table(data, regimes, regimes[0], "ipw", g)
+    assert table[4] is None
+    assert all(table[rid] is not None for rid in (2, 3, 5, 6, 7, 8))
 
 
 def test_study_repetition_runs_each_estimator_once(counted_means):
