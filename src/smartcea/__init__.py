@@ -29,7 +29,6 @@ from .core import (
 from .dgp import (
     DgpConfig,
     TruthTable,
-    calibrate_regime_indexing,
     embedded_regimes,
     simulate_smart,
     true_values,
@@ -95,7 +94,6 @@ __all__ = [
     "TruthTable",
     "ZeroSupport",
     "bootstrap_ci",
-    "calibrate_regime_indexing",
     "consistency_mask",
     "contrast",
     "cost_ranking",
@@ -112,6 +110,7 @@ __all__ = [
     "relative_variance",
     "render_plane_svg",
     "risk_difference",
+    "run_study",
     "simulate_smart",
     "tmle_mean",
     "true_values",

@@ -65,7 +65,6 @@ class GlmFit:
     converged: bool
     iterations: int
     max_abs_score: float
-    offset_used: bool
 
 
 def _as_matrix(design) -> np.ndarray:
@@ -202,7 +201,6 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         converged=converged,
         iterations=it,
         max_abs_score=max_abs_score,
-        offset_used=offset is not None,
     )
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import Dataset, EstimateWithIC
+from .estimate import ZeroSupport
 from .rng import PURPOSE_BOOTSTRAP, philox_stream
 
 __all__ = [
@@ -75,7 +76,7 @@ def wald_ci(psi: float, ic: np.ndarray, alpha: float = 0.05) -> tuple[float, flo
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     se = EstimateWithIC(psi=psi, ic=np.asarray(ic, dtype=np.float64)).se
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return psi - z * se, psi + z * se
 
 
@@ -260,8 +261,6 @@ def bootstrap_ci(
     no consistent records) are dropped but counted; if their share exceeds
     ``max_degenerate_share`` the interval is refused.
     """
-    from .estimate import ZeroSupport  # late import, avoids a module cycle
-
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates for a percentile interval")
     if not 0.0 < alpha < 1.0:

@@ -23,6 +23,8 @@ __all__ = [
 PURPOSE_SIMULATE = 1
 PURPOSE_TRUTH = 2
 PURPOSE_BOOTSTRAP = 3
+# Drawn only by the calibration search in tests/oracles.py; reserved here so
+# no library stream takes the tag.
 PURPOSE_CALIBRATE = 4
 
 # Rows per block when a routine chunks its draws.  Fixed: changing it would

@@ -92,6 +92,8 @@ class StudyConfig:
             raise ValueError("n must be at least 2")
         if not self.estimators:
             raise ValueError("at least one estimator required")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators repeat: {self.estimators}")
         for est in self.estimators:
             if est not in ("ipw", "tmle"):
                 raise ValueError(f"unknown estimator {est!r}")

@@ -11,12 +11,10 @@ from smartcea.dgp import (
     C_CONSTANTS,
     DEFAULT_REGIME_INDEX_MAP,
     DiscreteDgp,
-    NoConsistentIndexing,
     TARGET_EY,
     TARGET_ROUNDING,
     Y_CONSTANTS,
     DgpConfig,
-    calibrate_regime_indexing,
     discrete_true_values,
     embedded_regimes,
     empirical_discrete,
@@ -28,6 +26,8 @@ from smartcea.dgp import (
     target_se,
     true_values,
 )
+
+from oracles import NoConsistentIndexing, calibrate_regime_indexing
 
 # Independently computed high-precision Monte Carlo values (2e7 common-
 # random-number draws), frozen here as the oracle for the generator's law.

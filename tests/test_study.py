@@ -63,6 +63,13 @@ def test_config_validation():
         StudyConfig(reference_id=99)
 
 
+@pytest.mark.parametrize("estimators", [("ipw", "ipw"), ("tmle", "ipw", "tmle")])
+def test_config_rejects_repeated_estimators(estimators):
+    # A repeated name would run that estimator twice and report every row twice.
+    with pytest.raises(ValueError, match="repeat"):
+        StudyConfig(estimators=estimators)
+
+
 def test_stub_estimator_returning_truth_scores_perfectly(monkeypatch):
     config = StudyConfig(reps=10, n=50, seed=1, estimators=("ipw",))
     truth_icers = {
