@@ -49,6 +49,7 @@ from .dgp import (
 from .estimate import (
     FluctuationDiverged,
     RegimeMeanRequest,
+    ScalingDegenerate,
     ZeroSupport,
     estimate_g,
     regime_mean,
@@ -926,6 +927,7 @@ RUNTIME_ERRORS = (
     SeparationDetected,
     RankDeficient,
     FluctuationDiverged,
+    ScalingDegenerate,
     ValueError,
 )
 

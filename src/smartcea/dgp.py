@@ -345,6 +345,36 @@ def _finish_truth(
     )
 
 
+def _check_reference(regs: Sequence[RegimeSpec], reference_id: int) -> None:
+    if not any(r.id == reference_id for r in regs):
+        raise ValueError(
+            f"reference regime {reference_id} is not among the regimes "
+            f"{[r.id for r in regs]}"
+        )
+
+
+def _regimes_by_arm(
+    config: DgpConfig, regs: Sequence[RegimeSpec]
+) -> dict[int, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Map each stage-1 arm d1 to its regimes' (position, logits, rates), where
+    each pair holds the regime's (lapse, no-lapse) branch constants."""
+    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
+    rate_k = np.asarray(config.c_constants, dtype=np.float64)
+    index = config.regime_index_map
+    arms: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, reg in enumerate(regs):
+        cells = ((reg.d1, 1, reg.d2_if_lapse), (reg.d1, 0, reg.d2_if_no_lapse))
+        if any(cell not in index for cell in cells):
+            raise ValueError(
+                f"regime {reg.id} lies outside the generator's support: d1 in "
+                f"{sorted(STAGE1_SUPPORT)}, d2_if_lapse in {sorted(STAGE2_SUPPORT[1])}, "
+                f"d2_if_no_lapse in {sorted(STAGE2_SUPPORT[0])}"
+            )
+        k = [index[cell] - 1 for cell in cells]
+        arms.setdefault(reg.d1, []).append((i, base_logit[k], rate_k[k]))
+    return arms
+
+
 def true_values(
     config: DgpConfig,
     regimes: Sequence[RegimeSpec] | None = None,
@@ -356,17 +386,19 @@ def true_values(
 
     Counterfactual trajectories are generated by fixing A(1) = d1 and
     A(2) = d2(L(2)) inside the structural equations.  All regimes share one
-    set of exogenous draws per block (the same baseline, lapse uniform,
-    intermediate noise, outcome uniform, and cost exponential enter every
-    counterfactual arm), so regimes whose branch constants coincide produce
-    identical outcomes draw for draw, and contrasts carry no spurious Monte
-    Carlo disagreement.
+    set of exogenous draws per block, so regimes whose branch constants
+    coincide produce identical outcomes draw for draw, and contrasts carry
+    no spurious Monte Carlo disagreement.  L(2), S(2) and the cost rate's
+    distance term depend only on the stage-1 arm, so each block computes
+    them once per arm; a regime adds its two branch constants, picked per
+    row by L(2).  Raises ``ValueError`` before any draw for a regime outside
+    the generator's support or a ``reference_id`` that names no regime.
     """
     if mc_draws < 10_000:
         raise ValueError("mc_draws must be at least 10000")
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
-    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
-    rate_k = np.asarray(config.c_constants, dtype=np.float64)
+    _check_reference(regs, reference_id)
+    arms = _regimes_by_arm(config, regs)
 
     sum_y = np.zeros(len(regs))
     sum_c = np.zeros(len(regs))
@@ -386,20 +418,18 @@ def true_values(
             arr[:m] for arr in (x1, u_l2, eps_s2, u_y, e_c)
         )
         curvature = 0.5 * x1**2 + np.log(np.abs(x1) + 0.01)
+        scaled_e_c = config.cost_scale * e_c
 
-        for i, reg in enumerate(regs):
-            d1 = reg.d1
-            l2 = (u_l2 < expit(x1 + d1)).astype(np.int64)
+        for d1, members in arms.items():
+            lapse = u_l2 < expit(x1 + d1)
             s2 = x1 + 2.0 * d1 + eps_s2
-            a2 = np.where(l2 == 1, reg.d2_if_lapse, reg.d2_if_no_lapse)
-            k = config.constant_index(_cell_index(d1, l2, a2))
-            p_y = expit(base_logit[k] + s2 + curvature)
-            y = u_y < p_y
-            rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * d1)
-            c = config.cost_scale * e_c / rate
-            sum_y[i] += y.sum()
-            sum_c[i] += c.sum()
-            sum_c2[i] += (c * c).sum()
+            distance = np.abs(s2 + x1 + lapse - 3.0 * d1)
+            for i, logits, rates in members:
+                p_y = expit(np.where(lapse, *logits) + s2 + curvature)
+                c = scaled_e_c / (np.where(lapse, *rates) + distance)
+                sum_y[i] += (u_y < p_y).sum()
+                sum_c[i] += c.sum()
+                sum_c2[i] += (c * c).sum()
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)
 
@@ -538,6 +568,7 @@ def discrete_true_values(
     if mc_draws < 10_000:
         raise ValueError("mc_draws must be at least 10000")
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
+    _check_reference(regs, reference_id)
     rng = np.random.default_rng(seed)
     u_x1 = rng.random(mc_draws)
     u_l2 = rng.random(mc_draws)

@@ -6,6 +6,11 @@
 means.  The library ships only its result; the tests rerun the search to
 confirm it.  It draws from the reserved stream purpose
 ``smartcea.rng.PURPOSE_CALIBRATE``.
+
+``per_regime_true_values`` is ``smartcea.dgp.true_values`` as a plain loop
+over regimes that recomputes every quantity per regime and looks up each
+row's constants by cell index.  ``true_values`` shares the per-arm work
+across regimes and must agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from smartcea.dgp import (
     TARGET_ROUNDING,
     DgpConfig,
     _cell_index,
+    _finish_truth,
     embedded_regimes,
     target_se,
     true_values,
 )
 from smartcea.glm import expit, logit
-from smartcea.rng import BLOCK, PURPOSE_CALIBRATE, philox_stream
+from smartcea.rng import BLOCK, PURPOSE_CALIBRATE, PURPOSE_TRUTH, philox_stream
 
 
 class NoConsistentIndexing(Exception):
@@ -214,3 +220,50 @@ def calibrate_regime_indexing(
         mc_se_ec=truth.mc_se_ec,
         config=winner,
     )
+
+
+def per_regime_true_values(
+    config: DgpConfig,
+    regimes=None,
+    mc_draws: int = 2_000_000,
+    seed: int = 0,
+    reference_id: int = 1,
+):
+    """``true_values`` evaluated regime by regime over full-length cell lookups."""
+    regs = tuple(regimes) if regimes is not None else embedded_regimes()
+    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
+    rate_k = np.asarray(config.c_constants, dtype=np.float64)
+
+    sum_y = np.zeros(len(regs))
+    sum_c = np.zeros(len(regs))
+    sum_c2 = np.zeros(len(regs))
+
+    for b in range((mc_draws + BLOCK - 1) // BLOCK):
+        rng = philox_stream(seed, PURPOSE_TRUTH, b)
+        x1 = rng.standard_normal(BLOCK)
+        u_l2 = rng.random(BLOCK)
+        eps_s2 = rng.standard_normal(BLOCK)
+        u_y = rng.random(BLOCK)
+        e_c = rng.standard_exponential(BLOCK)
+
+        m = min(mc_draws - b * BLOCK, BLOCK)
+        x1, u_l2, eps_s2, u_y, e_c = (
+            arr[:m] for arr in (x1, u_l2, eps_s2, u_y, e_c)
+        )
+        curvature = 0.5 * x1**2 + np.log(np.abs(x1) + 0.01)
+
+        for i, reg in enumerate(regs):
+            d1 = reg.d1
+            l2 = (u_l2 < expit(x1 + d1)).astype(np.int64)
+            s2 = x1 + 2.0 * d1 + eps_s2
+            a2 = np.where(l2 == 1, reg.d2_if_lapse, reg.d2_if_no_lapse)
+            k = config.constant_index(_cell_index(d1, l2, a2))
+            p_y = expit(base_logit[k] + s2 + curvature)
+            y = u_y < p_y
+            rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * d1)
+            c = config.cost_scale * e_c / rate
+            sum_y[i] += y.sum()
+            sum_c[i] += c.sum()
+            sum_c2[i] += (c * c).sum()
+
+    return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)

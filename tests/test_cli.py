@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from smartcea import estimate, study
+from smartcea import dgp, estimate, study
 from smartcea.cli import ingest_dataset, main, read_regime_file
 from smartcea.core import consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
@@ -345,6 +345,37 @@ def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys)
     assert code == 1
     line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
     assert line.startswith("error kind=FluctuationDiverged subcommand=icer-table")
+
+
+def test_scaling_degenerate_exits_1(tmp_path, data_csv, monkeypatch, capsys):
+    def degenerate(dataset, request):
+        raise estimate.ScalingDegenerate("outcome range is not finite")
+
+    monkeypatch.setattr(study, "regime_mean", degenerate)
+    code, _, err = run_cli(
+        "icer-table", "--data", str(data_csv), "--out", str(tmp_path / "x.csv"),
+        capsys=capsys,
+    )
+    assert code == 1
+    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
+    assert line.startswith("error kind=ScalingDegenerate subcommand=icer-table")
+
+
+def test_truth_rejects_unknown_reference_before_drawing(tmp_path, monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the reference")
+
+    monkeypatch.setattr(dgp, "philox_stream", no_draws)
+    out = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        "truth", "--seed", "1", "--mc-draws", "10000", "--reference", "42",
+        "--out", str(out), capsys=capsys,
+    )
+    assert code == 1
+    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
+    assert line.startswith("error kind=ValueError subcommand=truth")
+    assert "reference regime 42" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from smartcea import dgp
 from smartcea.core import RegimeSpec
 from smartcea.dgp import (
     C_CONSTANTS,
@@ -27,7 +28,11 @@ from smartcea.dgp import (
     true_values,
 )
 
-from oracles import NoConsistentIndexing, calibrate_regime_indexing
+from oracles import (
+    NoConsistentIndexing,
+    calibrate_regime_indexing,
+    per_regime_true_values,
+)
 
 # Independently computed high-precision Monte Carlo values (2e7 common-
 # random-number draws), frozen here as the oracle for the generator's law.
@@ -151,6 +156,62 @@ def test_icer_for_lookup():
     assert table.icer_for(2) == table.icer[1]
     with pytest.raises(KeyError):
         table.icer_for(99)
+
+
+_TRUTH_FIELDS = ("ey", "ec", "rd_cost", "rd_eff", "icer", "mc_se_ey", "mc_se_ec")
+_Y_7_8_SWAPPED = Y_CONSTANTS[:6] + (Y_CONSTANTS[7], Y_CONSTANTS[6])
+
+
+@pytest.mark.parametrize(
+    ("config", "regime_ids", "mc_draws", "reference_id"),
+    [
+        (DgpConfig(), None, 300_001, 1),
+        (DgpConfig(), (8, 7, 6, 5, 4, 3, 2, 1), 524_289, 4),
+        (DgpConfig(), (2, 4, 6), 262_144, 2),
+        (DgpConfig(y_constants=_Y_7_8_SWAPPED), None, 300_001, 1),
+    ],
+    ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped"],
+)
+def test_truth_matches_per_regime_oracle_bit_for_bit(
+    config, regime_ids, mc_draws, reference_id
+):
+    by_id = {r.id: r for r in embedded_regimes()}
+    regimes = None if regime_ids is None else [by_id[i] for i in regime_ids]
+    args = dict(regimes=regimes, mc_draws=mc_draws, seed=17, reference_id=reference_id)
+    got = true_values(config, **args)
+    want = per_regime_true_values(config, **args)
+    assert got.regimes == want.regimes
+    for name in _TRUTH_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+def _no_draws(*args):
+    raise AssertionError("drew before validating the request")
+
+
+@pytest.mark.parametrize(
+    "regime",
+    [
+        RegimeSpec(id=2, d1=0, d2_if_lapse=3, d2_if_no_lapse=3),
+        RegimeSpec(id=2, d1=0, d2_if_lapse=1, d2_if_no_lapse=1),
+        RegimeSpec(id=2, d1=7, d2_if_lapse=1, d2_if_no_lapse=3),
+    ],
+    ids=["lapse-option-from-no-lapse-branch", "no-lapse-option-from-lapse-branch", "d1-7"],
+)
+def test_truth_rejects_regimes_outside_support_before_drawing(regime, monkeypatch):
+    monkeypatch.setattr(dgp, "philox_stream", _no_draws)
+    with pytest.raises(ValueError, match="regime 2 lies outside"):
+        true_values(DgpConfig(), [embedded_regimes()[0], regime], mc_draws=10_000)
+
+
+def test_truth_rejects_unknown_reference_before_drawing(monkeypatch):
+    bed = make_discrete_dgp(seed=5)
+    monkeypatch.setattr(dgp, "philox_stream", _no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    with pytest.raises(ValueError, match="reference regime 42"):
+        true_values(DgpConfig(), mc_draws=10_000, reference_id=42)
+    with pytest.raises(ValueError, match="reference regime 42"):
+        discrete_true_values(bed, mc_draws=10_000, reference_id=42)
 
 
 def test_calibration_recovers_default_indexing():

@@ -27,6 +27,32 @@ def test_expit_logit_inverse():
     assert np.allclose(logit(expit(x)), x, atol=1e-8)
 
 
+def _masked_expit(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_expit_is_bit_equal_to_the_masked_form():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.standard_normal(786_432) * 8.0,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0],
+    ])
+    want = _masked_expit(x)
+    got = expit(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got[np.isfinite(got)]), np.signbit(want[np.isfinite(want)]))
+    zero_d = expit(np.float64(-0.3))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d == _masked_expit(np.float64(-0.3))
+
+
 def test_intercept_only_matches_logit_of_mean():
     # With exactly 20 successes in 80 trials the MLE intercept is logit(1/4).
     z = np.zeros(80)
