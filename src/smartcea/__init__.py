@@ -23,6 +23,7 @@ from .cea import (
 from .core import (
     Dataset,
     EstimateWithIC,
+    EstimationFailure,
     RegimeSpec,
     consistency_mask,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "DgpConfig",
     "EmptyFrontier",
     "EstimateWithIC",
+    "EstimationFailure",
     "FluctuationDiverged",
     "Frontier",
     "GModel",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EstimateWithIC
+from .core import EstimateWithIC, EstimationFailure
 from .inference import IcerResult, wald_ci
 
 __all__ = [
@@ -36,7 +36,7 @@ X_AXIS_LABEL = "Incremental effectiveness (percentage points)"
 Y_AXIS_LABEL = "Incremental cost ($)"
 
 
-class EmptyFrontier(Exception):
+class EmptyFrontier(EstimationFailure):
     """No regime is strictly more effective than the reference."""
 
 

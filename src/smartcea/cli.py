@@ -36,7 +36,7 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import Dataset, RegimeSpec
+from .core import Dataset, EstimationFailure, RegimeSpec
 from .dgp import (
     STAGE1_SUPPORT,
     STAGE2_SUPPORT,
@@ -46,22 +46,8 @@ from .dgp import (
     simulate_smart,
     true_values,
 )
-from .estimate import (
-    FluctuationDiverged,
-    RegimeMeanRequest,
-    ScalingDegenerate,
-    ZeroSupport,
-    estimate_g,
-    regime_mean,
-)
-from .glm import RankDeficient, SeparationDetected
-from .inference import (
-    DegenerateDenominator,
-    IcerResult,
-    TooManyDegenerate,
-    bootstrap_ci,
-    contrast,
-)
+from .estimate import RegimeMeanRequest, estimate_g, regime_mean
+from .inference import DegenerateDenominator, IcerResult, bootstrap_ci, contrast
 from .study import TRUTH_MC_DRAWS, StudyConfig, icer_table, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
@@ -463,13 +449,14 @@ def ingest_dataset(path: str) -> Dataset:
     Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c.  Treatment codes
     are checked against the benchmark supports; a stage-2 code from the
     wrong branch names the line, the column, and the support it violated.
+    Line numbers are physical: the ``#`` comment lines count.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh]
+            numbered = [(no, ln) for no, ln in enumerate(fh, 1) if not ln.startswith("#")]
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
-    rows = list(csv.reader([ln for ln in lines if not ln.startswith("#")]))
+    rows = list(csv.reader(ln for _, ln in numbered))
     if not rows:
         raise CliError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -498,7 +485,7 @@ def ingest_dataset(path: str) -> Dataset:
         raise CliError(f"{path} line {line_no}, column {column!r}: {reason}")
 
     for i, row in enumerate(data_rows):
-        line_no = i + 2  # 1-based, after the header line
+        line_no = numbered[i + 1][0]
         if len(row) != len(header):
             fail(line_no, "-", f"expected {len(header)} fields, got {len(row)}")
 
@@ -832,16 +819,8 @@ def _run_mc_study(config: RunConfig) -> None:
             print(f"rep {done}/{s['reps']}", file=sys.stderr)
 
     print(f"computing truth table ({TRUTH_MC_DRAWS} draws)", file=sys.stderr)
-    truth = true_values(
-        DgpConfig(n=s["n"], seed=s["seed"]),
-        regimes=study_config.regimes,
-        mc_draws=TRUTH_MC_DRAWS,
-        seed=s["seed"],
-    )
-    _write_truth(s["out"] + ".truth.csv", config, truth)
     result = run_study(
         study_config,
-        truth=truth,
         retain_degenerate=s["retain_degenerate"],
         threads=threads,
         progress=progress,
@@ -861,6 +840,7 @@ def _run_mc_study(config: RunConfig) -> None:
             row.degenerate_count,
         ])
     write_csv(s["out"], config, header, rows)
+    _write_truth(s["out"] + ".truth.csv", config, result.truth)
 
 
 def _run_bootstrap(config: RunConfig) -> None:
@@ -918,18 +898,7 @@ RUNNERS = {
     "bootstrap": _run_bootstrap,
 }
 
-RUNTIME_ERRORS = (
-    CliError,
-    DegenerateDenominator,
-    TooManyDegenerate,
-    EmptyFrontier,
-    ZeroSupport,
-    SeparationDetected,
-    RankDeficient,
-    FluctuationDiverged,
-    ScalingDegenerate,
-    ValueError,
-)
+RUNTIME_ERRORS = (CliError, EstimationFailure, ValueError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

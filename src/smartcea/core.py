@@ -20,11 +20,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "EstimationFailure",
     "Dataset",
     "RegimeSpec",
     "EstimateWithIC",
     "consistency_mask",
 ]
+
+
+class EstimationFailure(Exception):
+    """Base of every domain failure: the data, a fit or a ratio cannot
+    support the requested estimate.  Each subclass names one way it fails."""
 
 
 @dataclass(frozen=True)

@@ -353,23 +353,34 @@ def _check_reference(regs: Sequence[RegimeSpec], reference_id: int) -> None:
         )
 
 
+def _check_support(regs: Sequence[RegimeSpec]) -> None:
+    """Reject a regime whose codes lie outside the stage-1 and branch supports,
+    which both generators share."""
+    for reg in regs:
+        if (
+            reg.d1 not in STAGE1_SUPPORT
+            or reg.d2_if_lapse not in STAGE2_SUPPORT[1]
+            or reg.d2_if_no_lapse not in STAGE2_SUPPORT[0]
+        ):
+            raise ValueError(
+                f"regime {reg.id} lies outside the generator's support: d1 in "
+                f"{sorted(STAGE1_SUPPORT)}, d2_if_lapse in {sorted(STAGE2_SUPPORT[1])}, "
+                f"d2_if_no_lapse in {sorted(STAGE2_SUPPORT[0])}"
+            )
+
+
 def _regimes_by_arm(
     config: DgpConfig, regs: Sequence[RegimeSpec]
 ) -> dict[int, list[tuple[int, np.ndarray, np.ndarray]]]:
     """Map each stage-1 arm d1 to its regimes' (position, logits, rates), where
     each pair holds the regime's (lapse, no-lapse) branch constants."""
+    _check_support(regs)
     base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
     rate_k = np.asarray(config.c_constants, dtype=np.float64)
     index = config.regime_index_map
     arms: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for i, reg in enumerate(regs):
         cells = ((reg.d1, 1, reg.d2_if_lapse), (reg.d1, 0, reg.d2_if_no_lapse))
-        if any(cell not in index for cell in cells):
-            raise ValueError(
-                f"regime {reg.id} lies outside the generator's support: d1 in "
-                f"{sorted(STAGE1_SUPPORT)}, d2_if_lapse in {sorted(STAGE2_SUPPORT[1])}, "
-                f"d2_if_no_lapse in {sorted(STAGE2_SUPPORT[0])}"
-            )
         k = [index[cell] - 1 for cell in cells]
         arms.setdefault(reg.d1, []).append((i, base_logit[k], rate_k[k]))
     return arms
@@ -471,9 +482,6 @@ class DiscreteDgp:
         ):
             raise ValueError("p_c must hold a pmf on its trailing axis")
 
-    def mean_cost(self) -> np.ndarray:
-        return self.p_c @ np.asarray(COST_SUPPORT)
-
 
 def make_discrete_dgp(seed: int) -> DiscreteDgp:
     """Random but well-behaved test-bed parameters (probabilities in [.25, .75],
@@ -522,8 +530,10 @@ def enumerate_paths(
     """Exhaustive counterfactual outcome space under the regime.
 
     Yields (probability, x1, l2, s2, y, c) for every support point; the
-    probabilities sum to one.
+    probabilities sum to one.  Raises ``ValueError`` for a regime outside
+    the supports.
     """
+    _check_support((regime,))
     for x1 in (0, 1):
         p_x = dgp.p_x1 if x1 == 1 else 1.0 - dgp.p_x1
         for l2 in (0, 1):
@@ -563,12 +573,15 @@ def discrete_true_values(
     """Monte Carlo counterfactual means on the test bed.
 
     Exists to cross-check gcomp_discrete through an entirely different code
-    path; shares exogenous uniforms across regimes like ``true_values``.
+    path; shares exogenous uniforms across regimes like ``true_values``, and
+    like it raises ``ValueError`` before any draw for a regime outside the
+    supports or an unknown ``reference_id``.
     """
     if mc_draws < 10_000:
         raise ValueError("mc_draws must be at least 10000")
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
     _check_reference(regs, reference_id)
+    _check_support(regs)
     rng = np.random.default_rng(seed)
     u_x1 = rng.random(mc_draws)
     u_l2 = rng.random(mc_draws)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, EstimateWithIC, RegimeSpec, consistency_mask
+from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, consistency_mask
 from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 
 __all__ = [
@@ -44,15 +44,15 @@ __all__ = [
 ]
 
 
-class ZeroSupport(Exception):
+class ZeroSupport(EstimationFailure):
     """No record in the data follows the regime, so nothing identifies it."""
 
 
-class FluctuationDiverged(Exception):
+class FluctuationDiverged(EstimationFailure):
     """A TMLE fluctuation step separated instead of converging."""
 
 
-class ScalingDegenerate(Exception):
+class ScalingDegenerate(EstimationFailure):
     """The outcome cannot be mapped to [0, 1] (non-finite sample range)."""
 
 
@@ -61,7 +61,7 @@ class CovariateSpec:
     """Named covariate terms for the two stage-specific regressions.
 
     Terms: 'x1' (all baseline columns), 'x1_sq', 'log_abs_x1', 'a1', 'l2',
-    's2', 's2_sq'.  An intercept is always prepended.  The special spec
+    's2'.  An intercept is always prepended.  The special spec
     ("saturated",) instead builds one indicator per observed stratum of the
     model's standard adjustment variables (outcome stage 2: x1, l2, s2;
     outcome stage 1: x1; treatment stage 1: x1; treatment stage 2: x1, a1,
@@ -73,7 +73,7 @@ class CovariateSpec:
     stage2: tuple[str, ...]
 
     _TERMS = frozenset(
-        {"x1", "x1_sq", "log_abs_x1", "a1", "l2", "s2", "s2_sq", "saturated"}
+        {"x1", "x1_sq", "log_abs_x1", "a1", "l2", "s2", "saturated"}
     )
 
     def __post_init__(self) -> None:
@@ -112,8 +112,6 @@ def _term_columns(dataset: Dataset, name: str) -> np.ndarray:
         return dataset.l2[:, None].astype(np.float64)
     if name == "s2":
         return dataset.s2[:, None]
-    if name == "s2_sq":
-        return dataset.s2[:, None] ** 2
     raise ValueError(f"unknown covariate term {name!r}")
 
 
@@ -146,16 +144,11 @@ class GModel:
     (NaN elsewhere).
     """
 
-    kind: str
     fits: dict | None
     stage1_probs: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     stage2_probs: dict[tuple[int, int], np.ndarray] = field(
         repr=False, default_factory=dict
     )
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("known", "fitted"):
-            raise ValueError(f"unknown g kind {self.kind!r}")
 
     def stage1(self, d1: int) -> np.ndarray:
         if d1 not in self.stage1_probs:
@@ -224,9 +217,7 @@ def estimate_g(
             p2 = 1.0 / len(dataset.stage2_support[branch])
             for option in dataset.stage2_support[branch]:
                 stage2_probs[(branch, option)] = np.full(n, p2)
-        return GModel(
-            kind="known", fits=None, stage1_probs=stage1_probs, stage2_probs=stage2_probs
-        )
+        return GModel(fits=None, stage1_probs=stage1_probs, stage2_probs=stage2_probs)
 
     if kind != "fitted":
         raise ValueError(f"unknown g kind {kind!r}, expected 'known' or 'fitted'")
@@ -265,9 +256,7 @@ def estimate_g(
         stage2_probs[(branch, hi2)] = p_hi2
         stage2_probs[(branch, lo2)] = 1.0 - p_hi2
         fits[("stage2", branch)] = fit2
-    return GModel(
-        kind="fitted", fits=fits, stage1_probs=stage1_probs, stage2_probs=stage2_probs
-    )
+    return GModel(fits=fits, stage1_probs=stage1_probs, stage2_probs=stage2_probs)
 
 
 def _cumulative_weights(

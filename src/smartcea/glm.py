@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import EstimationFailure
+
 __all__ = [
     "SeparationDetected",
     "RankDeficient",
@@ -31,12 +33,12 @@ ETA_DIVERGED = 30.0
 PROB_CLAMP = 1e-12
 
 
-class SeparationDetected(Exception):
+class SeparationDetected(EstimationFailure):
     """The likelihood has no interior maximum: fitted probabilities are
     saturating on every weighted row while the score refuses to vanish."""
 
 
-class RankDeficient(Exception):
+class RankDeficient(EstimationFailure):
     """The weighted normal equations are singular beyond the ridge guard."""
 
 

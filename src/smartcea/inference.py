@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import Dataset, EstimateWithIC
+from .core import Dataset, EstimateWithIC, EstimationFailure
 from .estimate import ZeroSupport
 from .rng import PURPOSE_BOOTSTRAP, philox_stream
 
@@ -46,11 +46,11 @@ PER_HUNDRED = 100.0
 MIN_DENOMINATOR = 1e-12
 
 
-class DegenerateDenominator(Exception):
+class DegenerateDenominator(EstimationFailure):
     """The effect difference is numerically zero; the ICER is undefined."""
 
 
-class TooManyDegenerate(Exception):
+class TooManyDegenerate(EstimationFailure):
     """Too large a share of bootstrap replicates had undefined statistics."""
 
 

@@ -59,28 +59,28 @@ __all__ = [
 # Monte-Carlo resolution for the truth table behind bias and coverage.
 TRUTH_MC_DRAWS = 2_000_000
 
+# Treatment model per estimator: the benchmark comparison runs IPW with the
+# known randomization probabilities against TMLE with fitted ones.
 DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 
-
-def _default_regimes() -> tuple[RegimeSpec, ...]:
-    return embedded_regimes()
+# Per-cell record of one repetition, in column order; a repetition's array
+# adds a 1/0 reliability flag as its last column.
+_FIELDS = ("icer", "se", "ci_lower", "ci_upper", "cv_cost", "cv_eff")
 
 
 @dataclass(frozen=True)
 class StudyConfig:
     """Design of one simulation study.
 
-    ``g_modes`` pairs each estimator with its treatment model: the benchmark
-    comparison runs IPW with the known randomization probabilities against
-    TMLE with fitted ones.  ``regimes`` must contain the reference regime.
+    Each estimator uses its treatment model from :data:`DEFAULT_G_MODES`.
+    ``regimes`` must contain the reference regime.
     """
 
     reps: int = 500
     n: int = 1809
     seed: int = 0
     estimators: tuple[str, ...] = ("ipw", "tmle")
-    g_modes: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_G_MODES))
-    regimes: tuple[RegimeSpec, ...] = field(default_factory=_default_regimes)
+    regimes: tuple[RegimeSpec, ...] = field(default_factory=embedded_regimes)
     alpha: float = 0.05
     cv_threshold: float = 2.0
     reference_id: int = 1
@@ -95,10 +95,8 @@ class StudyConfig:
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators repeat: {self.estimators}")
         for est in self.estimators:
-            if est not in ("ipw", "tmle"):
+            if est not in DEFAULT_G_MODES:
                 raise ValueError(f"unknown estimator {est!r}")
-            if self.g_modes.get(est) not in ("known", "fitted"):
-                raise ValueError(f"estimator {est!r} needs a g mode, known or fitted")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.cv_threshold <= 0.0:
@@ -266,32 +264,38 @@ def icer_table(
     return out
 
 
-def _run_one_rep(config: StudyConfig, rep: int) -> dict[tuple[str, int], tuple]:
+def _targets(config: StudyConfig) -> list[int]:
+    return [r.id for r in config.regimes if r.id != config.reference_id]
+
+
+def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     """One repetition: simulate once, analyze under every estimator.
 
-    Returns (estimator, regime_id) -> (icer, se, lo, hi, cv_c, cv_e, reliable)
-    or ("failed",) when the cell's statistic is undefined for this rep.
+    Returns one row per (estimator, regime) cell, estimators outermost: the
+    ``_FIELDS`` values and a 1/0 reliability flag, or all NaN when the
+    cell's statistic is undefined for this rep.
     """
     dataset = simulate_smart(DgpConfig(n=config.n, seed=_rep_seed(config.seed, rep)))
     reference = next(r for r in config.regimes if r.id == config.reference_id)
-    out: dict[tuple[str, int], tuple] = {}
+    targets = _targets(config)
+    rows = []
     for est in config.estimators:
         try:
-            g = estimate_g(dataset, config.g_modes[est])
+            g = estimate_g(dataset, DEFAULT_G_MODES[est])
         except (SeparationDetected, ZeroSupport):
-            results = dict.fromkeys(r.id for r in config.regimes if r.id != reference.id)
+            results = {}
         else:
             results = icer_table(
                 dataset, config.regimes, reference, est, g,
                 cv_threshold=config.cv_threshold, alpha=config.alpha,
             )
-        for rid, res in results.items():
-            out[(est, rid)] = ("failed",) if res is None else _cell(res)
-    return out
-
-
-def _cell(res: IcerResult) -> tuple:
-    return (res.icer, res.se, res.ci[0], res.ci[1], res.cv_cost, res.cv_eff, res.reliable)
+        for rid in targets:
+            res = results.get(rid)
+            rows.append(
+                [math.nan] * (len(_FIELDS) + 1) if res is None
+                else [res.icer, res.se, *res.ci, res.cv_cost, res.cv_eff, res.reliable]
+            )
+    return np.array(rows, dtype=np.float64).reshape(-1, len(_FIELDS) + 1)
 
 
 def _truth_icers(config: StudyConfig, truth: TruthTable) -> dict[int, float]:
@@ -302,13 +306,11 @@ def _truth_icers(config: StudyConfig, truth: TruthTable) -> dict[int, float]:
     when one exists so the cell stays comparable instead of vanishing.
     """
     out: dict[int, float] = {}
-    for regime in config.regimes:
-        if regime.id == config.reference_id:
-            continue
-        value = truth.icer_for(regime.id)
-        if not math.isfinite(value) and 1 <= regime.id <= len(TARGET_ICER):
-            value = float(TARGET_ICER[regime.id - 1])
-        out[regime.id] = value
+    for rid in _targets(config):
+        value = truth.icer_for(rid)
+        if not math.isfinite(value) and 1 <= rid <= len(TARGET_ICER):
+            value = float(TARGET_ICER[rid - 1])
+        out[rid] = value
     return out
 
 
@@ -342,92 +344,56 @@ def run_study(
         )
     truth_icers = _truth_icers(config, truth)
 
-    targets = [r.id for r in config.regimes if r.id != config.reference_id]
-    cells = [(est, rid) for est in config.estimators for rid in targets]
-    store = {
-        key: {
-            name: np.full(config.reps, np.nan)
-            for name in ("icer", "se", "lo", "hi", "cv_c", "cv_e")
-        }
-        for key in cells
-    }
-    failed = {key: np.zeros(config.reps, dtype=bool) for key in cells}
-    unreliable = {key: np.zeros(config.reps, dtype=bool) for key in cells}
-
+    cells = [(est, rid) for est in config.estimators for rid in _targets(config)]
     parallel = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    per_rep = []
     with parallel as pool:
         rep_map = map if pool is None else pool.map
-        results = rep_map(_run_one_rep, [config] * config.reps, range(config.reps))
-        for rep, result in enumerate(results):
-            for key in cells:
-                cell = result[key]
-                if cell[0] == "failed":
-                    failed[key][rep] = True
-                    continue
-                *values, reliable = cell
-                for name, v in zip(("icer", "se", "lo", "hi", "cv_c", "cv_e"), values):
-                    store[key][name][rep] = v
-                if not reliable:
-                    unreliable[key][rep] = True
+        for rep, values in enumerate(
+            rep_map(_run_one_rep, [config] * config.reps, range(config.reps))
+        ):
+            per_rep.append(values)
             if progress is not None:
                 progress(rep)
 
-    def kept_reps(key: tuple[str, int]) -> np.ndarray:
-        kept = ~failed[key]
-        return kept if retain_degenerate else kept & ~unreliable[key]
+    # (reps, cells, fields + flag); a failed cell's flag is NaN.
+    values = np.stack(per_rep)
+    flag = values[..., -1]
+    failed = np.isnan(flag)
+    unreliable = flag == 0.0
+    kept = ~failed if retain_degenerate else flag == 1.0
+    # (cells, fields, reps), NaN outside the kept reps.
+    masked = np.where(kept[..., None], values[..., :-1], np.nan).transpose(1, 2, 0)
 
     rows: list[StudyRow] = []
     draws: dict[tuple[str, int], RepDraws] = {}
-    for est, rid in cells:
-        key = (est, rid)
-        kept = kept_reps(key)
-        s = store[key]
-        masked = {name: np.where(kept, s[name], np.nan) for name in s}
-        draws[key] = RepDraws(
-            icer=masked["icer"],
-            se=masked["se"],
-            ci_lower=masked["lo"],
-            ci_upper=masked["hi"],
-            cv_cost=masked["cv_c"],
-            cv_eff=masked["cv_e"],
-            failed=failed[key].copy(),
-            unreliable=unreliable[key].copy(),
+    for c, (est, rid) in enumerate(cells):
+        d = RepDraws(
+            **dict(zip(_FIELDS, masked[c])), failed=failed[:, c], unreliable=unreliable[:, c]
         )
-        n_used = int(kept.sum())
-        degenerate = config.reps - n_used
+        draws[(est, rid)] = d
+        k = kept[:, c]
+        n_used = int(k.sum())
         t = truth_icers[rid]
         if n_used == 0 or not math.isfinite(t):
             metrics = StudyMetrics(*(math.nan,) * 7)
         else:
-            vals = s["icer"][kept]
-            bias = float(vals.mean()) - t
-            variance = float(np.var(vals))
-            mse = float(np.mean((vals - t) ** 2))
-            width = float(np.mean(s["hi"][kept] - s["lo"][kept]))
-            covered = (s["lo"][kept] <= t) & (t <= s["hi"][kept])
+            vals, lo, hi = d.icer[k], d.ci_lower[k], d.ci_upper[k]
             metrics = StudyMetrics(
-                bias=bias,
-                variance=variance,
-                mse=mse,
-                mean_ci_width=width,
-                coverage_pct=100.0 * float(covered.mean()),
-                avg_cv_cost=float(np.mean(s["cv_c"][kept])),
-                avg_cv_eff=float(np.mean(s["cv_e"][kept])),
+                bias=float(vals.mean()) - t,
+                variance=float(np.var(vals)),
+                mse=float(np.mean((vals - t) ** 2)),
+                mean_ci_width=float(np.mean(hi - lo)),
+                coverage_pct=100.0 * float(((lo <= t) & (t <= hi)).mean()),
+                avg_cv_cost=float(np.mean(d.cv_cost[k])),
+                avg_cv_eff=float(np.mean(d.cv_eff[k])),
             )
         if est == "tmle" and "ipw" in config.estimators:
-            aligned = kept & kept_reps(("ipw", rid))
-            ratio = _variance_ratio(s["icer"], store[("ipw", rid)]["icer"], aligned)
+            ipw = cells.index(("ipw", rid))
+            ratio = _variance_ratio(masked[c, 0], masked[ipw, 0], k & kept[:, ipw])
             if ratio is not None:
                 metrics = replace(metrics, rel_var_vs_ipw=ratio)
-        rows.append(
-            StudyRow(
-                estimator=est,
-                regime_id=rid,
-                metrics=metrics,
-                n_used=n_used,
-                degenerate_count=degenerate,
-            )
-        )
+        rows.append(StudyRow(est, rid, metrics, n_used, config.reps - n_used))
     return StudyResult(
         config=config, truth=truth, truth_icers=truth_icers, rows=tuple(rows), draws=draws
     )

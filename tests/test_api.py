@@ -35,6 +35,27 @@ def test_every_public_name_is_exported():
     assert not unexported, f"bound in smartcea but not in __all__: {unexported}"
 
 
+def test_every_domain_exception_is_an_estimation_failure():
+    # One base class lets the CLI map every domain failure to exit code 1.
+    defined = [
+        obj
+        for info in pkgutil.iter_modules(smartcea.__path__)
+        for obj in vars(importlib.import_module(f"smartcea.{info.name}")).values()
+        if inspect.isclass(obj)
+        and issubclass(obj, Exception)
+        and obj.__module__ == f"smartcea.{info.name}"
+    ]
+    names = {cls.__name__ for cls in defined}
+    assert {"ZeroSupport", "SeparationDetected", "EmptyFrontier"} <= names
+    outside = [
+        cls.__name__
+        for cls in defined
+        if cls.__name__ not in ("UsageError", "CliError")
+        and not issubclass(cls, smartcea.EstimationFailure)
+    ]
+    assert not outside, f"not derived from EstimationFailure: {outside}"
+
+
 # Runs in a fresh interpreter where any import of scipy fails.
 _WITHOUT_SCIPY = """
 import sys

@@ -90,6 +90,19 @@ def test_ingest_diagnostics_name_line_and_column(tmp_path):
         ingest_dataset(str(bad))
 
 
+def test_ingest_counts_comment_lines(tmp_path):
+    # The four header comment lines count: the first data row is line 6.
+    path = tmp_path / "trial.csv"
+    assert main(["simulate", "--n", "50", "--seed", "1", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[2] = "7"  # a1
+    lines[5] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(Exception, match=r"line 6, column 'a1'"):
+        ingest_dataset(str(path))
+
+
 def test_ingest_is_fast_enough(tmp_path):
     import time
 
@@ -314,6 +327,24 @@ def test_mc_study_cli_columns_and_truth_sidecar(tmp_path):
     sidecar = tmp_path / "study.csv.truth.csv"
     assert sidecar.exists()
     assert "# master_seed: 1" in sidecar.read_text()
+
+
+def test_mc_study_outputs_independent_of_thread_count(tmp_path, monkeypatch):
+    # Same relative --out in two directories, so the headers match too.
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main([
+            "mc-study", "--reps", "3", "--n", "250", "--seed", "1",
+            "--threads", threads, "--out", "study.csv",
+        ])
+        assert code == 0
+        outputs.append(
+            ((run_dir / "study.csv").read_bytes(), (run_dir / "study.csv.truth.csv").read_bytes())
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_bootstrap_cli(tmp_path, data_csv):

@@ -273,6 +273,27 @@ def test_enumerate_paths_probabilities_sum_to_one():
         assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "regime",
+    [
+        RegimeSpec(id=2, d1=0, d2_if_lapse=2, d2_if_no_lapse=2),
+        RegimeSpec(id=2, d1=0, d2_if_lapse=3, d2_if_no_lapse=3),
+    ],
+    ids=["no-lapse-option-from-lapse-branch", "lapse-option-from-no-lapse-branch"],
+)
+def test_test_bed_rejects_regimes_outside_support(regime, monkeypatch):
+    # The first read option index -1 and returned a mean; the second died
+    # with an IndexError.
+    bed = make_discrete_dgp(seed=5)
+    with pytest.raises(ValueError, match="regime 2 lies outside"):
+        next(enumerate_paths(bed, regime))
+    with pytest.raises(ValueError, match="regime 2 lies outside"):
+        gcomp_discrete(bed, regime)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    with pytest.raises(ValueError, match="regime 2 lies outside"):
+        discrete_true_values(bed, [embedded_regimes()[0], regime], mc_draws=10_000)
+
+
 def test_gcomp_hand_computed_example():
     # Fully symmetric tables: every path probability is a product of
     # halves, so ey is 0.5 and ec is the pmf mean regardless of regime.
