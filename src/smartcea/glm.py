@@ -5,6 +5,12 @@ offsets, and fractional (quasibinomial) responses, and must fail loudly on
 separation or rank deficiency rather than silently regularize.  Responses may
 be any values in [0, 1]; prior weights may be zero for most rows (as with
 inverse-probability fluctuation weights).
+
+Only the rows with positive weight enter a fit: they are gathered once,
+after validation, and the iterations run on them alone.  A Newton step is
+halved only when it lowers the log-likelihood by more than its rounding
+error (``LL_RTOL`` times its magnitude), so a step whose gain is below
+rounding is taken instead of being halved to nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ __all__ = [
 ]
 
 SCORE_TOL = 1e-8
+# A Newton step is halved only when it lowers the log-likelihood by more than
+# this share of its magnitude, which is above the rounding error of the sum.
+LL_RTOL = 1e-12
 MAX_ITER = 100
 RIDGE = 1e-10
 MAX_HALVINGS = 10
@@ -75,11 +84,6 @@ def _as_matrix(design) -> np.ndarray:
     return X
 
 
-def _log_likelihood(z, mu, w) -> float:
-    mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.sum(w * (z * np.log(mu) + (1.0 - z) * np.log1p(-mu))))
-
-
 def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     """Fit E[response | design] = expit(design @ beta + offset) by IRLS.
 
@@ -90,8 +94,8 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     response : array_like, shape (n,)
         Values in [0, 1]; fractional responses fit the quasibinomial score.
     weights : array_like, optional
-        Nonnegative prior weights, not all zero.  Zero-weight rows do not
-        contribute to the fit.
+        Finite nonnegative prior weights, not all zero.  Zero-weight rows do
+        not contribute to the fit.
     offset : array_like, optional
         Fixed additive term on the linear predictor.
 
@@ -103,6 +107,10 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
 
     Raises
     ------
+    ValueError
+        If a shape does not match, a response lies outside [0, 1], a weight
+        is negative or every weight is zero, or any entry of the design,
+        response, weights or offset is not finite.
     RankDeficient
         If the ridged normal equations (ridge 1e-10 on the diagonal) are
         still singular, or the weighted design has rank below p.
@@ -114,76 +122,115 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
 
     Notes
     -----
-    Each Newton step is safeguarded by halving (at most 10 times) whenever
-    the weighted log-likelihood decreases; after ten halvings the reduced
-    step is accepted as-is and the score criterion decides convergence.
+    Only the rows with positive weight enter the iterations; they are
+    gathered once, so a fit with zero-weight rows is bit-equal to the fit
+    without them.  For p = 1 the rank check is "the column is nonzero on
+    some weighted row" and each Newton step is a scalar division.  Each
+    step is halved (at most 10 times) while it lowers the weighted
+    log-likelihood ll by more than its rounding error, i.e. while the
+    candidate's ll < ll - 1e-12 |ll|; after ten halvings the reduced step
+    is accepted as-is and the score criterion decides convergence.
     """
     X = _as_matrix(design)
     n, p = X.shape
+    if n < max(p, 1):
+        raise ValueError(
+            f"need at least one row and as many rows ({n}) as columns ({p})"
+        )
     z = np.asarray(response, dtype=np.float64)
     if z.shape != (n,):
         raise ValueError("response length does not match design")
-    if np.any(z < 0.0) or np.any(z > 1.0):
+    # min and max propagate NaN, which therefore fails these tests too.
+    if not (z.min() >= 0.0 and z.max() <= 1.0):
         raise ValueError("responses must lie in [0, 1]")
-    if n < p:
-        raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("weights length does not match design")
-    if np.any(w < 0.0):
+    if w.min() < 0.0:
         raise ValueError("weights must be nonnegative")
-    if not np.any(w > 0.0):
-        raise ValueError("weights must not be all zero")
+    if not np.isfinite(w.max()):
+        raise ValueError("weights must be finite")
     off = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64)
     if off.shape != (n,):
         raise ValueError("offset length does not match design")
+    if not np.isfinite(off).all():
+        raise ValueError("offset must be finite")
+    if not np.isfinite(X).all():
+        raise ValueError("design must be finite")
 
-    supported = w > 0.0
-    if np.linalg.matrix_rank(X[supported]) < p:
-        raise RankDeficient(
-            f"design has rank < {p} on the {int(supported.sum())} weighted rows"
-        )
+    rows = np.flatnonzero(w > 0.0)
+    m = rows.size
+    if m == 0:
+        raise ValueError("weights must not be all zero")
+    if m < n:
+        X, z, w, off = X.take(rows, axis=0), z.take(rows), w.take(rows), off.take(rows)
+    if p == 1:
+        x = X[:, 0]
+        if not x.any():
+            raise RankDeficient(f"design has rank < 1 on the {m} weighted rows")
+        xx = x * x
+    elif np.linalg.matrix_rank(X) < p:
+        raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
+    XT = X.T
+    z_hi = z > 0.5
+    z_lo = z < 0.5
+
+    def state(eta):
+        # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
+        # e = exp(-|eta|); softplus(eta) = max(eta, 0) + log1p(e), and the
+        # max(eta, 0) - z eta term cancels exactly on saturated rows.
+        e = np.exp(-np.abs(eta))
+        up = eta >= 0.0
+        mu = np.where(up, 1.0, e)
+        mu /= 1.0 + e
+        loss = np.where(up, eta, 0.0) - z * eta + np.log1p(e)
+        return mu, -float(w @ loss)
 
     beta = np.zeros(p)
-    eta = X @ beta + off
-    mu = expit(eta)
-    ll = _log_likelihood(z, mu, w)
-    score = X.T @ (w * (z - mu))
-    max_abs_score = float(np.max(np.abs(score)))
+    eta = off
+    mu, ll = state(eta)
+    score = XT @ (w * (z - mu))
+    max_abs_score = float(np.abs(score).max())
     converged = max_abs_score < SCORE_TOL
     it = 0
     while not converged and it < MAX_ITER:
         it += 1
         # Fisher information with a ridge on the diagonal for rank safety.
         wfisher = w * mu * (1.0 - mu)
-        hess = (X * wfisher[:, None]).T @ X
-        hess[np.diag_indices_from(hess)] += RIDGE
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError as err:
-            raise RankDeficient(str(err)) from None
+        if p == 1:
+            step = score / (wfisher @ xx + RIDGE)
+        else:
+            hess = (XT * wfisher) @ X
+            hess.flat[:: p + 1] += RIDGE
+            try:
+                step = np.linalg.solve(hess, score)
+            except np.linalg.LinAlgError as err:
+                raise RankDeficient(str(err)) from None
 
         cand = beta + step
         cand_eta = X @ cand + off
-        cand_mu = expit(cand_eta)
-        cand_ll = _log_likelihood(z, cand_mu, w)
+        cand_mu, cand_ll = state(cand_eta)
+        floor = ll - LL_RTOL * abs(ll)
         halvings = 0
-        while cand_ll < ll and halvings < MAX_HALVINGS:
+        while cand_ll < floor and halvings < MAX_HALVINGS:
             step = 0.5 * step
             cand = beta + step
             cand_eta = X @ cand + off
-            cand_mu = expit(cand_eta)
-            cand_ll = _log_likelihood(z, cand_mu, w)
+            cand_mu, cand_ll = state(cand_eta)
             halvings += 1
         beta, eta, mu, ll = cand, cand_eta, cand_mu, cand_ll
 
-        score = X.T @ (w * (z - mu))
-        max_abs_score = float(np.max(np.abs(score)))
+        score = XT @ (w * (z - mu))
+        max_abs_score = float(np.abs(score).max())
         # A vanishing score proves nothing when every weighted row sits at
         # its matching boundary: the likelihood is degenerate and the MLE
         # lies at infinity, so report separation instead of convergence.
-        zs, ms = z[supported], mu[supported]
-        if np.all(((zs > 0.5) & (ms > 1.0 - 1e-8)) | ((zs < 0.5) & (ms < 1e-8))):
+        # Saturation needs |eta| > logit(1 - 1e-8) = 18.42 on every row,
+        # so the rows are examined only once min |eta| passes 18.
+        min_abs_eta = float(np.abs(eta).min())
+        if min_abs_eta > 18.0 and (
+            (z_hi & (mu > 1.0 - 1e-8)) | (z_lo & (mu < 1e-8))
+        ).all():
             raise SeparationDetected(
                 f"fitted probabilities saturated at the response boundary on "
                 f"all weighted rows at iteration {it} (degenerate likelihood)"
@@ -191,7 +238,7 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         if max_abs_score < SCORE_TOL:
             converged = True
             break
-        if np.all(np.abs(eta[supported]) > ETA_DIVERGED):
+        if min_abs_eta > ETA_DIVERGED:
             raise SeparationDetected(
                 f"all weighted linear predictors exceed |{ETA_DIVERGED}| at "
                 f"iteration {it} with score {max_abs_score:.3e} still above "

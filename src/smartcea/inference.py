@@ -18,7 +18,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import Dataset, EstimateWithIC, EstimationFailure
-from .estimate import ZeroSupport
+from .estimate import FluctuationDiverged, ZeroSupport
+from .glm import SeparationDetected
 from .rng import PURPOSE_BOOTSTRAP, philox_stream
 
 __all__ = [
@@ -258,8 +259,10 @@ def bootstrap_ci(
     Replicate b resamples rows with the stream (seed, bootstrap, b), so the
     first replicates are identical whatever ``n_replicates`` is.  Replicates
     where the statistic is undefined (degenerate denominator, a regime with
-    no consistent records) are dropped but counted; if their share exceeds
-    ``max_degenerate_share`` the interval is refused.
+    no consistent records) or where a fit behind it has no finite maximum
+    (separation, a diverged TMLE fluctuation) are dropped but counted as
+    degenerate; if their share exceeds ``max_degenerate_share`` the interval
+    is refused with :class:`TooManyDegenerate`.
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates for a percentile interval")
@@ -273,7 +276,9 @@ def bootstrap_ci(
         idx = rng.integers(0, n, size=n)
         try:
             kept.append(float(analysis_spec(dataset.take(idx))))
-        except (DegenerateDenominator, ZeroSupport):
+        except (
+            DegenerateDenominator, ZeroSupport, SeparationDetected, FluctuationDiverged
+        ):
             n_degenerate += 1
     if n_degenerate > max_degenerate_share * n_replicates:
         raise TooManyDegenerate(

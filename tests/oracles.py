@@ -11,6 +11,14 @@ confirm it.  It draws from the reserved stream purpose
 over regimes that recomputes every quantity per regime and looks up each
 row's constants by cell index.  ``true_values`` shares the per-arm work
 across regimes and must agree with it bit for bit.
+
+``reference_fit_logistic`` is the textbook IRLS that ``smartcea.glm.
+fit_logistic`` replaced: it iterates on every row, solves every Newton step
+with ``np.linalg.solve`` after an SVD rank check, evaluates the clipped
+log-likelihood separately from the fitted probabilities, and halves a step
+on any decrease of that likelihood, rounding included.  The library kernel
+must agree with it to within what the score tolerance pins down, and must
+fail in the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +43,20 @@ from smartcea.dgp import (
     target_se,
     true_values,
 )
-from smartcea.glm import expit, logit
+from smartcea.glm import (
+    ETA_DIVERGED,
+    MAX_HALVINGS,
+    MAX_ITER,
+    PROB_CLAMP,
+    RIDGE,
+    SCORE_TOL,
+    GlmFit,
+    RankDeficient,
+    SeparationDetected,
+    _as_matrix,
+    expit,
+    logit,
+)
 from smartcea.rng import BLOCK, PURPOSE_CALIBRATE, PURPOSE_TRUTH, philox_stream
 
 
@@ -267,3 +288,133 @@ def per_regime_true_values(
             sum_c2[i] += (c * c).sum()
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)
+
+
+def _log_likelihood(z, mu, w) -> float:
+    mu = np.clip(mu, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(np.sum(w * (z * np.log(mu) + (1.0 - z) * np.log1p(-mu))))
+
+
+def reference_fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
+    """Fit E[response | design] = expit(design @ beta + offset) by IRLS.
+
+    Parameters
+    ----------
+    design : array_like, shape (n, p)
+        Include the intercept column explicitly.
+    response : array_like, shape (n,)
+        Values in [0, 1]; fractional responses fit the quasibinomial score.
+    weights : array_like, optional
+        Nonnegative prior weights, not all zero.  Zero-weight rows do not
+        contribute to the fit.
+    offset : array_like, optional
+        Fixed additive term on the linear predictor.
+
+    Returns
+    -------
+    GlmFit
+        Converged when the maximum absolute weighted score drops below
+        1e-8; otherwise returns after 100 iterations with converged=False.
+
+    Raises
+    ------
+    RankDeficient
+        If the ridged normal equations (ridge 1e-10 on the diagonal) are
+        still singular, or the weighted design has rank below p.
+    SeparationDetected
+        If every weighted fitted probability saturates at its response's
+        boundary (degenerate likelihood, MLE at infinity), or the score
+        will not converge while |linear predictor| exceeds 30 on every
+        weighted row.
+
+    Notes
+    -----
+    Each Newton step is safeguarded by halving (at most 10 times) whenever
+    the weighted log-likelihood decreases; after ten halvings the reduced
+    step is accepted as-is and the score criterion decides convergence.
+    """
+    X = _as_matrix(design)
+    n, p = X.shape
+    z = np.asarray(response, dtype=np.float64)
+    if z.shape != (n,):
+        raise ValueError("response length does not match design")
+    if np.any(z < 0.0) or np.any(z > 1.0):
+        raise ValueError("responses must lie in [0, 1]")
+    if n < p:
+        raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError("weights length does not match design")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if not np.any(w > 0.0):
+        raise ValueError("weights must not be all zero")
+    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64)
+    if off.shape != (n,):
+        raise ValueError("offset length does not match design")
+
+    supported = w > 0.0
+    if np.linalg.matrix_rank(X[supported]) < p:
+        raise RankDeficient(
+            f"design has rank < {p} on the {int(supported.sum())} weighted rows"
+        )
+
+    beta = np.zeros(p)
+    eta = X @ beta + off
+    mu = expit(eta)
+    ll = _log_likelihood(z, mu, w)
+    score = X.T @ (w * (z - mu))
+    max_abs_score = float(np.max(np.abs(score)))
+    converged = max_abs_score < SCORE_TOL
+    it = 0
+    while not converged and it < MAX_ITER:
+        it += 1
+        # Fisher information with a ridge on the diagonal for rank safety.
+        wfisher = w * mu * (1.0 - mu)
+        hess = (X * wfisher[:, None]).T @ X
+        hess[np.diag_indices_from(hess)] += RIDGE
+        try:
+            step = np.linalg.solve(hess, score)
+        except np.linalg.LinAlgError as err:
+            raise RankDeficient(str(err)) from None
+
+        cand = beta + step
+        cand_eta = X @ cand + off
+        cand_mu = expit(cand_eta)
+        cand_ll = _log_likelihood(z, cand_mu, w)
+        halvings = 0
+        while cand_ll < ll and halvings < MAX_HALVINGS:
+            step = 0.5 * step
+            cand = beta + step
+            cand_eta = X @ cand + off
+            cand_mu = expit(cand_eta)
+            cand_ll = _log_likelihood(z, cand_mu, w)
+            halvings += 1
+        beta, eta, mu, ll = cand, cand_eta, cand_mu, cand_ll
+
+        score = X.T @ (w * (z - mu))
+        max_abs_score = float(np.max(np.abs(score)))
+        # A vanishing score proves nothing when every weighted row sits at
+        # its matching boundary: the likelihood is degenerate and the MLE
+        # lies at infinity, so report separation instead of convergence.
+        zs, ms = z[supported], mu[supported]
+        if np.all(((zs > 0.5) & (ms > 1.0 - 1e-8)) | ((zs < 0.5) & (ms < 1e-8))):
+            raise SeparationDetected(
+                f"fitted probabilities saturated at the response boundary on "
+                f"all weighted rows at iteration {it} (degenerate likelihood)"
+            )
+        if max_abs_score < SCORE_TOL:
+            converged = True
+            break
+        if np.all(np.abs(eta[supported]) > ETA_DIVERGED):
+            raise SeparationDetected(
+                f"all weighted linear predictors exceed |{ETA_DIVERGED}| at "
+                f"iteration {it} with score {max_abs_score:.3e} still above "
+                f"{SCORE_TOL:.0e}"
+            )
+    return GlmFit(
+        coefficients=beta,
+        converged=converged,
+        iterations=it,
+        max_abs_score=max_abs_score,
+    )

@@ -364,6 +364,21 @@ def test_bootstrap_cli(tmp_path, data_csv):
     assert float(row["ci_lower"]) <= float(row["estimate"]) <= float(row["ci_upper"])
 
 
+def test_bootstrap_survives_a_separating_replicate(tmp_path, capsys):
+    # At n = 150 a TMLE stage-2 fit separates on some resamples; the
+    # replicate is degenerate, not the end of the command.
+    data = tmp_path / "small.csv"
+    out = tmp_path / "boot.csv"
+    assert main(["simulate", "--n", "150", "--seed", "3", "--out", str(data)]) == 0
+    code, _, err = run_cli(
+        "bootstrap", "--data", str(data), "--i", "3", "--replicates", "100",
+        "--seed", "1", "--out", str(out), capsys=capsys,
+    )
+    assert code == 0, err
+    _, rows = _rows(out)
+    assert 1 <= int(rows[0]["n_degenerate"]) <= 10
+
+
 def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys):
     def diverge(z, q, weights):
         raise estimate.FluctuationDiverged("forced")

@@ -7,7 +7,8 @@ import pytest
 
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import embedded_regimes
-from smartcea.estimate import RegimeMeanRequest, regime_mean
+from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, regime_mean
+from smartcea.glm import SeparationDetected
 from smartcea.inference import (
     PER_HUNDRED,
     DegenerateDenominator,
@@ -273,3 +274,24 @@ def test_bootstrap_counts_and_bounds_degenerate_replicates(trial):
 
     with pytest.raises(TooManyDegenerate):
         bootstrap_ci(trial, always_degenerate, n_replicates=100, seed=17)
+
+
+@pytest.mark.parametrize("failure", [SeparationDetected, FluctuationDiverged])
+def test_bootstrap_counts_a_failed_fit_as_degenerate(trial, failure):
+    def failing_on(replicates):
+        seen = []
+
+        def statistic(resampled):
+            seen.append(None)
+            if len(seen) - 1 in replicates:
+                raise failure(f"replicate {len(seen) - 1}")
+            return float(resampled.outcome("y").mean())
+
+        return statistic
+
+    result = bootstrap_ci(trial, failing_on({4}), n_replicates=100, seed=17)
+    assert result.n_degenerate == 1
+    assert result.estimates.size == 99
+    # 11 of 100 failed replicates exceed the 10% share.
+    with pytest.raises(TooManyDegenerate):
+        bootstrap_ci(trial, failing_on(set(range(11))), n_replicates=100, seed=17)
