@@ -47,6 +47,7 @@ from .rng import (
     PURPOSE_SIMULATE,
     PURPOSE_TRUTH,
     philox_stream,
+    skip_raw,
 )
 
 __all__ = [
@@ -212,13 +213,30 @@ def embedded_regimes() -> tuple[RegimeSpec, ...]:
     )
 
 
+def _block_uniforms(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The first m of a block's BLOCK uniforms; the rest are skipped undrawn."""
+    u = rng.random(m)
+    skip_raw(rng, BLOCK - m)
+    return u
+
+
 def simulate_smart(config: DgpConfig) -> Dataset:
     """Draw ``config.n`` observed trajectories from the benchmark generator.
 
     Draws are blocked: rows [b*BLOCK, (b+1)*BLOCK) come from the stream
-    (seed, simulate, b), each block consuming full-length draws in a fixed
-    order.  Datasets are therefore prefix-stable: the first m rows do not
-    depend on n.
+    (seed, simulate, b), which feeds seven variables in a fixed order, each
+    laid out as a full block of BLOCK values.  Datasets are therefore
+    prefix-stable: the first m rows do not depend on n.
+
+    A block of m < BLOCK rows computes only what those rows read, with the
+    stream left as if every full block had been drawn.  The two normals are
+    drawn as full blocks: the ziggurat takes a data-dependent number of raw
+    outputs per value, so where the next variable starts is known only by
+    drawing all BLOCK of them.  A uniform takes exactly one raw output, so
+    its m values are drawn and the other BLOCK - m outputs are skipped on
+    the counter (``rng.skip_raw``).  The exponential is drawn last, so only
+    its first m values are drawn.  The stream and every value are the same
+    as with seven full blocks.
     """
     n = config.n
     base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
@@ -235,20 +253,18 @@ def simulate_smart(config: DgpConfig) -> Dataset:
     }
     for b in range((n + BLOCK - 1) // BLOCK):
         rng = philox_stream(config.seed, PURPOSE_SIMULATE, b)
-        # Fixed draw order; always a full block so earlier rows never move.
-        x1 = rng.standard_normal(BLOCK)
-        u_a1 = rng.random(BLOCK)
-        u_l2 = rng.random(BLOCK)
-        eps_s2 = rng.standard_normal(BLOCK)
-        u_a2 = rng.random(BLOCK)
-        u_y = rng.random(BLOCK)
-        e_c = rng.standard_exponential(BLOCK)
-
         lo = b * BLOCK
         m = min(n - lo, BLOCK)
-        x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c = (
-            arr[:m] for arr in (x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c)
-        )
+        # Fixed draw order, each variable a full block on the stream so
+        # earlier rows never move (see the docstring).
+        x1 = rng.standard_normal(BLOCK)[:m]
+        u_a1 = _block_uniforms(rng, m)
+        u_l2 = _block_uniforms(rng, m)
+        eps_s2 = rng.standard_normal(BLOCK)[:m]
+        u_a2 = _block_uniforms(rng, m)
+        u_y = _block_uniforms(rng, m)
+        e_c = rng.standard_exponential(m)
+
         a1 = (u_a1 < 0.5).astype(np.int64)
         l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
         s2 = x1 + 2.0 * a1 + eps_s2

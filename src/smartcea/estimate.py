@@ -241,12 +241,12 @@ def estimate_g(
     fits: dict = {"stage1": fit1}
 
     stage2_probs = {}
+    X2 = _design(dataset, covariate_spec.stage2, ("x1", "a1", "s2"))
     for branch in (0, 1):
         lo2, hi2 = sorted(dataset.stage2_support[branch])
         rows = dataset.l2 == branch
         if not rows.any():
             raise ZeroSupport(f"no records observed on branch l2={branch}")
-        X2 = _design(dataset, covariate_spec.stage2, ("x1", "a1", "s2"))
         try:
             fit2 = fit_logistic(X2[rows], (dataset.a2[rows] == hi2).astype(np.float64))
         except SeparationDetected as err:

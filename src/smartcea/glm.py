@@ -108,9 +108,10 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     Raises
     ------
     ValueError
-        If a shape does not match, a response lies outside [0, 1], a weight
-        is negative or every weight is zero, or any entry of the design,
-        response, weights or offset is not finite.
+        If the design has no columns, a shape does not match, a response
+        lies outside [0, 1], a weight is negative or every weight is zero,
+        or any entry of the design, response, weights or offset is not
+        finite.
     RankDeficient
         If the ridged normal equations (ridge 1e-10 on the diagonal) are
         still singular, or the weighted design has rank below p.
@@ -133,7 +134,9 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     """
     X = _as_matrix(design)
     n, p = X.shape
-    if n < max(p, 1):
+    if p == 0:
+        raise ValueError("design needs at least one column")
+    if n < p:
         raise ValueError(
             f"need at least one row and as many rows ({n}) as columns ({p})"
         )

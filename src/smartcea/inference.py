@@ -261,13 +261,16 @@ def bootstrap_ci(
     where the statistic is undefined (degenerate denominator, a regime with
     no consistent records) or where a fit behind it has no finite maximum
     (separation, a diverged TMLE fluctuation) are dropped but counted as
-    degenerate; if their share exceeds ``max_degenerate_share`` the interval
-    is refused with :class:`TooManyDegenerate`.
+    degenerate; if their share exceeds ``max_degenerate_share`` (in [0, 1]),
+    or no replicate is left, the interval is refused with
+    :class:`TooManyDegenerate`.
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates for a percentile interval")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not 0.0 <= max_degenerate_share <= 1.0:
+        raise ValueError("max_degenerate_share must lie in [0, 1]")
     n = dataset.n
     kept = []
     n_degenerate = 0
@@ -280,7 +283,7 @@ def bootstrap_ci(
             DegenerateDenominator, ZeroSupport, SeparationDetected, FluctuationDiverged
         ):
             n_degenerate += 1
-    if n_degenerate > max_degenerate_share * n_replicates:
+    if not kept or n_degenerate > max_degenerate_share * n_replicates:
         raise TooManyDegenerate(
             f"{n_degenerate} of {n_replicates} replicates were degenerate"
         )

@@ -5,6 +5,9 @@ Every stochastic routine in the package draws from a Philox generator whose
 index in the low word.  Streams are therefore independent across purposes and
 blocks, and a given (seed, purpose, block) always yields the same draws
 regardless of chunking or platform.
+
+Philox is counter-based, so a stream can be moved past raw outputs it does
+not need without computing them (``skip_raw``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "PURPOSE_CALIBRATE",
     "BLOCK",
     "philox_stream",
+    "skip_raw",
 ]
 
 PURPOSE_SIMULATE = 1
@@ -32,6 +36,8 @@ PURPOSE_CALIBRATE = 4
 BLOCK = 262144
 
 _MASK64 = (1 << 64) - 1
+# Raw 64-bit outputs per Philox counter increment (its 4x64 output buffer).
+_PHILOX_WORDS = 4
 
 
 def philox_stream(seed: int, purpose: int, block: int = 0) -> np.random.Generator:
@@ -42,3 +48,37 @@ def philox_stream(seed: int, purpose: int, block: int = 0) -> np.random.Generato
         raise ValueError("block must fit in 48 bits")
     key = ((int(seed) & _MASK64) << 64) | (purpose << 48) | block
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def skip_raw(rng: np.random.Generator, k: int) -> None:
+    """Move a Philox stream past its next ``k`` raw 64-bit outputs.
+
+    Leaves exactly the state ``rng.bit_generator.random_raw(k)`` would, at
+    the cost of at most eight raw outputs: the rest of the buffered counter
+    block is drawn, the whole blocks after it are skipped with
+    ``Philox.advance``, and the last block is drawn so the buffer holds what
+    it would.  ``advance`` clears the buffered 32-bit half output, which is
+    put back.  Only the bit generator is touched, never a ``Generator``
+    method, so no variate is drawn.  ``Generator.random`` (float64) takes
+    exactly one raw output per value, so skipping ``k`` outputs skips ``k``
+    uniforms.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    bits = rng.bit_generator
+    before = bits.state
+    head = min(k, _PHILOX_WORDS - before["buffer_pos"])
+    if head:
+        bits.random_raw(head)
+    k -= head
+    if not k:
+        return
+    whole = (k - 1) // _PHILOX_WORDS
+    if whole:
+        bits.advance(whole)
+    bits.random_raw(k - whole * _PHILOX_WORDS)
+    if whole and (before["has_uint32"] or before["uinteger"]):
+        after = bits.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bits.state = after

@@ -12,6 +12,11 @@ over regimes that recomputes every quantity per regime and looks up each
 row's constants by cell index.  ``true_values`` shares the per-arm work
 across regimes and must agree with it bit for bit.
 
+``reference_simulate_smart`` is ``smartcea.dgp.simulate_smart`` as it was
+before it skipped the draws a short block does not read: every variable is
+drawn as a full block of ``BLOCK`` values and cut to the rows kept.  The
+library must produce the same bytes.
+
 ``reference_fit_logistic`` is the textbook IRLS that ``smartcea.glm.
 fit_logistic`` replaced: it iterates on every row, solves every Newton step
 with ``np.linalg.solve`` after an SVD rank check, evaluates the clipped
@@ -30,9 +35,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
-from smartcea.core import RegimeSpec
+from smartcea.core import Dataset, RegimeSpec
 from smartcea.dgp import (
     _CELLS,
+    STAGE1_SUPPORT,
+    STAGE2_SUPPORT,
     TARGET_EC,
     TARGET_EY,
     TARGET_ROUNDING,
@@ -57,7 +64,13 @@ from smartcea.glm import (
     expit,
     logit,
 )
-from smartcea.rng import BLOCK, PURPOSE_CALIBRATE, PURPOSE_TRUTH, philox_stream
+from smartcea.rng import (
+    BLOCK,
+    PURPOSE_CALIBRATE,
+    PURPOSE_SIMULATE,
+    PURPOSE_TRUTH,
+    philox_stream,
+)
 
 
 class NoConsistentIndexing(Exception):
@@ -288,6 +301,66 @@ def per_regime_true_values(
             sum_c2[i] += (c * c).sum()
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)
+
+
+def reference_simulate_smart(config: DgpConfig) -> Dataset:
+    """Draw ``config.n`` observed trajectories from the benchmark generator.
+
+    Draws are blocked: rows [b*BLOCK, (b+1)*BLOCK) come from the stream
+    (seed, simulate, b), each block consuming full-length draws in a fixed
+    order.  Datasets are therefore prefix-stable: the first m rows do not
+    depend on n.
+    """
+    n = config.n
+    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
+    rate_k = np.asarray(config.c_constants, dtype=np.float64)
+
+    cols = {
+        "x1": np.empty(n),
+        "a1": np.empty(n, dtype=np.int64),
+        "l2": np.empty(n, dtype=np.int64),
+        "s2": np.empty(n),
+        "a2": np.empty(n, dtype=np.int64),
+        "y": np.empty(n, dtype=np.int64),
+        "c": np.empty(n),
+    }
+    for b in range((n + BLOCK - 1) // BLOCK):
+        rng = philox_stream(config.seed, PURPOSE_SIMULATE, b)
+        # Fixed draw order; always a full block so earlier rows never move.
+        x1 = rng.standard_normal(BLOCK)
+        u_a1 = rng.random(BLOCK)
+        u_l2 = rng.random(BLOCK)
+        eps_s2 = rng.standard_normal(BLOCK)
+        u_a2 = rng.random(BLOCK)
+        u_y = rng.random(BLOCK)
+        e_c = rng.standard_exponential(BLOCK)
+
+        lo = b * BLOCK
+        m = min(n - lo, BLOCK)
+        x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c = (
+            arr[:m] for arr in (x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c)
+        )
+        a1 = (u_a1 < 0.5).astype(np.int64)
+        l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
+        s2 = x1 + 2.0 * a1 + eps_s2
+        a2 = np.where(l2 == 1, np.where(u_a2 < 0.5, 1, 2), np.where(u_a2 < 0.5, 3, 4))
+        k = config.constant_index(_cell_index(a1, l2, a2))
+        p_y = expit(base_logit[k] + s2 + 0.5 * x1**2 + np.log(np.abs(x1) + 0.01))
+        y = (u_y < p_y).astype(np.int64)
+        rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)
+        c = config.cost_scale * e_c / rate
+
+        sl = slice(lo, lo + m)
+        for name, arr in zip(
+            ("x1", "a1", "l2", "s2", "a2", "y", "c"), (x1, a1, l2, s2, a2, y, c)
+        ):
+            cols[name][sl] = arr
+
+    return Dataset(
+        stage1_support=STAGE1_SUPPORT,
+        stage2_support=STAGE2_SUPPORT,
+        **cols,
+    )
 
 
 def _log_likelihood(z, mu, w) -> float:

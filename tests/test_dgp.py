@@ -27,11 +27,13 @@ from smartcea.dgp import (
     target_se,
     true_values,
 )
+from smartcea.rng import BLOCK
 
 from oracles import (
     NoConsistentIndexing,
     calibrate_regime_indexing,
     per_regime_true_values,
+    reference_simulate_smart,
 )
 
 # Independently computed high-precision Monte Carlo values (2e7 common-
@@ -80,6 +82,23 @@ def test_simulate_prefix_stable():
     large = simulate_smart(DgpConfig(n=1809, seed=3))
     for name in ("x1", "a1", "l2", "s2", "a2", "y", "c"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:500])
+
+
+COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 1809, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_simulate_is_byte_identical_to_full_block_draws(n, seed):
+    # Skipping the draws a short block does not read changes no byte.
+    config = DgpConfig(n=n, seed=seed)
+    fast = simulate_smart(config)
+    full = reference_simulate_smart(config)
+    for name in COLUMNS:
+        got, want = getattr(fast, name), getattr(full, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_simulate_randomization_probabilities():

@@ -197,6 +197,11 @@ def test_non_finite_inputs_are_rejected(case):
         fit_logistic(design, z, weights=w, offset=offset)
 
 
+def test_design_without_columns_is_rejected():
+    with pytest.raises(ValueError, match="at least one column"):
+        fit_logistic(np.ones((5, 0)), np.zeros(5))
+
+
 def test_fit_with_sub_rounding_gain_does_not_stall():
     # Fluctuation-like intercept-only fits: a quarter of the rows weighted,
     # an offset per row.  Near the optimum a Newton step raises the

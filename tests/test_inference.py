@@ -274,6 +274,20 @@ def test_bootstrap_counts_and_bounds_degenerate_replicates(trial):
 
     with pytest.raises(TooManyDegenerate):
         bootstrap_ci(trial, always_degenerate, n_replicates=100, seed=17)
+    # A share bound of 1 lets every replicate drop out, but an interval
+    # needs at least one kept replicate.
+    with pytest.raises(TooManyDegenerate, match="100 of 100"):
+        bootstrap_ci(
+            trial, always_degenerate, n_replicates=100, seed=17, max_degenerate_share=1.0
+        )
+
+
+@pytest.mark.parametrize("share", [-0.1, 1.5, float("nan")])
+def test_bootstrap_rejects_a_share_bound_outside_the_unit_interval(trial, share):
+    with pytest.raises(ValueError, match="max_degenerate_share"):
+        bootstrap_ci(
+            trial, lambda d: 0.0, n_replicates=100, seed=1, max_degenerate_share=share
+        )
 
 
 @pytest.mark.parametrize("failure", [SeparationDetected, FluctuationDiverged])

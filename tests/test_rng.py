@@ -1,0 +1,85 @@
+"""Random streams: the Philox skip-ahead leaves the state a draw would."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smartcea.rng import PURPOSE_SIMULATE, philox_stream, skip_raw
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+
+# Prefix draws that leave the Philox buffer at any position, including the
+# 32-bit draws that buffer half of a raw output in ``has_uint32``.
+PREFIX_DRAWS = {
+    "raw": lambda rng, j: rng.bit_generator.random_raw(j),
+    "random": lambda rng, j: rng.random(j),
+    "normal": lambda rng, j: rng.standard_normal(j),
+    "exponential": lambda rng, j: rng.standard_exponential(j),
+    "float32": lambda rng, j: rng.random(j, dtype=np.float32),
+    "uint32": lambda rng, j: rng.integers(0, 2**32, size=j, dtype=np.uint32),
+}
+
+
+def _state(rng):
+    """The bit generator's full state as plain, comparable values."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["state"]["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+def _next_draws(rng):
+    return (
+        rng.bit_generator.random_raw(5).tolist(),
+        rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+        rng.random(3).tolist(),
+        rng.standard_normal(3).tolist(),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    prefix=st.lists(
+        st.tuples(st.sampled_from(sorted(PREFIX_DRAWS)), st.integers(0, 9)),
+        max_size=6,
+    ),
+    k=st.integers(0, 3000),
+)
+def test_skip_raw_leaves_the_state_random_raw_would(seed, prefix, k):
+    skipped = philox_stream(seed, PURPOSE_SIMULATE, 0)
+    drawn = philox_stream(seed, PURPOSE_SIMULATE, 0)
+    for rng in (skipped, drawn):
+        for kind, j in prefix:
+            PREFIX_DRAWS[kind](rng, j)
+    skip_raw(skipped, k)
+    drawn.bit_generator.random_raw(k)
+    assert _state(skipped) == _state(drawn)
+    assert _next_draws(skipped) == _next_draws(drawn)
+
+
+def test_skip_raw_touches_only_the_bit_generator():
+    # An object with nothing but the bit generator: a Generator method call
+    # would raise AttributeError.
+    bits = philox_stream(3, PURPOSE_SIMULATE, 0).bit_generator
+    skip_raw(SimpleNamespace(bit_generator=bits), 262144 - 1809)
+    reference = philox_stream(3, PURPOSE_SIMULATE, 0)
+    reference.bit_generator.random_raw(262144 - 1809)
+    assert _state(SimpleNamespace(bit_generator=bits)) == _state(reference)
+
+
+def test_skip_raw_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        skip_raw(philox_stream(0, PURPOSE_SIMULATE, 0), -1)
