@@ -24,6 +24,7 @@ import csv
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -444,94 +445,128 @@ def write_csv(path: str, config: RunConfig, header: Sequence[str], rows) -> None
 
 
 def ingest_dataset(path: str) -> Dataset:
-    """Read and validate a trajectory CSV, with row-level diagnostics.
+    """Read and validate a trajectory CSV, with line-level diagnostics.
 
-    Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c.  Treatment codes
-    are checked against the benchmark supports; a stage-2 code from the
-    wrong branch names the line, the column, and the support it violated.
-    Line numbers are physical: the ``#`` comment lines count.
+    Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c, each header name
+    at most once; other columns are ignored.  The file is UTF-8 with an
+    optional byte-order mark.  Lines that start with ``#`` and blank lines
+    are skipped, but line numbers are physical: they count them.
+
+    Each column is parsed with Python's ``float`` in one pass and checked
+    with one mask per rule: malformed, non-finite, integer code, a1 support,
+    l2 in {0, 1}, a2 support on the record's own branch, binary y,
+    nonnegative c.  The error names the first failing line and, within it,
+    the first failing column in that order, as ``line L, column C: reason``
+    (column ``-`` for a row with the wrong number of fields); a stage-2
+    code from the wrong branch also names the support it violated.  Codes
+    are checked as floats and cast to int64 only once they pass.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            numbered = [(no, ln) for no, ln in enumerate(fh, 1) if not ln.startswith("#")]
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            numbered = [
+                (no, ln)
+                for no, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#")
+            ]
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
     rows = list(csv.reader(ln for _, ln in numbered))
     if not rows:
         raise CliError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise CliError(f"{path}: duplicate column {name!r}")
     x1_cols = [name for name in header if name == "x1" or name.startswith("x1_")]
-    required = ["id"] + x1_cols + ["a1", "l2", "s2", "a2", "y", "c"]
     for name in ("id", "a1", "l2", "s2", "a2", "y", "c"):
         if name not in header:
             raise CliError(f"{path}: missing column {name!r}")
     if not x1_cols:
         raise CliError(f"{path}: missing column 'x1' (or x1_1..x1_p)")
-    col = {name: header.index(name) for name in required}
 
     data_rows = rows[1:]
     if not data_rows:
         raise CliError(f"{path}: no data rows")
-    n = len(data_rows)
-    x1 = np.empty((n, len(x1_cols)))
-    a1 = np.empty(n, dtype=np.int64)
-    l2 = np.empty(n, dtype=np.int64)
-    s2 = np.empty(n)
-    a2 = np.empty(n, dtype=np.int64)
-    y = np.empty(n)
-    c = np.empty(n)
+    width = len(header)
+    # Rows from the first one with the wrong field count on are never read.
+    m = next((i for i, row in enumerate(data_rows) if len(row) != width), len(data_rows))
+    parsed = data_rows[:m]
+    # (first failing row, column, reason for that row), in check order.
+    failures: list[tuple[int, str, Callable[[int], str]]] = []
 
-    def fail(line_no: int, column: str, reason: str):
-        raise CliError(f"{path} line {line_no}, column {column!r}: {reason}")
+    def check(column: str, mask: np.ndarray, reason: Callable[[int], str]) -> None:
+        if mask.any():
+            failures.append((int(mask.argmax()), column, reason))
 
-    for i, row in enumerate(data_rows):
-        line_no = numbered[i + 1][0]
-        if len(row) != len(header):
-            fail(line_no, "-", f"expected {len(header)} fields, got {len(row)}")
+    def number(column: str) -> np.ndarray:
+        j = header.index(column)
 
-        def num(column: str) -> float:
-            raw = row[col[column]].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                fail(line_no, column, f"malformed number {raw!r}")
-            if not np.isfinite(value):
-                fail(line_no, column, f"non-finite value {raw!r}")
-            return value
+        def raw(i: int) -> str:
+            return parsed[i][j].strip()
 
-        def code(column: str) -> int:
-            value = num(column)
-            if value != int(value):
-                fail(line_no, column, f"expected an integer code, got {value}")
-            return int(value)
+        try:
+            cells = map(str.strip, map(itemgetter(j), parsed))
+            values = np.fromiter(map(float, cells), np.float64, m)
+        except ValueError:
+            # Rows from the malformed one on stay NaN; any check they fail
+            # comes after "malformed" on that row or on a later row.
+            values = np.full(m, np.nan)
+            for bad in range(m):
+                try:
+                    values[bad] = float(raw(bad))
+                except ValueError:
+                    break
+            failures.append((bad, column, lambda i: f"malformed number {raw(i)!r}"))
+        check(column, ~np.isfinite(values), lambda i: f"non-finite value {raw(i)!r}")
+        return values
 
-        for j, name in enumerate(x1_cols):
-            x1[i, j] = num(name)
-        a1[i] = code("a1")
-        if a1[i] not in STAGE1_SUPPORT:
-            fail(line_no, "a1", f"out of stage-1 support {sorted(STAGE1_SUPPORT)}")
-        l2[i] = code("l2")
-        if l2[i] not in (0, 1):
-            fail(line_no, "l2", "expected 0 or 1")
-        s2[i] = num("s2")
-        a2[i] = code("a2")
-        branch = int(l2[i])
-        if a2[i] not in STAGE2_SUPPORT[branch]:
-            fail(
-                line_no,
-                "a2",
-                f"out of stage-2 support {sorted(STAGE2_SUPPORT[branch])} "
-                f"for records with l2={branch}",
-            )
-        y[i] = num("y")
-        if y[i] not in (0.0, 1.0):
-            fail(line_no, "y", "expected a binary 0/1 outcome")
-        c[i] = num("c")
-        if c[i] < 0:
-            fail(line_no, "c", "expected a nonnegative cost")
+    def code(column: str) -> np.ndarray:
+        values = number(column)
+        check(
+            column,
+            values != np.trunc(values),
+            lambda i: f"expected an integer code, got {float(values[i])}",
+        )
+        return values
+
+    def outside(values: np.ndarray, support) -> np.ndarray:
+        return ~np.isin(values, sorted(support))
+
+    x1 = [number(name) for name in x1_cols]
+    a1 = code("a1")
+    check("a1", outside(a1, STAGE1_SUPPORT),
+          lambda i: f"out of stage-1 support {sorted(STAGE1_SUPPORT)}")
+    l2 = code("l2")
+    check("l2", outside(l2, (0, 1)), lambda i: "expected 0 or 1")
+    s2 = number("s2")
+    a2 = code("a2")
+    check(
+        "a2",
+        np.where(l2 == 1, outside(a2, STAGE2_SUPPORT[1]), outside(a2, STAGE2_SUPPORT[0])),
+        lambda i: (
+            f"out of stage-2 support {sorted(STAGE2_SUPPORT[int(l2[i])])} "
+            f"for records with l2={int(l2[i])}"
+        ),
+    )
+    y = number("y")
+    check("y", outside(y, (0, 1)), lambda i: "expected a binary 0/1 outcome")
+    c = number("c")
+    check("c", c < 0, lambda i: "expected a nonnegative cost")
+    if m < len(data_rows):
+        failures.append((m, "-", lambda i: f"expected {width} fields, got {len(data_rows[i])}"))
+    if failures:
+        # The earliest row wins; on one row, the earliest check (min is stable).
+        row, column, reason = min(failures, key=lambda failure: failure[0])
+        raise CliError(f"{path} line {numbered[row + 1][0]}, column {column!r}: {reason(row)}")
 
     return Dataset(
-        x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c,
+        x1=np.column_stack(x1),
+        a1=a1.astype(np.int64),
+        l2=l2.astype(np.int64),
+        s2=s2,
+        a2=a2.astype(np.int64),
+        y=y,
+        c=c,
         stage1_support=STAGE1_SUPPORT,
         stage2_support=STAGE2_SUPPORT,
         x1_names=tuple(x1_cols),
@@ -541,11 +576,12 @@ def ingest_dataset(path: str) -> Dataset:
 def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     """Regime table: one row per regime (id, d1, d2_if_lapse, d2_if_no_lapse).
 
-    Comma- or whitespace-separated, # comments allowed, header optional.
-    Ids must be unique; codes are validated against the benchmark supports.
+    Comma- or whitespace-separated, # comments allowed, header optional;
+    UTF-8 with an optional byte-order mark.  Ids must be unique; codes are
+    validated against the benchmark supports.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None

@@ -28,6 +28,7 @@ fail in the same way.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
+from smartcea.cli import CliError
 from smartcea.core import Dataset, RegimeSpec
 from smartcea.dgp import (
     _CELLS,
@@ -490,4 +492,99 @@ def reference_fit_logistic(design, response, weights=None, offset=None) -> GlmFi
         converged=converged,
         iterations=it,
         max_abs_score=max_abs_score,
+    )
+
+
+def reference_ingest_dataset(path: str) -> Dataset:
+    """Read and validate a trajectory CSV, with row-level diagnostics.
+
+    Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c.  Treatment codes
+    are checked against the benchmark supports; a stage-2 code from the
+    wrong branch names the line, the column, and the support it violated.
+    Line numbers are physical: the ``#`` comment lines count.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            numbered = [(no, ln) for no, ln in enumerate(fh, 1) if not ln.startswith("#")]
+    except OSError as err:
+        raise CliError(f"cannot read {path}: {err}") from None
+    rows = list(csv.reader(ln for _, ln in numbered))
+    if not rows:
+        raise CliError(f"{path}: empty file")
+    header = [name.strip() for name in rows[0]]
+    x1_cols = [name for name in header if name == "x1" or name.startswith("x1_")]
+    required = ["id"] + x1_cols + ["a1", "l2", "s2", "a2", "y", "c"]
+    for name in ("id", "a1", "l2", "s2", "a2", "y", "c"):
+        if name not in header:
+            raise CliError(f"{path}: missing column {name!r}")
+    if not x1_cols:
+        raise CliError(f"{path}: missing column 'x1' (or x1_1..x1_p)")
+    col = {name: header.index(name) for name in required}
+
+    data_rows = rows[1:]
+    if not data_rows:
+        raise CliError(f"{path}: no data rows")
+    n = len(data_rows)
+    x1 = np.empty((n, len(x1_cols)))
+    a1 = np.empty(n, dtype=np.int64)
+    l2 = np.empty(n, dtype=np.int64)
+    s2 = np.empty(n)
+    a2 = np.empty(n, dtype=np.int64)
+    y = np.empty(n)
+    c = np.empty(n)
+
+    def fail(line_no: int, column: str, reason: str):
+        raise CliError(f"{path} line {line_no}, column {column!r}: {reason}")
+
+    for i, row in enumerate(data_rows):
+        line_no = numbered[i + 1][0]
+        if len(row) != len(header):
+            fail(line_no, "-", f"expected {len(header)} fields, got {len(row)}")
+
+        def num(column: str) -> float:
+            raw = row[col[column]].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                fail(line_no, column, f"malformed number {raw!r}")
+            if not np.isfinite(value):
+                fail(line_no, column, f"non-finite value {raw!r}")
+            return value
+
+        def code(column: str) -> int:
+            value = num(column)
+            if value != int(value):
+                fail(line_no, column, f"expected an integer code, got {value}")
+            return int(value)
+
+        for j, name in enumerate(x1_cols):
+            x1[i, j] = num(name)
+        a1[i] = code("a1")
+        if a1[i] not in STAGE1_SUPPORT:
+            fail(line_no, "a1", f"out of stage-1 support {sorted(STAGE1_SUPPORT)}")
+        l2[i] = code("l2")
+        if l2[i] not in (0, 1):
+            fail(line_no, "l2", "expected 0 or 1")
+        s2[i] = num("s2")
+        a2[i] = code("a2")
+        branch = int(l2[i])
+        if a2[i] not in STAGE2_SUPPORT[branch]:
+            fail(
+                line_no,
+                "a2",
+                f"out of stage-2 support {sorted(STAGE2_SUPPORT[branch])} "
+                f"for records with l2={branch}",
+            )
+        y[i] = num("y")
+        if y[i] not in (0.0, 1.0):
+            fail(line_no, "y", "expected a binary 0/1 outcome")
+        c[i] = num("c")
+        if c[i] < 0:
+            fail(line_no, "c", "expected a nonnegative cost")
+
+    return Dataset(
+        x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c,
+        stage1_support=STAGE1_SUPPORT,
+        stage2_support=STAGE2_SUPPORT,
+        x1_names=tuple(x1_cols),
     )
