@@ -215,7 +215,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
 def render_plane_svg(
     points: Sequence[PlanePoint],
     frontier: Frontier | None = None,
-    reference_id: int | None = None,
     width: int = 640,
     height: int = 480,
 ) -> str:
@@ -315,14 +314,6 @@ def render_plane_svg(
         parts.append(
             f'<text x="{sx(p.rd_eff) + 6:.2f}" y="{sy(p.rd_cost) - 6:.2f}" '
             f'font-size="11" font-family="sans-serif">{p.regime_id}</text>'
-        )
-    if reference_id is not None:
-        parts.append(
-            f'<circle cx="{sx(0):.2f}" cy="{sy(0):.2f}" r="4" fill="black"/>'
-        )
-        parts.append(
-            f'<text x="{sx(0) + 6:.2f}" y="{sy(0) - 6:.2f}" font-size="11" '
-            f'font-family="sans-serif">{reference_id} (ref)</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -49,7 +49,7 @@ from .dgp import (
 )
 from .estimate import RegimeMeanRequest, estimate_g, regime_mean
 from .inference import DegenerateDenominator, IcerResult, bootstrap_ci, contrast
-from .study import TRUTH_MC_DRAWS, StudyConfig, icer_table, run_study
+from .study import DEFAULT_G_MODES, TRUTH_MC_DRAWS, StudyConfig, icer_table, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
 
@@ -325,7 +325,7 @@ def _coerce(opt: Option, raw: str):
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as err:
         raise UsageError(f"config file: {err}") from None
@@ -470,7 +470,14 @@ def ingest_dataset(path: str) -> Dataset:
             ]
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
-    rows = list(csv.reader(ln for _, ln in numbered))
+    reader = csv.reader(ln for _, ln in numbered)
+    # A quoted field may hold a newline, so a record can span several lines:
+    # record k starts on physical line numbered[starts[k]][0].
+    rows: list[list[str]] = []
+    starts = [0]
+    for row in reader:
+        rows.append(row)
+        starts.append(reader.line_num)
     if not rows:
         raise CliError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -557,7 +564,8 @@ def ingest_dataset(path: str) -> Dataset:
     if failures:
         # The earliest row wins; on one row, the earliest check (min is stable).
         row, column, reason = min(failures, key=lambda failure: failure[0])
-        raise CliError(f"{path} line {numbered[row + 1][0]}, column {column!r}: {reason(row)}")
+        line = numbered[starts[row + 1]][0]
+        raise CliError(f"{path} line {line}, column {column!r}: {reason(row)}")
 
     return Dataset(
         x1=np.column_stack(x1),
@@ -670,9 +678,7 @@ def _write_truth(path: str, config: RunConfig, table: TruthTable) -> None:
 
 
 def _g_mode(settings: dict) -> str:
-    if settings.get("g"):
-        return settings["g"]
-    return "known" if settings["estimator"] == "ipw" else "fitted"
+    return settings.get("g") or DEFAULT_G_MODES[settings["estimator"]]
 
 
 def _run_estimate(config: RunConfig) -> None:
@@ -769,7 +775,7 @@ def _run_contrast(config: RunConfig) -> None:
 
 def _read_icer_table(path: str) -> list[PlanePoint]:
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None

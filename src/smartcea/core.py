@@ -14,7 +14,7 @@ along the branch the record actually followed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,8 +71,6 @@ class Dataset:
         Baseline covariates, shape (n,) or (n, p).
     a1, l2, s2, a2, y, c : array_like
         Remaining trajectory columns, each of length n.
-    ids : array_like of int, optional
-        Record identifiers; defaults to 0..n-1.
     stage1_support : set of int, optional
         Valid stage-1 codes.  Inferred from the data when omitted.
     stage2_support : mapping {1: set, 0: set}, optional
@@ -90,7 +88,6 @@ class Dataset:
         a2,
         y,
         c,
-        ids=None,
         stage1_support: frozenset[int] | None = None,
         stage2_support: Mapping[int, frozenset[int]] | None = None,
         x1_names: Sequence[str] | None = None,
@@ -111,13 +108,8 @@ class Dataset:
         self.a2 = np.asarray(a2, dtype=np.int64)
         self.y = np.asarray(y, dtype=np.int64)
         self.c = np.asarray(c, dtype=np.float64)
-        self.ids = (
-            np.arange(n, dtype=np.int64)
-            if ids is None
-            else np.asarray(ids, dtype=np.int64)
-        )
 
-        for name in ("a1", "l2", "s2", "a2", "y", "c", "ids"):
+        for name in ("a1", "l2", "s2", "a2", "y", "c"):
             col = getattr(self, name)
             if col.shape != (n,):
                 raise ValueError(f"column {name} has length {col.shape}, expected ({n},)")
@@ -162,7 +154,7 @@ class Dataset:
         if len(self.x1_names) != x1.shape[1]:
             raise ValueError("x1_names length does not match x1 width")
 
-        for name in ("x1", "a1", "l2", "s2", "a2", "y", "c", "ids"):
+        for name in ("x1", "a1", "l2", "s2", "a2", "y", "c"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -183,7 +175,6 @@ class Dataset:
             a2=self.a2[idx],
             y=self.y[idx],
             c=self.c[idx],
-            ids=self.ids[idx],
             stage1_support=self.stage1_support,
             stage2_support=self.stage2_support,
             x1_names=self.x1_names,
@@ -218,14 +209,13 @@ class EstimateWithIC:
 
     psi: float
     ic: np.ndarray
-    n: int = field(default=0)
 
     def __post_init__(self) -> None:
         self.ic = np.asarray(self.ic, dtype=np.float64)
-        if self.n == 0:
-            self.n = self.ic.shape[0]
-        if self.ic.shape != (self.n,):
-            raise ValueError("influence curve length does not match n")
+
+    @property
+    def n(self) -> int:
+        return self.ic.shape[0]
 
     @property
     def se(self) -> float:

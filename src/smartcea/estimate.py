@@ -10,7 +10,9 @@ solves the efficient influence curve's score equation; outcomes are mapped
 to [0, 1] for the logistic machinery and mapped back at the end.
 
 Treatment probabilities come from a :class:`GModel`, either the design's
-known randomization probabilities or logistic fits (`estimate_g`).  A
+known randomization probabilities or logistic fits (`estimate_g`).  It
+stores g only at the treatments each record received: a record enters the
+weights I(A = d) / (g1 g2) only when those treatments are the regime's.  A
 :class:`RegimeMeanRequest` bundles one estimation task: the regime, the
 outcome column, the estimator, the treatment model, and the outcome-model
 covariates.
@@ -135,38 +137,15 @@ def _design(
 
 @dataclass(frozen=True)
 class GModel:
-    """Treatment mechanism, known or fitted, evaluated per record.
+    """Treatment mechanism, known or fitted, at each record's own treatments.
 
-    ``fits`` holds the logistic fits behind a fitted model ('stage1', and
-    ('stage2', branch) per branch).  ``stage1_probs`` / ``stage2_probs`` are
-    the evaluated per-record probabilities the estimators consume;
-    stage-2 entries are meaningful only on records observed in that branch
-    (NaN elsewhere).
+    ``p_a1[i]`` is P(A1 = a1_i | X1_i) and ``p_a2[i]`` is P(A2 = a2_i | H2_i)
+    on the branch record i followed.  The estimators weight only records
+    whose treatments are the regime's, so g is never needed anywhere else.
     """
 
-    fits: dict | None
-    stage1_probs: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    stage2_probs: dict[tuple[int, int], np.ndarray] = field(
-        repr=False, default_factory=dict
-    )
-
-    def stage1(self, d1: int) -> np.ndarray:
-        if d1 not in self.stage1_probs:
-            raise ValueError(f"stage-1 option {d1} not in support")
-        return self.stage1_probs[d1]
-
-    def stage2(self, dataset: Dataset, regime: RegimeSpec) -> np.ndarray:
-        """P(A2 = regime's recommendation on the record's own branch)."""
-        for branch in (0, 1):
-            if (branch, regime.d2(branch)) not in self.stage2_probs:
-                raise ValueError(
-                    f"stage-2 option {regime.d2(branch)} not in branch-{branch} support"
-                )
-        return np.where(
-            dataset.l2 == 1,
-            self.stage2_probs[(1, regime.d2_if_lapse)],
-            self.stage2_probs[(0, regime.d2_if_no_lapse)],
-        )
+    p_a1: np.ndarray = field(repr=False)
+    p_a2: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -210,14 +189,14 @@ def estimate_g(
     """
     n = dataset.n
     if kind == "known":
-        p1 = 1.0 / len(dataset.stage1_support)
-        stage1_probs = {d: np.full(n, p1) for d in dataset.stage1_support}
-        stage2_probs = {}
-        for branch in (0, 1):
-            p2 = 1.0 / len(dataset.stage2_support[branch])
-            for option in dataset.stage2_support[branch]:
-                stage2_probs[(branch, option)] = np.full(n, p2)
-        return GModel(fits=None, stage1_probs=stage1_probs, stage2_probs=stage2_probs)
+        return GModel(
+            p_a1=np.full(n, 1.0 / len(dataset.stage1_support)),
+            p_a2=np.where(
+                dataset.l2 == 1,
+                1.0 / len(dataset.stage2_support[1]),
+                1.0 / len(dataset.stage2_support[0]),
+            ),
+        )
 
     if kind != "fitted":
         raise ValueError(f"unknown g kind {kind!r}, expected 'known' or 'fitted'")
@@ -230,20 +209,19 @@ def estimate_g(
             "fitted treatment models require two options per stage and branch"
         )
 
-    lo1, hi1 = sorted(dataset.stage1_support)
+    hi1 = max(dataset.stage1_support)
     X1 = _design(dataset, covariate_spec.stage1, ("x1",))
     try:
         fit1 = fit_logistic(X1, (dataset.a1 == hi1).astype(np.float64))
     except SeparationDetected as err:
         raise SeparationDetected(f"stage 1: {err}") from None
     p_hi1 = np.clip(predict(fit1, X1), truncation, 1.0 - truncation)
-    stage1_probs = {hi1: p_hi1, lo1: 1.0 - p_hi1}
-    fits: dict = {"stage1": fit1}
+    p_a1 = np.where(dataset.a1 == hi1, p_hi1, 1.0 - p_hi1)
 
-    stage2_probs = {}
+    p_a2 = np.empty(n)
     X2 = _design(dataset, covariate_spec.stage2, ("x1", "a1", "s2"))
     for branch in (0, 1):
-        lo2, hi2 = sorted(dataset.stage2_support[branch])
+        hi2 = max(dataset.stage2_support[branch])
         rows = dataset.l2 == branch
         if not rows.any():
             raise ZeroSupport(f"no records observed on branch l2={branch}")
@@ -251,25 +229,26 @@ def estimate_g(
             fit2 = fit_logistic(X2[rows], (dataset.a2[rows] == hi2).astype(np.float64))
         except SeparationDetected as err:
             raise SeparationDetected(f"stage 2, branch l2={branch}: {err}") from None
-        p_hi2 = np.full(n, np.nan)
-        p_hi2[rows] = np.clip(predict(fit2, X2[rows]), truncation, 1.0 - truncation)
-        stage2_probs[(branch, hi2)] = p_hi2
-        stage2_probs[(branch, lo2)] = 1.0 - p_hi2
-        fits[("stage2", branch)] = fit2
-    return GModel(fits=fits, stage1_probs=stage1_probs, stage2_probs=stage2_probs)
+        p_hi2 = np.clip(predict(fit2, X2[rows]), truncation, 1.0 - truncation)
+        p_a2[rows] = np.where(dataset.a2[rows] == hi2, p_hi2, 1.0 - p_hi2)
+    return GModel(p_a1=p_a1, p_a2=p_a2)
 
 
 def _cumulative_weights(
     dataset: Dataset, regime: RegimeSpec, g: GModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(consistency mask, I[consistent] / (g1 g2)); raises on empty support."""
+    """(consistency mask, I[consistent] / (g1 g2)); raises on empty support
+    and on a stage-2 recommendation outside its branch's support."""
     mask = consistency_mask(dataset, regime)
     if not mask.any():
         raise ZeroSupport(f"no records consistent with regime {regime.id}")
-    g1 = g.stage1(regime.d1)
-    g2 = g.stage2(dataset, regime)
+    for branch in (0, 1):
+        if regime.d2(branch) not in dataset.stage2_support[branch]:
+            raise ValueError(
+                f"stage-2 option {regime.d2(branch)} not in branch-{branch} support"
+            )
     w = np.zeros(dataset.n)
-    w[mask] = 1.0 / (g1[mask] * g2[mask])
+    w[mask] = 1.0 / (g.p_a1[mask] * g.p_a2[mask])
     return mask, w
 
 
@@ -314,9 +293,8 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     regime = request.regime
     mask, h2 = _cumulative_weights(dataset, regime, request.g)
     stage1_mask = dataset.a1 == regime.d1
-    g1 = request.g.stage1(regime.d1)
     h1 = np.zeros(dataset.n)
-    h1[stage1_mask] = 1.0 / g1[stage1_mask]
+    h1[stage1_mask] = 1.0 / request.g.p_a1[stage1_mask]
 
     z_raw = dataset.outcome(request.outcome)
     lo = float(z_raw.min())

@@ -209,6 +209,15 @@ def test_config_file_merges_with_flag_precedence(tmp_path, capsys):
     assert len(rows) == 50
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes("n = 50\nseed = 3\n".encode("utf-8-sig"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = _rows(out)
+    assert len(rows) == 50
+
+
 def test_truth_columns_and_determinism(tmp_path):
     out = tmp_path / "truth.csv"
     args = ["truth", "--mc-draws", "50000", "--seed", "2", "--out", str(out)]
@@ -308,6 +317,24 @@ def test_frontier_and_plot_pipeline(tmp_path, data_csv):
     first = svg_path.read_bytes()
     assert main(["plot", "--in", str(table), "--out", str(svg_path)]) == 0
     assert svg_path.read_bytes() == first
+
+
+def test_icer_table_input_may_start_with_a_byte_order_mark(tmp_path, data_csv):
+    table = tmp_path / "icers.csv"
+    assert main([
+        "icer-table", "--data", str(data_csv), "--estimator", "ipw",
+        "--out", str(table),
+    ]) == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+    for path in (table, marked):
+        points = tmp_path / f"points_{path.stem}.csv"
+        assert main([
+            "frontier", "--in", str(path), "--out-points", str(points),
+            "--out-frontier", str(tmp_path / f"frontier_{path.stem}.csv"),
+        ]) == 0
+        assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 0
+    assert _rows(tmp_path / "points_marked.csv") == _rows(tmp_path / "points_icers.csv")
 
 
 def test_mc_study_cli_columns_and_truth_sidecar(tmp_path):

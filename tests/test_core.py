@@ -108,8 +108,3 @@ def test_estimate_with_ic_se_matches_definition():
     est = EstimateWithIC(psi=0.3, ic=ic)
     assert est.n == 5
     assert np.isclose(est.se, np.sqrt(np.var(ic, ddof=1) / 5))
-
-
-def test_estimate_with_ic_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        EstimateWithIC(psi=0.0, ic=np.zeros(4), n=5)

@@ -62,24 +62,21 @@ def _synthetic(n=200, seed=0, a1_value=None, a2_by_a1=False):
     )
 
 
-def test_known_g_is_uniform_over_supports(trial, g_known, regimes):
-    for regime in regimes:
-        assert np.allclose(g_known.stage1(regime.d1), 0.5)
-        assert np.allclose(g_known.stage2(trial, regime), 0.5)
+def test_known_g_is_uniform_over_supports(g_known):
+    assert np.allclose(g_known.p_a1, 0.5)
+    assert np.allclose(g_known.p_a2, 0.5)
 
 
 def test_fitted_g_recovers_design_probabilities():
     data = simulate_smart(DgpConfig(n=100_000, seed=31))
     g = estimate_g(data, "fitted")
-    regime = embedded_regimes()[0]
-    assert np.all(np.abs(g.stage1(regime.d1) - 0.5) < 0.02)
-    assert np.all(np.abs(g.stage2(data, regime) - 0.5) < 0.02)
+    assert np.all(np.abs(g.p_a1 - 0.5) < 0.02)
+    assert np.all(np.abs(g.p_a2 - 0.5) < 0.02)
 
 
 def test_fitted_g_respects_truncation(trial):
     g = estimate_g(trial, "fitted", truncation=0.05)
-    regime = embedded_regimes()[3]
-    for probs in (g.stage1(regime.d1), g.stage2(trial, regime)):
+    for probs in (g.p_a1, g.p_a2):
         assert np.all(probs >= 0.05)
         assert np.all(probs <= 0.95)
 
@@ -117,14 +114,36 @@ def test_zero_support_raises():
         ipw_mean(data, _request(regime, "y", "ipw", g))
 
 
+@pytest.mark.parametrize("estimator", ["ipw", "tmle"])
+def test_stage2_option_outside_branch_support_raises(estimator):
+    # Branch 1 only ever received option 1, so its inferred support is {1};
+    # branch-0 records still follow the regime, so support is not empty.
+    rng = np.random.default_rng(3)
+    n = 200
+    l2 = rng.integers(0, 2, n)
+    data = Dataset(
+        x1=rng.normal(size=n),
+        a1=rng.integers(0, 2, n),
+        l2=l2,
+        s2=rng.normal(size=n),
+        a2=np.where(l2 == 1, 1, rng.integers(3, 5, n)),
+        y=rng.integers(0, 2, n),
+        c=rng.exponential(size=n),
+    )
+    assert data.stage2_support[1] == {1}
+    regime = RegimeSpec(id=4, d1=0, d2_if_lapse=2, d2_if_no_lapse=3)
+    assert consistency_mask(data, regime).any()
+    request = _request(regime, "y", estimator, estimate_g(data))
+    with pytest.raises(ValueError, match="stage-2 option 2 not in branch-1 support"):
+        regime_mean(data, request)
+
+
 def test_ipw_solves_weighted_estimating_equation(trial, g_known, regimes):
     regime = regimes[1]
     est = ipw_mean(trial, _request(regime, "y", "ipw", g_known))
     mask = consistency_mask(trial, regime)
     w = np.zeros(trial.n)
-    w[mask] = 1.0 / (
-        g_known.stage1(regime.d1)[mask] * g_known.stage2(trial, regime)[mask]
-    )
+    w[mask] = 1.0 / (g_known.p_a1[mask] * g_known.p_a2[mask])
     z = trial.outcome("y")
     assert abs(float(np.sum(w * (z - est.psi)))) < 1e-8
     assert est.psi == pytest.approx(float((w * z).sum() / w.sum()))
@@ -136,7 +155,7 @@ def test_ipw_weights_average_to_one():
     regime = embedded_regimes()[1]
     mask = consistency_mask(data, regime)
     w = np.zeros(data.n)
-    w[mask] = 1.0 / (g.stage1(regime.d1)[mask] * g.stage2(data, regime)[mask])
+    w[mask] = 1.0 / (g.p_a1[mask] * g.p_a2[mask])
     se = w.std(ddof=1) / np.sqrt(data.n)
     assert abs(w.mean() - 1.0) < 3.0 * se
 

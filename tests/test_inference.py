@@ -253,8 +253,8 @@ def test_bootstrap_agrees_with_wald_on_regime_2(trial, g_known):
 
 def test_bootstrap_counts_and_bounds_degenerate_replicates(trial):
     def sometimes_degenerate(resampled):
-        if int(resampled.ids[0]) % 2 == 0:
-            raise DegenerateDenominator("even-leading resample")
+        if resampled.a1[0] == 0:
+            raise DegenerateDenominator("resample led by an a1 = 0 record")
         return float(resampled.outcome("y").mean())
 
     result = bootstrap_ci(

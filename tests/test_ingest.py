@@ -13,7 +13,7 @@ from oracles import reference_ingest_dataset
 from smartcea.cli import CliError, ingest_dataset, main, read_regime_file
 from smartcea.dgp import STAGE2_SUPPORT, DgpConfig, simulate_smart
 
-COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c", "ids")
+COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c")
 HEADER = "id,x1,a1,l2,s2,a2,y,c\n"
 
 PROPERTY_SETTINGS = settings(
@@ -218,3 +218,18 @@ def test_blank_lines_are_skipped_and_still_counted(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(CliError, match=r"line 7, column '-': expected 8 fields, got 9"):
         ingest_dataset(str(path))
+
+
+def test_line_numbers_count_every_line_of_a_multi_line_record(tmp_path, capsys):
+    # The quoted id "1\n" spans lines 2-3, so the bad a1 sits on line 5.
+    path = tmp_path / "trial.csv"
+    path.write_text(
+        HEADER
+        + '"1\n",0.1,0,1,0.5,1,1,2.0\n'
+        + "2,0.2,1,0,0.5,3,0,1.0\n"
+        + "3,0.3,7,0,0.5,3,0,1.0\n"
+    )
+    code = main(["icer-table", "--data", str(path), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 5, column 'a1': out of stage-1 support [0, 1]" in err
