@@ -134,9 +134,7 @@ def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def efficient_frontier(
-    points: Sequence[PlanePoint], anchor: tuple[float, float] = (0.0, 0.0)
-) -> Frontier:
+def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
     """Lower convex envelope of the strictly-more-effective regimes.
 
     Strongly dominated candidates (another candidate is at least as effective
@@ -145,9 +143,9 @@ def efficient_frontier(
     order through a monotone chain that pops any corner failing strict
     convexity, which also drops collinear interior points.  Extended
     dominance is therefore handled by construction.  Raises
-    :class:`EmptyFrontier` when no candidate lies right of the anchor.
+    :class:`EmptyFrontier` when no candidate lies right of the origin.
     """
-    candidates = [p for p in points if p.rd_eff > anchor[0]]
+    candidates = [p for p in points if p.rd_eff > 0.0]
     if not candidates:
         raise EmptyFrontier("no regime is strictly more effective than the reference")
 
@@ -168,7 +166,7 @@ def efficient_frontier(
     ]
     undominated.sort(key=lambda p: (p.rd_eff, p.rd_cost, p.regime_id))
 
-    chain: list[tuple[float, float]] = [anchor]
+    chain: list[tuple[float, float]] = [(0.0, 0.0)]
     chain_ids: list[int | None] = [None]
     for p in undominated:
         v = (p.rd_eff, p.rd_cost)

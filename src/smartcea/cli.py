@@ -37,10 +37,8 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import Dataset, EstimationFailure, RegimeSpec
+from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, EstimationFailure, RegimeSpec
 from .dgp import (
-    STAGE1_SUPPORT,
-    STAGE2_SUPPORT,
     DgpConfig,
     TruthTable,
     embedded_regimes,
@@ -116,13 +114,13 @@ def _threads_opt():
     )
 
 
-def _estimator_opt(default="tmle"):
-    return Option("estimator", str, default, "point estimator", choices=("ipw", "tmle"))
+def _estimator_opt():
+    return Option("estimator", str, "tmle", "point estimator", choices=("ipw", "tmle"))
 
 
-def _g_opt(default=None):
+def _g_opt():
     return Option(
-        "g", str, default,
+        "g", str, None,
         "treatment mechanism: design probabilities or logistic fits "
         "(default pairs known with ipw, fitted with tmle)",
         choices=("known", "fitted"),
@@ -575,8 +573,6 @@ def ingest_dataset(path: str) -> Dataset:
         a2=a2.astype(np.int64),
         y=y,
         c=c,
-        stage1_support=STAGE1_SUPPORT,
-        stage2_support=STAGE2_SUPPORT,
         x1_names=tuple(x1_cols),
     )
 
@@ -585,8 +581,8 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     """Regime table: one row per regime (id, d1, d2_if_lapse, d2_if_no_lapse).
 
     Comma- or whitespace-separated, # comments allowed, header optional;
-    UTF-8 with an optional byte-order mark.  Ids must be unique; codes are
-    validated against the benchmark supports.
+    UTF-8 with an optional byte-order mark.  Ids must be unique; codes must
+    lie in the design supports, which ``RegimeSpec`` enforces.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -614,19 +610,10 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
         if rid in seen:
             raise CliError(f"{path} line {lineno}: duplicate regime id {rid}")
         seen.add(rid)
-        if d1 not in STAGE1_SUPPORT:
-            raise CliError(
-                f"{path} line {lineno}: d1={d1} outside stage-1 support {sorted(STAGE1_SUPPORT)}"
-            )
-        if dl not in STAGE2_SUPPORT[1]:
-            raise CliError(
-                f"{path} line {lineno}: d2_if_lapse={dl} outside support {sorted(STAGE2_SUPPORT[1])}"
-            )
-        if dn not in STAGE2_SUPPORT[0]:
-            raise CliError(
-                f"{path} line {lineno}: d2_if_no_lapse={dn} outside support {sorted(STAGE2_SUPPORT[0])}"
-            )
-        regimes.append(RegimeSpec(id=rid, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn))
+        try:
+            regimes.append(RegimeSpec(id=rid, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn))
+        except ValueError as err:
+            raise CliError(f"{path} line {lineno}: {err}") from None
     if not regimes:
         raise CliError(f"{path}: no regimes")
     return tuple(regimes)

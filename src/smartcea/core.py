@@ -10,22 +10,31 @@ An embedded regime prescribes one stage-1 treatment and one stage-2 treatment
 per branch: d = (d1, d2_if_lapse, d2_if_no_lapse).  A record is consistent
 with a regime when its observed treatments match the regime's recommendations
 along the branch the record actually followed.
+
+The design's treatment codes are fixed here, each stage randomized 1:1:
+``STAGE1_SUPPORT`` at stage 1 and ``STAGE2_SUPPORT[l2]`` on each branch at
+stage 2.  Neither a regime nor a record outside them can be built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "STAGE1_SUPPORT",
+    "STAGE2_SUPPORT",
     "EstimationFailure",
     "Dataset",
     "RegimeSpec",
     "EstimateWithIC",
     "consistency_mask",
 ]
+
+STAGE1_SUPPORT = frozenset({0, 1})
+STAGE2_SUPPORT = {0: frozenset({3, 4}), 1: frozenset({1, 2})}
 
 
 class EstimationFailure(Exception):
@@ -42,17 +51,28 @@ class RegimeSpec:
     id : int
         Positive identifier, unique within a regime collection.
     d1 : int
-        Stage-1 treatment code.
+        Stage-1 treatment code, in ``STAGE1_SUPPORT``.
     d2_if_lapse : int
-        Stage-2 treatment prescribed when L(2) = 1.
+        Stage-2 treatment prescribed when L(2) = 1, in ``STAGE2_SUPPORT[1]``.
     d2_if_no_lapse : int
-        Stage-2 treatment prescribed when L(2) = 0.
+        Stage-2 treatment prescribed when L(2) = 0, in ``STAGE2_SUPPORT[0]``.
     """
 
     id: int
     d1: int
     d2_if_lapse: int
     d2_if_no_lapse: int
+
+    def __post_init__(self) -> None:
+        for name, code, support in (
+            ("d1", self.d1, STAGE1_SUPPORT),
+            ("d2_if_lapse", self.d2_if_lapse, STAGE2_SUPPORT[1]),
+            ("d2_if_no_lapse", self.d2_if_no_lapse, STAGE2_SUPPORT[0]),
+        ):
+            if code not in support:
+                raise ValueError(
+                    f"regime {self.id}: {name}={code} outside support {sorted(support)}"
+                )
 
     def d2(self, l2: int) -> int:
         """Stage-2 recommendation on the branch selected by ``l2``."""
@@ -62,8 +82,9 @@ class RegimeSpec:
 class Dataset:
     """Columnar container for SMART trajectories.
 
-    Columns are validated on construction and frozen (read-only views).
-    ``x1`` always has shape (n, p); the common scalar-baseline case is p = 1.
+    Columns are validated on construction, treatment codes against the
+    design supports, and frozen (read-only views).  ``x1`` always has shape
+    (n, p); the common scalar-baseline case is p = 1.
 
     Parameters
     ----------
@@ -71,10 +92,6 @@ class Dataset:
         Baseline covariates, shape (n,) or (n, p).
     a1, l2, s2, a2, y, c : array_like
         Remaining trajectory columns, each of length n.
-    stage1_support : set of int, optional
-        Valid stage-1 codes.  Inferred from the data when omitted.
-    stage2_support : mapping {1: set, 0: set}, optional
-        Valid stage-2 codes per branch.  Inferred when omitted.
     x1_names : sequence of str, optional
         Column names for x1; defaults to ("x1",) or ("x1_1", ..., "x1_p").
     """
@@ -88,8 +105,6 @@ class Dataset:
         a2,
         y,
         c,
-        stage1_support: frozenset[int] | None = None,
-        stage2_support: Mapping[int, frozenset[int]] | None = None,
         x1_names: Sequence[str] | None = None,
     ) -> None:
         x1 = np.asarray(x1, dtype=np.float64)
@@ -125,27 +140,12 @@ class Dataset:
         if not (np.isfinite(self.c) & (self.c >= 0)).all():
             raise ValueError("c must be finite and nonnegative")
 
-        if stage1_support is None:
-            stage1_support = frozenset(int(v) for v in np.unique(self.a1))
-        self.stage1_support = frozenset(stage1_support)
-        if not np.isin(self.a1, sorted(self.stage1_support)).all():
-            raise ValueError("a1 value outside stage1_support")
-
-        if stage2_support is None:
-            stage2_support = {
-                branch: frozenset(int(v) for v in np.unique(self.a2[self.l2 == branch]))
-                for branch in (0, 1)
-            }
-        self.stage2_support = {
-            0: frozenset(stage2_support[0]),
-            1: frozenset(stage2_support[1]),
-        }
+        if not np.isin(self.a1, sorted(STAGE1_SUPPORT)).all():
+            raise ValueError(f"a1 value outside stage-1 support {sorted(STAGE1_SUPPORT)}")
         for branch in (0, 1):
-            on_branch = self.a2[self.l2 == branch]
-            if on_branch.size and not np.isin(
-                on_branch, sorted(self.stage2_support[branch])
-            ).all():
-                raise ValueError(f"a2 value outside stage2_support[{branch}]")
+            support = sorted(STAGE2_SUPPORT[branch])
+            if not np.isin(self.a2[self.l2 == branch], support).all():
+                raise ValueError(f"a2 value outside stage-2 support {support} for l2={branch}")
 
         if x1_names is None:
             p = x1.shape[1]
@@ -175,8 +175,6 @@ class Dataset:
             a2=self.a2[idx],
             y=self.y[idx],
             c=self.c[idx],
-            stage1_support=self.stage1_support,
-            stage2_support=self.stage2_support,
             x1_names=self.x1_names,
         )
 

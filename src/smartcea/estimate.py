@@ -10,7 +10,8 @@ solves the efficient influence curve's score equation; outcomes are mapped
 to [0, 1] for the logistic machinery and mapped back at the end.
 
 Treatment probabilities come from a :class:`GModel`, either the design's
-known randomization probabilities or logistic fits (`estimate_g`).  It
+known randomization probabilities (uniform over the supports in ``core``) or
+logistic fits (`estimate_g`).  It
 stores g only at the treatments each record received: a record enters the
 weights I(A = d) / (g1 g2) only when those treatments are the regime's.  A
 :class:`RegimeMeanRequest` bundles one estimation task: the regime, the
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import STAGE1_SUPPORT, STAGE2_SUPPORT
 from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, consistency_mask
 from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 
@@ -180,21 +182,21 @@ def estimate_g(
 ) -> GModel:
     """Treatment mechanism: design probabilities or logistic fits.
 
-    'known' takes the randomization to be uniform over each support, which is
-    the SMART design this package targets.  'fitted' estimates a stage-1
+    'known' takes the randomization to be uniform over each design support,
+    whatever options a sample happened to see.  'fitted' estimates a stage-1
     logistic model of a1 on the baseline covariates and per-branch stage-2
-    models of a2 on (baseline, a1, s2); each support must have exactly two
-    options, and fitted probabilities are truncated to [truncation, 1 -
-    truncation].  Known probabilities are never truncated.
+    models of a2 on (baseline, a1, s2), each of the design's two options;
+    fitted probabilities are truncated to [truncation, 1 - truncation].
+    Known probabilities are never truncated.
     """
     n = dataset.n
     if kind == "known":
         return GModel(
-            p_a1=np.full(n, 1.0 / len(dataset.stage1_support)),
+            p_a1=np.full(n, 1.0 / len(STAGE1_SUPPORT)),
             p_a2=np.where(
                 dataset.l2 == 1,
-                1.0 / len(dataset.stage2_support[1]),
-                1.0 / len(dataset.stage2_support[0]),
+                1.0 / len(STAGE2_SUPPORT[1]),
+                1.0 / len(STAGE2_SUPPORT[0]),
             ),
         )
 
@@ -202,14 +204,8 @@ def estimate_g(
         raise ValueError(f"unknown g kind {kind!r}, expected 'known' or 'fitted'")
     if not 0.0 < truncation < 0.5:
         raise ValueError("truncation must lie in (0, 0.5)")
-    if len(dataset.stage1_support) != 2 or any(
-        len(dataset.stage2_support[b]) != 2 for b in (0, 1)
-    ):
-        raise ValueError(
-            "fitted treatment models require two options per stage and branch"
-        )
 
-    hi1 = max(dataset.stage1_support)
+    hi1 = max(STAGE1_SUPPORT)
     X1 = _design(dataset, covariate_spec.stage1, ("x1",))
     try:
         fit1 = fit_logistic(X1, (dataset.a1 == hi1).astype(np.float64))
@@ -221,7 +217,7 @@ def estimate_g(
     p_a2 = np.empty(n)
     X2 = _design(dataset, covariate_spec.stage2, ("x1", "a1", "s2"))
     for branch in (0, 1):
-        hi2 = max(dataset.stage2_support[branch])
+        hi2 = max(STAGE2_SUPPORT[branch])
         rows = dataset.l2 == branch
         if not rows.any():
             raise ZeroSupport(f"no records observed on branch l2={branch}")
@@ -237,16 +233,10 @@ def estimate_g(
 def _cumulative_weights(
     dataset: Dataset, regime: RegimeSpec, g: GModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(consistency mask, I[consistent] / (g1 g2)); raises on empty support
-    and on a stage-2 recommendation outside its branch's support."""
+    """(consistency mask, I[consistent] / (g1 g2)); raises on empty support."""
     mask = consistency_mask(dataset, regime)
     if not mask.any():
         raise ZeroSupport(f"no records consistent with regime {regime.id}")
-    for branch in (0, 1):
-        if regime.d2(branch) not in dataset.stage2_support[branch]:
-            raise ValueError(
-                f"stage-2 option {regime.d2(branch)} not in branch-{branch} support"
-            )
     w = np.zeros(dataset.n)
     w[mask] = 1.0 / (g.p_a1[mask] * g.p_a2[mask])
     return mask, w

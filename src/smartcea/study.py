@@ -73,7 +73,7 @@ class StudyConfig:
     """Design of one simulation study.
 
     Each estimator uses its treatment model from :data:`DEFAULT_G_MODES`.
-    ``regimes`` must contain the reference regime.
+    ``regimes`` must contain the reference regime, and no id twice.
     """
 
     reps: int = 500
@@ -97,6 +97,9 @@ class StudyConfig:
         for est in self.estimators:
             if est not in DEFAULT_G_MODES:
                 raise ValueError(f"unknown estimator {est!r}")
+        ids = [r.id for r in self.regimes]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"regime ids repeat: {ids}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.cv_threshold <= 0.0:
@@ -324,7 +327,9 @@ def run_study(
     """Run the full simulation study described by ``config``.
 
     ``truth`` defaults to a fresh :func:`~smartcea.dgp.true_values` table at
-    :data:`TRUTH_MC_DRAWS` draws under the study's master seed.  Each
+    :data:`TRUTH_MC_DRAWS` draws under the study's master seed; a given one
+    must hold every regime of ``config`` against the same reference, or
+    ``ValueError`` is raised before any repetition.  Each
     repetition runs every estimator once through :func:`icer_table`.
     ``retain_degenerate`` keeps unreliable-but-defined reps in the moments.
     ``threads`` caps process-level parallelism across reps; results are
@@ -341,6 +346,11 @@ def run_study(
             mc_draws=TRUTH_MC_DRAWS,
             seed=config.seed,
             reference_id=config.reference_id,
+        )
+    if truth.reference_id != config.reference_id or not set(config.regimes) <= set(truth.regimes):
+        raise ValueError(
+            f"truth table (reference {truth.reference_id}) does not hold the study's "
+            f"regimes {[r.id for r in config.regimes]} against reference {config.reference_id}"
         )
     truth_icers = _truth_icers(config, truth)
 

@@ -37,11 +37,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
 from smartcea.cli import CliError
-from smartcea.core import Dataset, RegimeSpec
+from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
 from smartcea.dgp import (
     _CELLS,
-    STAGE1_SUPPORT,
-    STAGE2_SUPPORT,
     TARGET_EC,
     TARGET_EY,
     TARGET_ROUNDING,
@@ -359,8 +357,6 @@ def reference_simulate_smart(config: DgpConfig) -> Dataset:
             cols[name][sl] = arr
 
     return Dataset(
-        stage1_support=STAGE1_SUPPORT,
-        stage2_support=STAGE2_SUPPORT,
         **cols,
     )
 
@@ -584,7 +580,5 @@ def reference_ingest_dataset(path: str) -> Dataset:
 
     return Dataset(
         x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c,
-        stage1_support=STAGE1_SUPPORT,
-        stage2_support=STAGE2_SUPPORT,
         x1_names=tuple(x1_cols),
     )

@@ -59,10 +59,6 @@ from smartcea.dgp import (
     Y_CONSTANTS,
     DgpConfig,
     embedded_regimes,
-    gcomp_discrete,
-    make_discrete_dgp,
-    empirical_discrete,
-    sample_discrete,
     simulate_smart,
     target_se,
     true_values,
@@ -76,6 +72,8 @@ from smartcea.estimate import (
 )
 from smartcea.inference import delta_method_ic, icer, icer_variance_decomposition
 from smartcea.study import StudyConfig, relative_variance, run_study
+
+from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 
 WELL_BEHAVED = (2, 4, 6, 8)
 UNSTABLE = (3, 5, 7)

@@ -139,7 +139,8 @@ def test_regime_file_parsing(tmp_path):
         read_regime_file(str(spec))
 
     spec.write_text("1 0 9 3\n")
-    with pytest.raises(Exception, match="d2_if_lapse=9"):
+    message = r"line 1: regime 1: d2_if_lapse=9 outside support \[1, 2\]"
+    with pytest.raises(Exception, match=message):
         read_regime_file(str(spec))
 
     spec.write_text("1 0 1 3 9\n")

@@ -14,6 +14,23 @@ def test_d2_selects_branch():
     assert regime.d2(0) == 3
 
 
+@pytest.mark.parametrize(
+    "codes",
+    [(0, 3, 3), (0, 1, 1), (7, 1, 3), (0, 2, 2)],
+    ids=[
+        "lapse-option-from-no-lapse-branch",
+        "no-lapse-option-from-lapse-branch",
+        "d1-7",
+        "no-lapse-option-2-from-lapse-branch",
+    ],
+)
+def test_regime_outside_support_cannot_be_built(codes):
+    # Every consumer (truth tables, the test bed, the estimators, the regime
+    # file) relies on this check instead of repeating it.
+    with pytest.raises(ValueError, match="regime 2: d"):
+        RegimeSpec(2, *codes)
+
+
 def test_is_consistent_uses_taken_branch_only():
     regime = RegimeSpec(id=1, d1=0, d2_if_lapse=1, d2_if_no_lapse=3)
     # (a1, l2, a2) per record: follows on the lapse branch, wrong lapse
@@ -67,12 +84,10 @@ def test_dataset_rejects_out_of_support_codes():
     with pytest.raises(ValueError):
         Dataset(
             x1=[0.0], a1=[2], l2=[1], s2=[0.0], a2=[1], y=[1], c=[1.0],
-            stage1_support={0, 1},
         )
     with pytest.raises(ValueError):
         Dataset(
             x1=[0.0], a1=[0], l2=[1], s2=[0.0], a2=[3], y=[1], c=[1.0],
-            stage2_support={0: {3, 4}, 1: {1, 2}},
         )
 
 
@@ -97,8 +112,6 @@ def test_outcome_accessor(trial):
 def test_take_preserves_supports_and_allows_replacement(trial):
     sub = trial.take([0, 0, 3, 2])
     assert sub.n == 4
-    assert sub.stage1_support == trial.stage1_support
-    assert sub.stage2_support == trial.stage2_support
     assert np.array_equal(sub.x1[0], trial.x1[0])
     assert np.array_equal(sub.x1[1], trial.x1[0])
 

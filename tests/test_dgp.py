@@ -11,24 +11,26 @@ from smartcea.core import RegimeSpec
 from smartcea.dgp import (
     C_CONSTANTS,
     DEFAULT_REGIME_INDEX_MAP,
-    DiscreteDgp,
     TARGET_EY,
     TARGET_ROUNDING,
     Y_CONSTANTS,
     DgpConfig,
-    discrete_true_values,
     embedded_regimes,
-    empirical_discrete,
-    enumerate_paths,
-    gcomp_discrete,
-    make_discrete_dgp,
-    sample_discrete,
     simulate_smart,
     target_se,
     true_values,
 )
 from smartcea.rng import BLOCK
 
+from discrete_bed import (
+    DiscreteDgp,
+    discrete_true_values,
+    empirical_discrete,
+    enumerate_paths,
+    gcomp_discrete,
+    make_discrete_dgp,
+    sample_discrete,
+)
 from oracles import (
     NoConsistentIndexing,
     calibrate_regime_indexing,
@@ -208,21 +210,6 @@ def _no_draws(*args):
     raise AssertionError("drew before validating the request")
 
 
-@pytest.mark.parametrize(
-    "regime",
-    [
-        RegimeSpec(id=2, d1=0, d2_if_lapse=3, d2_if_no_lapse=3),
-        RegimeSpec(id=2, d1=0, d2_if_lapse=1, d2_if_no_lapse=1),
-        RegimeSpec(id=2, d1=7, d2_if_lapse=1, d2_if_no_lapse=3),
-    ],
-    ids=["lapse-option-from-no-lapse-branch", "no-lapse-option-from-lapse-branch", "d1-7"],
-)
-def test_truth_rejects_regimes_outside_support_before_drawing(regime, monkeypatch):
-    monkeypatch.setattr(dgp, "philox_stream", _no_draws)
-    with pytest.raises(ValueError, match="regime 2 lies outside"):
-        true_values(DgpConfig(), [embedded_regimes()[0], regime], mc_draws=10_000)
-
-
 def test_truth_rejects_unknown_reference_before_drawing(monkeypatch):
     bed = make_discrete_dgp(seed=5)
     monkeypatch.setattr(dgp, "philox_stream", _no_draws)
@@ -290,27 +277,6 @@ def test_enumerate_paths_probabilities_sum_to_one():
     for regime in embedded_regimes():
         total = sum(p for p, *_ in enumerate_paths(dgp, regime))
         assert abs(total - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "regime",
-    [
-        RegimeSpec(id=2, d1=0, d2_if_lapse=2, d2_if_no_lapse=2),
-        RegimeSpec(id=2, d1=0, d2_if_lapse=3, d2_if_no_lapse=3),
-    ],
-    ids=["no-lapse-option-from-lapse-branch", "lapse-option-from-no-lapse-branch"],
-)
-def test_test_bed_rejects_regimes_outside_support(regime, monkeypatch):
-    # The first read option index -1 and returned a mean; the second died
-    # with an IndexError.
-    bed = make_discrete_dgp(seed=5)
-    with pytest.raises(ValueError, match="regime 2 lies outside"):
-        next(enumerate_paths(bed, regime))
-    with pytest.raises(ValueError, match="regime 2 lies outside"):
-        gcomp_discrete(bed, regime)
-    monkeypatch.setattr(np.random, "default_rng", _no_draws)
-    with pytest.raises(ValueError, match="regime 2 lies outside"):
-        discrete_true_values(bed, [embedded_regimes()[0], regime], mc_draws=10_000)
 
 
 def test_gcomp_hand_computed_example():

@@ -12,10 +12,6 @@ from smartcea.dgp import (
     TARGET_EY,
     DgpConfig,
     embedded_regimes,
-    empirical_discrete,
-    gcomp_discrete,
-    make_discrete_dgp,
-    sample_discrete,
     simulate_smart,
 )
 from smartcea.estimate import (
@@ -32,6 +28,8 @@ from smartcea.estimate import (
     tmle_mean,
 )
 from smartcea.glm import SeparationDetected
+
+from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 
 
 def _request(regime, outcome, estimator, g, q=DEFAULT_Q):
@@ -57,8 +55,6 @@ def _synthetic(n=200, seed=0, a1_value=None, a2_by_a1=False):
         a2=a2,
         y=rng.integers(0, 2, n),
         c=rng.exponential(size=n),
-        stage1_support={0, 1},
-        stage2_support={0: {3, 4}, 1: {1, 2}},
     )
 
 
@@ -114,10 +110,9 @@ def test_zero_support_raises():
         ipw_mean(data, _request(regime, "y", "ipw", g))
 
 
-@pytest.mark.parametrize("estimator", ["ipw", "tmle"])
-def test_stage2_option_outside_branch_support_raises(estimator):
-    # Branch 1 only ever received option 1, so its inferred support is {1};
-    # branch-0 records still follow the regime, so support is not empty.
+def test_known_g_is_the_design_whatever_options_a_sample_saw():
+    # Branch 1 only ever received option 1.  The design still randomized it
+    # 1:1, so its known probability stays 1/2 (support inference gave 1).
     rng = np.random.default_rng(3)
     n = 200
     l2 = rng.integers(0, 2, n)
@@ -130,12 +125,9 @@ def test_stage2_option_outside_branch_support_raises(estimator):
         y=rng.integers(0, 2, n),
         c=rng.exponential(size=n),
     )
-    assert data.stage2_support[1] == {1}
-    regime = RegimeSpec(id=4, d1=0, d2_if_lapse=2, d2_if_no_lapse=3)
-    assert consistency_mask(data, regime).any()
-    request = _request(regime, "y", estimator, estimate_g(data))
-    with pytest.raises(ValueError, match="stage-2 option 2 not in branch-1 support"):
-        regime_mean(data, request)
+    g = estimate_g(data, "known")
+    assert np.all(g.p_a1 == 0.5)
+    assert np.all(g.p_a2 == 0.5)
 
 
 def test_ipw_solves_weighted_estimating_equation(trial, g_known, regimes):
@@ -187,8 +179,6 @@ def test_tmle_scaling_invariance(trial, g_fitted, regimes):
     scaled = Dataset(
         x1=trial.x1, a1=trial.a1, l2=trial.l2, s2=trial.s2, a2=trial.a2,
         y=trial.y, c=a * trial.c + b,
-        stage1_support=trial.stage1_support,
-        stage2_support=trial.stage2_support,
     )
     regime = regimes[5]
     g_scaled = estimate_g(scaled, "fitted")
@@ -203,8 +193,6 @@ def test_tmle_constant_outcome_returns_constant():
     flat = Dataset(
         x1=data.x1, a1=data.a1, l2=data.l2, s2=data.s2, a2=data.a2,
         y=data.y, c=np.full(data.n, 7.0),
-        stage1_support=data.stage1_support,
-        stage2_support=data.stage2_support,
     )
     g = estimate_g(flat, "known")
     est = tmle_mean(flat, _request(embedded_regimes()[0], "c", "tmle", g))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import reference_ingest_dataset
 
 from smartcea.cli import CliError, ingest_dataset, main, read_regime_file
-from smartcea.dgp import STAGE2_SUPPORT, DgpConfig, simulate_smart
+from smartcea.core import STAGE2_SUPPORT
+from smartcea.dgp import DgpConfig, simulate_smart
 
 COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c")
 HEADER = "id,x1,a1,l2,s2,a2,y,c\n"

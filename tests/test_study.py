@@ -70,6 +70,33 @@ def test_config_rejects_repeated_estimators(estimators):
         StudyConfig(estimators=estimators)
 
 
+def test_config_rejects_repeated_regime_ids():
+    # A repeated id would score that regime twice and report its rows twice.
+    regimes = embedded_regimes()
+    with pytest.raises(ValueError, match="regime ids repeat"):
+        StudyConfig(regimes=regimes + (regimes[1],))
+
+
+def _no_reps(*args):
+    raise AssertionError("ran a repetition before checking the truth table")
+
+
+def test_study_refuses_truth_against_another_reference(monkeypatch):
+    # Scored against regime 1 with truths against regime 4, every ICER bias
+    # was wrong, and regime 4's NaN truth fell back to the published value.
+    monkeypatch.setattr(study, "_run_one_rep", _no_reps)
+    truth = true_values(DgpConfig(seed=2), mc_draws=20_000, seed=2, reference_id=4)
+    with pytest.raises(ValueError, match=r"\(reference 4\) does not hold"):
+        run_study(StudyConfig(reps=2, n=400, seed=3), truth=truth)
+
+
+def test_study_refuses_truth_without_its_regimes(monkeypatch):
+    monkeypatch.setattr(study, "_run_one_rep", _no_reps)
+    truth = true_values(DgpConfig(seed=2), embedded_regimes()[:3], mc_draws=10_000, seed=2)
+    with pytest.raises(ValueError, match="does not hold the study's regimes"):
+        run_study(StudyConfig(reps=2, n=400, seed=3), truth=truth)
+
+
 def test_stub_estimator_returning_truth_scores_perfectly(monkeypatch):
     config = StudyConfig(reps=10, n=50, seed=1, estimators=("ipw",))
     truth_icers = {
