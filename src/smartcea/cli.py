@@ -23,8 +23,8 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, EstimationFailure, RegimeSpec
+from .core import Dataset, EstimationFailure, RegimeSpec, first_invalid_record
 from .dgp import (
     DgpConfig,
     TruthTable,
@@ -443,39 +443,37 @@ def write_csv(path: str, config: RunConfig, header: Sequence[str], rows) -> None
 
 
 def ingest_dataset(path: str) -> Dataset:
-    """Read and validate a trajectory CSV, with line-level diagnostics.
+    """Read a trajectory CSV into a ``Dataset``, with line-level diagnostics.
 
     Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c, each header name
     at most once; other columns are ignored.  The file is UTF-8 with an
     optional byte-order mark.  Lines that start with ``#`` and blank lines
-    are skipped, but line numbers are physical: they count them.
-
-    Each column is parsed with Python's ``float`` in one pass and checked
-    with one mask per rule: malformed, non-finite, integer code, a1 support,
-    l2 in {0, 1}, a2 support on the record's own branch, binary y,
-    nonnegative c.  The error names the first failing line and, within it,
-    the first failing column in that order, as ``line L, column C: reason``
-    (column ``-`` for a row with the wrong number of fields); a stage-2
-    code from the wrong branch also names the support it violated.  Codes
-    are checked as floats and cast to int64 only once they pass.
+    are skipped between records, but line numbers are physical: they count
+    them.  This function checks the text (field count, then each cell as a
+    number: malformed or non-finite) and leaves the value rules to
+    :func:`~smartcea.core.first_invalid_record`.  The error names the first
+    failing record's line and, within it, the first failing column, as
+    ``line L, column C: reason`` (column ``-`` for a wrong field count).
     """
+    rows: list[list[str]] = []
+    # A quoted field may hold a newline, so a record can span several lines:
+    # record k starts on physical line starts[k].
+    starts: list[int] = []
+
+    def record_lines(fh):
+        for no, line in enumerate(fh, 1):
+            if len(starts) == len(rows):  # between records
+                if not line.strip() or line.startswith("#"):
+                    continue
+                starts.append(no)
+            yield line
+
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            numbered = [
-                (no, ln)
-                for no, ln in enumerate(fh, 1)
-                if ln.strip() and not ln.startswith("#")
-            ]
+            for row in csv.reader(record_lines(fh)):
+                rows.append(row)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
-    reader = csv.reader(ln for _, ln in numbered)
-    # A quoted field may hold a newline, so a record can span several lines:
-    # record k starts on physical line numbered[starts[k]][0].
-    rows: list[list[str]] = []
-    starts = [0]
-    for row in reader:
-        rows.append(row)
-        starts.append(reader.line_num)
     if not rows:
         raise CliError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -496,93 +494,46 @@ def ingest_dataset(path: str) -> Dataset:
     # Rows from the first one with the wrong field count on are never read.
     m = next((i for i, row in enumerate(data_rows) if len(row) != width), len(data_rows))
     parsed = data_rows[:m]
-    # (first failing row, column, reason for that row), in check order.
-    failures: list[tuple[int, str, Callable[[int], str]]] = []
-
-    def check(column: str, mask: np.ndarray, reason: Callable[[int], str]) -> None:
-        if mask.any():
-            failures.append((int(mask.argmax()), column, reason))
 
     def number(column: str) -> np.ndarray:
         j = header.index(column)
-
-        def raw(i: int) -> str:
-            return parsed[i][j].strip()
-
+        cells = [row[j].strip() for row in parsed]
         try:
-            cells = map(str.strip, map(itemgetter(j), parsed))
-            values = np.fromiter(map(float, cells), np.float64, m)
+            return np.fromiter(map(float, cells), np.float64, m)
         except ValueError:
-            # Rows from the malformed one on stay NaN; any check they fail
-            # comes after "malformed" on that row or on a later row.
+            # A malformed cell reads as NaN, so it fails the first value rule.
             values = np.full(m, np.nan)
-            for bad in range(m):
-                try:
-                    values[bad] = float(raw(bad))
-                except ValueError:
-                    break
-            failures.append((bad, column, lambda i: f"malformed number {raw(i)!r}"))
-        check(column, ~np.isfinite(values), lambda i: f"non-finite value {raw(i)!r}")
-        return values
+            for i, cell in enumerate(cells):
+                with suppress(ValueError):
+                    values[i] = float(cell)
+            return values
 
-    def code(column: str) -> np.ndarray:
-        values = number(column)
-        check(
-            column,
-            values != np.trunc(values),
-            lambda i: f"expected an integer code, got {float(values[i])}",
-        )
-        return values
-
-    def outside(values: np.ndarray, support) -> np.ndarray:
-        return ~np.isin(values, sorted(support))
-
-    x1 = [number(name) for name in x1_cols]
-    a1 = code("a1")
-    check("a1", outside(a1, STAGE1_SUPPORT),
-          lambda i: f"out of stage-1 support {sorted(STAGE1_SUPPORT)}")
-    l2 = code("l2")
-    check("l2", outside(l2, (0, 1)), lambda i: "expected 0 or 1")
-    s2 = number("s2")
-    a2 = code("a2")
-    check(
-        "a2",
-        np.where(l2 == 1, outside(a2, STAGE2_SUPPORT[1]), outside(a2, STAGE2_SUPPORT[0])),
-        lambda i: (
-            f"out of stage-2 support {sorted(STAGE2_SUPPORT[int(l2[i])])} "
-            f"for records with l2={int(l2[i])}"
-        ),
-    )
-    y = number("y")
-    check("y", outside(y, (0, 1)), lambda i: "expected a binary 0/1 outcome")
-    c = number("c")
-    check("c", c < 0, lambda i: "expected a nonnegative cost")
+    x1 = np.column_stack([number(name) for name in x1_cols])
+    a1, l2, s2, a2, y, c = (number(name) for name in ("a1", "l2", "s2", "a2", "y", "c"))
+    invalid = first_invalid_record(x1, x1_cols, a1, l2, s2, a2, y, c)
+    if invalid is not None:
+        row, column, reason = invalid
+        # Finiteness is every column's first rule, so a cell that did not read
+        # as a finite number fails it first; word that from the raw token.
+        raw = parsed[row][header.index(column)].strip()
+        try:
+            if not np.isfinite(float(raw)):
+                reason = f"non-finite value {raw!r}"
+        except ValueError:
+            reason = f"malformed number {raw!r}"
+        raise CliError(f"{path} line {starts[row + 1]}, column {column!r}: {reason}")
     if m < len(data_rows):
-        failures.append((m, "-", lambda i: f"expected {width} fields, got {len(data_rows[i])}"))
-    if failures:
-        # The earliest row wins; on one row, the earliest check (min is stable).
-        row, column, reason = min(failures, key=lambda failure: failure[0])
-        line = numbered[starts[row + 1]][0]
-        raise CliError(f"{path} line {line}, column {column!r}: {reason(row)}")
-
-    return Dataset(
-        x1=np.column_stack(x1),
-        a1=a1.astype(np.int64),
-        l2=l2.astype(np.int64),
-        s2=s2,
-        a2=a2.astype(np.int64),
-        y=y,
-        c=c,
-        x1_names=tuple(x1_cols),
-    )
+        reason = f"expected {width} fields, got {len(data_rows[m])}"
+        raise CliError(f"{path} line {starts[m + 1]}, column '-': {reason}")
+    return Dataset(x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c, x1_names=tuple(x1_cols))
 
 
 def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     """Regime table: one row per regime (id, d1, d2_if_lapse, d2_if_no_lapse).
 
     Comma- or whitespace-separated, # comments allowed, header optional;
-    UTF-8 with an optional byte-order mark.  Ids must be unique; codes must
-    lie in the design supports, which ``RegimeSpec`` enforces.
+    UTF-8 with an optional byte-order mark.  Ids must be unique; ids of at
+    least 1 and codes in the design supports are ``RegimeSpec``'s rules.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:

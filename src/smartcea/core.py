@@ -19,7 +19,7 @@ stage 2.  Neither a regime nor a record outside them can be built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "RegimeSpec",
     "EstimateWithIC",
     "consistency_mask",
+    "first_invalid_record",
 ]
 
 STAGE1_SUPPORT = frozenset({0, 1})
@@ -64,6 +65,8 @@ class RegimeSpec:
     d2_if_no_lapse: int
 
     def __post_init__(self) -> None:
+        if self.id < 1:
+            raise ValueError(f"regime {self.id}: id must be at least 1")
         for name, code, support in (
             ("d1", self.d1, STAGE1_SUPPORT),
             ("d2_if_lapse", self.d2_if_lapse, STAGE2_SUPPORT[1]),
@@ -79,12 +82,67 @@ class RegimeSpec:
         return self.d2_if_lapse if l2 == 1 else self.d2_if_no_lapse
 
 
+def first_invalid_record(x1, x1_names, a1, l2, s2, a2, y, c) -> tuple[int, str, str] | None:
+    """(row, column, reason) of the first record that breaks a design rule,
+    or None; ``row`` counts from 0.  The columns are floats, so a fractional
+    code is seen, not truncated; ``x1`` is (n, p), named by ``x1_names``.
+
+    Rules per column, in record order: finite; integer code (a1, l2, a2); a1
+    in ``STAGE1_SUPPORT``; l2 in {0, 1}; a2 in its own branch's
+    ``STAGE2_SUPPORT``; binary y; nonnegative c.  The earliest row wins,
+    then the earliest rule.
+    """
+    first: tuple[int, str, str] | None = None
+
+    def check(column: str, mask: np.ndarray, reason: Callable[[int], str]) -> None:
+        # Rules run in record order, so a later rule wins only on an earlier row.
+        nonlocal first
+        if mask.any():
+            row = int(mask.argmax())
+            if first is None or row < first[0]:
+                first = (row, column, reason(row))
+
+    def number(column: str, values: np.ndarray) -> None:
+        check(column, ~np.isfinite(values), lambda i: f"non-finite value {float(values[i])}")
+
+    def code(column: str, values: np.ndarray) -> None:
+        number(column, values)
+        check(column, values != np.trunc(values),
+              lambda i: f"expected an integer code, got {float(values[i])}")
+
+    for name, values in zip(x1_names, x1.T):
+        number(name, values)
+    code("a1", a1)
+    check("a1", ~np.isin(a1, sorted(STAGE1_SUPPORT)),
+          lambda i: f"out of stage-1 support {sorted(STAGE1_SUPPORT)}")
+    code("l2", l2)
+    check("l2", ~np.isin(l2, (0, 1)), lambda i: "expected 0 or 1")
+    number("s2", s2)
+    code("a2", a2)
+    check(
+        "a2",
+        ~np.where(l2 == 1, np.isin(a2, sorted(STAGE2_SUPPORT[1])),
+                  np.isin(a2, sorted(STAGE2_SUPPORT[0]))),
+        lambda i: (
+            f"out of stage-2 support {sorted(STAGE2_SUPPORT[int(l2[i])])} "
+            f"for records with l2={int(l2[i])}"
+        ),
+    )
+    number("y", y)
+    check("y", ~np.isin(y, (0, 1)), lambda i: "expected a binary 0/1 outcome")
+    number("c", c)
+    check("c", c < 0, lambda i: "expected a nonnegative cost")
+    return first
+
+
 class Dataset:
     """Columnar container for SMART trajectories.
 
-    Columns are validated on construction, treatment codes against the
-    design supports, and frozen (read-only views).  ``x1`` always has shape
-    (n, p); the common scalar-baseline case is p = 1.
+    Columns are read as float64 and checked by :func:`first_invalid_record`
+    (a failure raises ``ValueError("record R, column 'C': reason")``, R from
+    1); only then are the codes and y cast to int64.  Columns are frozen
+    (read-only views).  ``x1`` always has shape (n, p); the common
+    scalar-baseline case is p = 1.
 
     Parameters
     ----------
@@ -116,36 +174,10 @@ class Dataset:
         if n < 1:
             raise ValueError("dataset must contain at least one record")
 
-        self.x1 = x1
-        self.a1 = np.asarray(a1, dtype=np.int64)
-        self.l2 = np.asarray(l2, dtype=np.int64)
-        self.s2 = np.asarray(s2, dtype=np.float64)
-        self.a2 = np.asarray(a2, dtype=np.int64)
-        self.y = np.asarray(y, dtype=np.int64)
-        self.c = np.asarray(c, dtype=np.float64)
-
-        for name in ("a1", "l2", "s2", "a2", "y", "c"):
-            col = getattr(self, name)
+        a1, l2, s2, a2, y, c = (np.asarray(v, dtype=np.float64) for v in (a1, l2, s2, a2, y, c))
+        for name, col in zip(("a1", "l2", "s2", "a2", "y", "c"), (a1, l2, s2, a2, y, c)):
             if col.shape != (n,):
                 raise ValueError(f"column {name} has length {col.shape}, expected ({n},)")
-
-        if not np.isfinite(self.x1).all():
-            raise ValueError("x1 contains non-finite values")
-        if not np.isfinite(self.s2).all():
-            raise ValueError("s2 contains non-finite values")
-        if not np.isin(self.l2, (0, 1)).all():
-            raise ValueError("l2 must be binary (0/1)")
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValueError("y must be binary (0/1)")
-        if not (np.isfinite(self.c) & (self.c >= 0)).all():
-            raise ValueError("c must be finite and nonnegative")
-
-        if not np.isin(self.a1, sorted(STAGE1_SUPPORT)).all():
-            raise ValueError(f"a1 value outside stage-1 support {sorted(STAGE1_SUPPORT)}")
-        for branch in (0, 1):
-            support = sorted(STAGE2_SUPPORT[branch])
-            if not np.isin(self.a2[self.l2 == branch], support).all():
-                raise ValueError(f"a2 value outside stage-2 support {support} for l2={branch}")
 
         if x1_names is None:
             p = x1.shape[1]
@@ -154,6 +186,18 @@ class Dataset:
         if len(self.x1_names) != x1.shape[1]:
             raise ValueError("x1_names length does not match x1 width")
 
+        failure = first_invalid_record(x1, self.x1_names, a1, l2, s2, a2, y, c)
+        if failure is not None:
+            row, column, reason = failure
+            raise ValueError(f"record {row + 1}, column {column!r}: {reason}")
+
+        self.x1 = x1
+        self.a1 = a1.astype(np.int64)
+        self.l2 = l2.astype(np.int64)
+        self.s2 = s2
+        self.a2 = a2.astype(np.int64)
+        self.y = y.astype(np.int64)
+        self.c = c
         for name in ("x1", "a1", "l2", "s2", "a2", "y", "c"):
             getattr(self, name).setflags(write=False)
 

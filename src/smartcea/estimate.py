@@ -32,7 +32,6 @@ from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 __all__ = [
     "ZeroSupport",
     "FluctuationDiverged",
-    "ScalingDegenerate",
     "CovariateSpec",
     "DEFAULT_Q",
     "DEFAULT_G",
@@ -54,10 +53,6 @@ class ZeroSupport(EstimationFailure):
 
 class FluctuationDiverged(EstimationFailure):
     """A TMLE fluctuation step separated instead of converging."""
-
-
-class ScalingDegenerate(EstimationFailure):
-    """The outcome cannot be mapped to [0, 1] (non-finite sample range)."""
 
 
 @dataclass(frozen=True)
@@ -289,8 +284,6 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     z_raw = dataset.outcome(request.outcome)
     lo = float(z_raw.min())
     hi = float(z_raw.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ScalingDegenerate("outcome range is not finite")
     if hi == lo:
         return EstimateWithIC(psi=lo, ic=np.zeros(dataset.n))
     z = (z_raw - lo) / (hi - lo)

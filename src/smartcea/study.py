@@ -306,14 +306,16 @@ def _truth_icers(config: StudyConfig, truth: TruthTable) -> dict[int, float]:
 
     A regime whose true effect difference is exactly zero has no true ICER;
     bias and coverage for it are anchored at the published benchmark value
-    when one exists so the cell stays comparable instead of vanishing.
+    when one exists so the cell stays comparable instead of vanishing; only
+    for a regime of ``embedded_regimes()`` under its own id, their numbering.
     """
     out: dict[int, float] = {}
-    for rid in _targets(config):
-        value = truth.icer_for(rid)
-        if not math.isfinite(value) and 1 <= rid <= len(TARGET_ICER):
-            value = float(TARGET_ICER[rid - 1])
-        out[rid] = value
+    for regime in config.regimes:
+        if regime.id != config.reference_id:
+            value = truth.icer_for(regime.id)
+            if not math.isfinite(value) and regime in embedded_regimes():
+                value = float(TARGET_ICER[regime.id - 1])
+            out[regime.id] = value
     return out
 
 

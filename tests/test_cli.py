@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smartcea import dgp, estimate, study
-from smartcea.cli import ingest_dataset, main, read_regime_file
+from smartcea.cli import CliError, ingest_dataset, main, read_regime_file
 from smartcea.core import consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 
@@ -113,6 +113,14 @@ def test_ingest_is_fast_enough(tmp_path):
     elapsed = time.perf_counter() - start
     assert ds.n == 1809
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("rid", [0, -2])
+def test_regime_file_refuses_an_id_below_1(tmp_path, rid):
+    spec = tmp_path / "regimes.txt"
+    spec.write_text(f"1 0 1 3\n{rid} 1 1 3\n")
+    with pytest.raises(CliError, match=f"line 2: regime {rid}: id must be at least 1"):
+        read_regime_file(str(spec))
 
 
 def test_regime_file_parsing(tmp_path):
@@ -419,20 +427,6 @@ def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys)
     assert code == 1
     line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
     assert line.startswith("error kind=FluctuationDiverged subcommand=icer-table")
-
-
-def test_scaling_degenerate_exits_1(tmp_path, data_csv, monkeypatch, capsys):
-    def degenerate(dataset, request):
-        raise estimate.ScalingDegenerate("outcome range is not finite")
-
-    monkeypatch.setattr(study, "regime_mean", degenerate)
-    code, _, err = run_cli(
-        "icer-table", "--data", str(data_csv), "--out", str(tmp_path / "x.csv"),
-        capsys=capsys,
-    )
-    assert code == 1
-    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
-    assert line.startswith("error kind=ScalingDegenerate subcommand=icer-table")
 
 
 def test_truth_rejects_unknown_reference_before_drawing(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ def test_regime_outside_support_cannot_be_built(codes):
     # file) relies on this check instead of repeating it.
     with pytest.raises(ValueError, match="regime 2: d"):
         RegimeSpec(2, *codes)
+
+
+@pytest.mark.parametrize("rid", [0, -2])
+def test_regime_id_must_be_positive(rid):
+    with pytest.raises(ValueError, match=f"regime {rid}: id must be at least 1"):
+        RegimeSpec(rid, 0, 1, 3)
 
 
 def test_is_consistent_uses_taken_branch_only():
@@ -89,6 +97,25 @@ def test_dataset_rejects_out_of_support_codes():
         Dataset(
             x1=[0.0], a1=[0], l2=[1], s2=[0.0], a2=[3], y=[1], c=[1.0],
         )
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("a1", [0.9, 1.0], "record 1, column 'a1': expected an integer code, got 0.9"),
+        ("l2", [1.0, 0.5], "record 2, column 'l2': expected an integer code, got 0.5"),
+        ("a2", [1.5, 3.0], "record 1, column 'a2': expected an integer code, got 1.5"),
+        ("y", [0.7, 1.0], "record 1, column 'y': expected a binary 0/1 outcome"),
+        ("y", [0.0, 1.9], "record 2, column 'y': expected a binary 0/1 outcome"),
+    ],
+    ids=["a1", "l2", "a2", "y-0.7", "y-1.9"],
+)
+def test_dataset_refuses_fractional_codes_and_outcomes(column, values, message):
+    # Cast to int64 first, these would pass as 0 or 1 (a2 = 1.5 as 1).
+    base = dict(x1=[0.1, 0.2], a1=[0, 1], l2=[1, 0], s2=[0.0, 0.0], a2=[1, 3],
+                y=[0, 1], c=[1.0, 2.0])
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Dataset(**{**base, column: values})
 
 
 def test_dataset_requires_at_least_one_record():

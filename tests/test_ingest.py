@@ -1,17 +1,19 @@
-"""Trial CSV ingest: parity with the row-by-row reader, and the input rules
-it changed on purpose (huge codes, duplicate columns, BOM, blank lines)."""
+"""Trial CSV ingest: parity with the row-by-row reader, the input rules it
+changed on purpose (huge codes, duplicate columns, BOM, blank lines), and
+agreement with ``Dataset`` on the value rules both apply."""
 
 from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_ingest_dataset
 
 from smartcea.cli import CliError, ingest_dataset, main, read_regime_file
-from smartcea.core import STAGE2_SUPPORT
+from smartcea.core import STAGE2_SUPPORT, Dataset
 from smartcea.dgp import DgpConfig, simulate_smart
 
 COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c")
@@ -234,3 +236,73 @@ def test_line_numbers_count_every_line_of_a_multi_line_record(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 5, column 'a1': out of stage-1 support [0, 1]" in err
+
+
+def test_comment_and_blank_lines_inside_a_quoted_field_are_data(tmp_path):
+    # The quoted id of record 1 spans lines 2-4: a blank line, then a line
+    # that starts with "#".  The comment on line 6 sits between records.
+    path = tmp_path / "trial.csv"
+    path.write_text(
+        HEADER
+        + '"a\n\n# n",0.1,0,1,0.5,1,1,2.0\n'
+        + "2,0.2,1,0,0.5,3,0,1.0\n"
+        + "# between records\n"
+    )
+    ds = ingest_dataset(str(path))
+    assert ds.x1[:, 0].tolist() == [0.1, 0.2]
+    assert ds.a2.tolist() == [1, 3]
+
+    path.write_text(path.read_text() + "3,0.3,1,0,0.5,5,0,1.0\n")
+    with pytest.raises(CliError, match=r"line 7, column 'a2': out of stage-2 support \[3, 4\]"):
+        ingest_dataset(str(path))
+
+
+# Finite values that break a value rule in some column: fractional codes,
+# codes off every support or off one branch's, a negative cost.
+FAULTS = [-1.0, -0.5, 0.5, 0.9, 1.5, 1.9, 2.0, 3.0, 4.0, 5.0, 7.0]
+
+
+@st.composite
+def faulty_columns(draw):
+    """Float columns of a small trial with 1-3 cells of a1, l2, a2, y or c
+    replaced by a value from FAULTS."""
+    n = draw(st.integers(1, 6))
+    real = st.floats(-5.0, 5.0)
+    l2 = [float(draw(st.integers(0, 1))) for _ in range(n)]
+    columns = {
+        "x1": [draw(real) for _ in range(n)],
+        "a1": [float(draw(st.integers(0, 1))) for _ in range(n)],
+        "l2": l2,
+        "s2": [draw(real) for _ in range(n)],
+        "a2": [float(draw(st.sampled_from(sorted(STAGE2_SUPPORT[int(b)])))) for b in l2],
+        "y": [float(draw(st.integers(0, 1))) for _ in range(n)],
+        "c": [draw(st.floats(0.0, 50.0)) for _ in range(n)],
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        column = draw(st.sampled_from(["a1", "l2", "a2", "y", "c"]))
+        columns[column][draw(st.integers(0, n - 1))] = draw(st.sampled_from(FAULTS))
+    return columns
+
+
+@PROPERTY_SETTINGS
+@given(columns=faulty_columns())
+def test_dataset_and_ingest_refuse_the_same_record(tmp_path_factory, columns):
+    # Both apply core.first_invalid_record; ingest reports line = record + 1.
+    path = tmp_path_factory.mktemp("rules") / "trial.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(HEADER)
+        for i, row in enumerate(zip(*columns.values())):
+            fh.write(",".join([str(i + 1), *map(repr, row)]) + "\n")
+    try:
+        built = Dataset(**columns)
+    except ValueError as err:
+        record, _, rule = str(err).partition(", ")
+        with pytest.raises(CliError) as refused:
+            ingest_dataset(str(path))
+        line = int(record.removeprefix("record ")) + 1
+        assert str(refused.value) == f"{path} line {line}, {rule}"
+    else:
+        got = ingest_dataset(str(path))
+        for name in COLUMNS:
+            a, b = getattr(got, name), getattr(built, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

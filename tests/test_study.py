@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,21 @@ def test_truth_icer_fallback_anchors_undefined_ratios():
     config = StudyConfig(reps=2, n=100, seed=1)
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     assert result.truth_icers[3] == TARGET_ICER[2]
+
+
+def test_truth_icer_fallback_needs_the_benchmark_regime_under_its_own_id():
+    # Benchmark regime 3 renumbered 5 keeps its undefined truth ICER: the
+    # published value for id 5 belongs to another regime.
+    r1, r3 = embedded_regimes()[0], embedded_regimes()[2]
+    renumbered = replace(r3, id=5)
+    truth = true_values(DgpConfig(seed=2), regimes=(r1, renumbered), mc_draws=20_000, seed=2)
+    assert np.isnan(truth.icer_for(5))
+    config = StudyConfig(reps=2, n=100, seed=1, regimes=(r1, renumbered))
+    result = run_study(config, truth=truth, retain_degenerate=True)
+    assert np.isnan(result.truth_icers[5])
+    for est in config.estimators:
+        metrics = result.row(est, 5).metrics
+        assert np.isnan(metrics.bias) and np.isnan(metrics.coverage_pct)
 
 
 def test_row_lookup_raises_for_unknown_cell():
