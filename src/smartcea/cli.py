@@ -24,7 +24,7 @@ import csv
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import Dataset, EstimationFailure, RegimeSpec, first_invalid_record
+from .core import Dataset, EstimationFailure, InvalidRecord, RegimeSpec
 from .dgp import (
     DgpConfig,
     TruthTable,
@@ -87,71 +87,23 @@ def _estimator_list(value: str) -> bool:
     return bool(names) and len(set(names)) == len(names) and set(names) <= {"ipw", "tmle"}
 
 
-def _seed_opt():
-    return Option(
-        "seed",
-        int,
-        None,
-        "master seed; required, no wall-clock fallback",
-        "integer in [0, 2^64)",
-        lambda v: 0 <= v < 2**64,
-        required=True,
-    )
-
-
-def _alpha_opt():
-    return Option(
-        "alpha", float, 0.05, "two-sided error rate for intervals",
-        "in (0, 1)", lambda v: 0.0 < v < 1.0,
-    )
-
-
-def _threads_opt():
-    return Option(
-        "threads", int, None,
-        "parallelism cap (default: available cores)",
-        ">= 1", _pos_int,
-    )
-
-
-def _estimator_opt():
-    return Option("estimator", str, "tmle", "point estimator", choices=("ipw", "tmle"))
-
-
-def _g_opt():
-    return Option(
-        "g", str, None,
-        "treatment mechanism: design probabilities or logistic fits "
-        "(default pairs known with ipw, fitted with tmle)",
-        choices=("known", "fitted"),
-    )
-
-
-def _cv_opt():
-    return Option(
-        "cv_threshold", float, 2.0,
-        "component coefficient-of-variation bound for the reliability flag",
-        "> 0", lambda v: v > 0.0,
-    )
-
-
-def _out_opt(help="output CSV path"):
-    return Option("out", str, None, help, required=True)
-
-
-def _data_opt():
-    return Option("data", str, None, "input dataset CSV", required=True)
-
-
-def _regimes_opt():
-    return Option(
-        "regimes", str, None,
-        "regime table file (default: the eight benchmark regimes)",
-    )
-
-
-def _reference_opt():
-    return Option("reference", int, 1, "reference regime id", ">= 1", _pos_int)
+SEED_OPT = Option("seed", int, None, "master seed; required, no wall-clock fallback",
+                  "integer in [0, 2^64)", lambda v: 0 <= v < 2**64, required=True)
+ALPHA_OPT = Option("alpha", float, 0.05, "two-sided error rate for intervals",
+                   "in (0, 1)", lambda v: 0.0 < v < 1.0)
+THREADS_OPT = Option("threads", int, None, "parallelism cap (default: available cores)",
+                     ">= 1", _pos_int)
+ESTIMATOR_OPT = Option("estimator", str, "tmle", "point estimator", choices=("ipw", "tmle"))
+G_OPT = Option("g", str, None, "treatment mechanism: design probabilities or logistic fits "
+               "(default pairs known with ipw, fitted with tmle)", choices=("known", "fitted"))
+CV_OPT = Option("cv_threshold", float, 2.0,
+                "component coefficient-of-variation bound for the reliability flag",
+                "> 0", lambda v: v > 0.0)
+OUT_OPT = Option("out", str, None, "output CSV path", required=True)
+DATA_OPT = Option("data", str, None, "input dataset CSV", required=True)
+REGIMES_OPT = Option("regimes", str, None,
+                     "regime table file (default: the eight benchmark regimes)")
+REFERENCE_OPT = Option("reference", int, 1, "reference regime id", ">= 1", _pos_int)
 
 
 SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
@@ -159,8 +111,8 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         "draw one trial from the benchmark generative process",
         (
             Option("n", int, 1809, "number of records", ">= 1", _pos_int),
-            _seed_opt(),
-            _out_opt("output dataset CSV path"),
+            SEED_OPT,
+            replace(OUT_OPT, help="output dataset CSV path"),
         ),
     ),
     "truth": (
@@ -170,50 +122,50 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
                 "mc_draws", int, 2_000_000, "Monte-Carlo draws",
                 ">= 10000", lambda v: v >= 10_000,
             ),
-            _seed_opt(),
-            _regimes_opt(),
-            _reference_opt(),
-            _out_opt(),
+            SEED_OPT,
+            REGIMES_OPT,
+            REFERENCE_OPT,
+            OUT_OPT,
         ),
     ),
     "estimate": (
         "regime-specific mean outcome estimates on a dataset",
         (
-            _data_opt(),
-            _regimes_opt(),
-            _estimator_opt(),
-            _g_opt(),
+            DATA_OPT,
+            REGIMES_OPT,
+            ESTIMATOR_OPT,
+            G_OPT,
             Option("outcome", str, "both", "outcome column(s)", choices=("y", "c", "both")),
             Option("ic_dir", str, None, "directory for per-estimate influence-curve files"),
-            _out_opt(),
+            OUT_OPT,
         ),
     ),
     "icer-table": (
         "per-regime ICERs against the reference, with intervals and flags",
         (
-            _data_opt(),
-            _regimes_opt(),
-            _estimator_opt(),
-            _g_opt(),
-            _reference_opt(),
-            _cv_opt(),
-            _alpha_opt(),
-            _out_opt(),
+            DATA_OPT,
+            REGIMES_OPT,
+            ESTIMATOR_OPT,
+            G_OPT,
+            REFERENCE_OPT,
+            CV_OPT,
+            ALPHA_OPT,
+            OUT_OPT,
         ),
     ),
     "contrast": (
         "difference between two regimes' ICERs against the same reference",
         (
-            _data_opt(),
-            _regimes_opt(),
+            DATA_OPT,
+            REGIMES_OPT,
             Option("i", int, None, "first regime id", ">= 1", _pos_int, required=True),
             Option("j", int, None, "second regime id", ">= 1", _pos_int, required=True),
-            _estimator_opt(),
-            _g_opt(),
-            _reference_opt(),
-            _cv_opt(),
-            _alpha_opt(),
-            _out_opt(),
+            ESTIMATOR_OPT,
+            G_OPT,
+            REFERENCE_OPT,
+            CV_OPT,
+            ALPHA_OPT,
+            OUT_OPT,
         ),
     ),
     "frontier": (
@@ -233,7 +185,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("no_frontier", bool, False, "points only, no frontier polyline", is_flag=True),
             Option("width", int, 640, "SVG width in px", ">= 1", _pos_int),
             Option("height", int, 480, "SVG height in px", ">= 1", _pos_int),
-            _out_opt("output SVG path"),
+            replace(OUT_OPT, help="output SVG path"),
         ),
     ),
     "mc-study": (
@@ -241,36 +193,36 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         (
             Option("reps", int, 500, "simulation repetitions", ">= 1", _pos_int),
             Option("n", int, 1809, "records per repetition", ">= 2", lambda v: v >= 2),
-            _seed_opt(),
+            SEED_OPT,
             Option(
                 "estimators", str, "ipw,tmle", "comma-separated estimators to compare",
                 "comma-separated subset of ipw,tmle, not empty", _estimator_list,
             ),
             Option("retain_degenerate", bool, False,
                    "keep unreliable-but-defined reps in the moments", is_flag=True),
-            _cv_opt(),
-            _alpha_opt(),
-            _threads_opt(),
-            _out_opt(),
+            CV_OPT,
+            ALPHA_OPT,
+            THREADS_OPT,
+            OUT_OPT,
         ),
     ),
     "bootstrap": (
         "percentile bootstrap interval for an ICER or an ICER contrast",
         (
-            _data_opt(),
-            _regimes_opt(),
+            DATA_OPT,
+            REGIMES_OPT,
             Option("i", int, None, "regime id of interest", ">= 1", _pos_int, required=True),
             Option("j", int, None, "second regime id (contrast mode)", ">= 1", _pos_int),
             Option(
                 "replicates", int, 500, "bootstrap replicates",
                 ">= 100", lambda v: v >= 100,
             ),
-            _seed_opt(),
-            _estimator_opt(),
-            _g_opt(),
-            _reference_opt(),
-            _alpha_opt(),
-            _out_opt(),
+            SEED_OPT,
+            ESTIMATOR_OPT,
+            G_OPT,
+            REFERENCE_OPT,
+            ALPHA_OPT,
+            OUT_OPT,
         ),
     ),
 }
@@ -281,7 +233,6 @@ class RunConfig:
 
     subcommand: str
     settings: dict
-    master_seed: int | None = None
     overridden: tuple[str, ...] = field(default=())
 
     def header_lines(self) -> list[str]:
@@ -295,8 +246,8 @@ class RunConfig:
             f"# subcommand: {self.subcommand}",
             f"# config: {pairs}",
         ]
-        if self.master_seed is not None:
-            lines.append(f"# master_seed: {self.master_seed}")
+        if self.settings.get("seed") is not None:
+            lines.append(f"# master_seed: {self.settings['seed']}")
         return lines
 
 
@@ -320,18 +271,25 @@ def _coerce(opt: Option, raw: str):
         ) from None
 
 
+def _content_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line that is neither blank nor a
+    ``#`` comment; UTF-8 with an optional byte-order mark.  Line numbers count
+    every line.  ``OSError`` and ``UnicodeDecodeError`` are left to the caller."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return [
+            (no, text) for no, line in enumerate(fh, 1)
+            if (text := line.strip()) and not text.startswith("#")
+        ]
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as err:
+        lines = _content_lines(path)
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"config file: {err}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in lines:
         if "=" not in text:
             raise UsageError(f"config file line {lineno}: expected key = value")
         key, _, value = text.partition("=")
@@ -406,13 +364,7 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
             if opt.check is not None and not opt.check(value):
                 raise UsageError(f"{opt.name}: must be {opt.domain}, got {value}")
         settings[opt.name] = value
-    seed = settings.get("seed")
-    return RunConfig(
-        subcommand=ns.subcommand,
-        settings=settings,
-        master_seed=seed,
-        overridden=tuple(overridden),
-    )
+    return RunConfig(ns.subcommand, settings, tuple(overridden))
 
 
 # ---------------------------------------------------------------- file I/O
@@ -451,7 +403,8 @@ def ingest_dataset(path: str) -> Dataset:
     are skipped between records, but line numbers are physical: they count
     them.  This function checks the text (field count, then each cell as a
     number: malformed or non-finite) and leaves the value rules to
-    :func:`~smartcea.core.first_invalid_record`.  The error names the first
+    ``Dataset``, whose :class:`~smartcea.core.InvalidRecord` it rewords with
+    the raw token.  The error names the first
     failing record's line and, within it, the first failing column, as
     ``line L, column C: reason`` (column ``-`` for a wrong field count).
     """
@@ -510,22 +463,27 @@ def ingest_dataset(path: str) -> Dataset:
 
     x1 = np.column_stack([number(name) for name in x1_cols])
     a1, l2, s2, a2, y, c = (number(name) for name in ("a1", "l2", "s2", "a2", "y", "c"))
-    invalid = first_invalid_record(x1, x1_cols, a1, l2, s2, a2, y, c)
-    if invalid is not None:
-        row, column, reason = invalid
+    try:
+        # Dataset applies the value rules; with no row read, the field count fails.
+        dataset = Dataset(
+            x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c, x1_names=tuple(x1_cols)
+        ) if m else None
+    except InvalidRecord as err:
         # Finiteness is every column's first rule, so a cell that did not read
         # as a finite number fails it first; word that from the raw token.
-        raw = parsed[row][header.index(column)].strip()
+        reason = err.reason
+        raw = parsed[err.row][header.index(err.column)].strip()
         try:
             if not np.isfinite(float(raw)):
                 reason = f"non-finite value {raw!r}"
         except ValueError:
             reason = f"malformed number {raw!r}"
-        raise CliError(f"{path} line {starts[row + 1]}, column {column!r}: {reason}")
+        line = starts[err.row + 1]
+        raise CliError(f"{path} line {line}, column {err.column!r}: {reason}") from None
     if m < len(data_rows):
         reason = f"expected {width} fields, got {len(data_rows[m])}"
         raise CliError(f"{path} line {starts[m + 1]}, column '-': {reason}")
-    return Dataset(x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c, x1_names=tuple(x1_cols))
+    return dataset
 
 
 def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
@@ -536,17 +494,13 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     least 1 and codes in the design supports are ``RegimeSpec``'s rules.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        lines = _content_lines(path)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
     regimes: list[RegimeSpec] = []
     seen: set[int] = set()
     first = True
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in lines:
         fields = text.replace(",", " ").split()
         if first:
             first = False
@@ -649,25 +603,30 @@ def _run_estimate(config: RunConfig) -> None:
 
 
 def _icer_results(
-    dataset: Dataset, regimes: tuple[RegimeSpec, ...], settings: dict
+    dataset: Dataset, regimes: tuple[RegimeSpec, ...], settings: dict, *ids: int
 ) -> dict[int, IcerResult | None]:
-    """ICER per non-reference regime; None marks an undefined ratio."""
-    reference = next(
-        (r for r in regimes if r.id == settings["reference"]), None
+    """ICER against the reference of each regime in ``ids`` (of every other
+    regime when none is given); None marks an undefined ratio, which for a
+    requested id raises ``DegenerateDenominator``.  Each id must be in the
+    regime table and differ from the reference."""
+    ref = settings["reference"]
+    by_id = {r.id: r for r in regimes}
+    if ref not in by_id:
+        raise CliError(f"reference regime {ref} not in regime table")
+    for rid in ids:
+        if rid not in by_id:
+            raise CliError(f"regime {rid} not in regime table")
+        if rid == ref:
+            raise CliError("regime of interest equals the reference")
+    results = icer_table(
+        dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
+        settings["estimator"], estimate_g(dataset, _g_mode(settings)),
+        cv_threshold=settings.get("cv_threshold", 2.0), alpha=settings.get("alpha", 0.05),
     )
-    if reference is None:
-        raise CliError(f"reference regime {settings['reference']} not in regime table")
-    return icer_table(
-        dataset, regimes, reference, settings["estimator"],
-        estimate_g(dataset, _g_mode(settings)),
-        cv_threshold=settings.get("cv_threshold", 2.0),
-        alpha=settings.get("alpha", 0.05),
-    )
-
-
-def _only(regimes: tuple[RegimeSpec, ...], *ids) -> tuple[RegimeSpec, ...]:
-    """The regimes whose id is among ``ids``, in table order."""
-    return tuple(r for r in regimes if r.id in ids)
+    for rid in ids:
+        if results[rid] is None:
+            raise DegenerateDenominator(f"regime {rid}: ICER undefined on these data")
+    return results
 
 
 ICER_TABLE_HEADER = [
@@ -683,8 +642,7 @@ def _run_icer_table(config: RunConfig) -> None:
     rows = []
     for rid, res in _icer_results(dataset, regimes, s).items():
         if res is None:
-            rows.append([rid, float("nan"), float("nan"), float("nan"),
-                         float("nan"), float("nan"), float("nan"), float("nan"), False])
+            rows.append([rid, *[float("nan")] * 7, False])
         else:
             rows.append([rid, res.icer, res.ci[0], res.ci[1], res.rd_cost.psi,
                          res.rd_eff.psi, res.cv_cost, res.cv_eff, res.reliable])
@@ -695,13 +653,7 @@ def _run_contrast(config: RunConfig) -> None:
     s = config.settings
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
-    results = _icer_results(dataset, _only(regimes, s["reference"], s["i"], s["j"]), s)
-    for key in ("i", "j"):
-        rid = s[key]
-        if rid not in results:
-            raise CliError(f"regime {rid} not in the analyzed table")
-        if results[rid] is None:
-            raise DegenerateDenominator(f"regime {rid}: ICER undefined on these data")
+    results = _icer_results(dataset, regimes, s, s["i"], s["j"])
     res = contrast(results[s["i"]], results[s["j"]], alpha=s["alpha"])
     write_csv(
         s["out"], config,
@@ -712,26 +664,34 @@ def _run_contrast(config: RunConfig) -> None:
 
 
 def _read_icer_table(path: str) -> list[PlanePoint]:
+    """Plane points of an icer-table file.  A row whose icer, rd_eff and
+    rd_cost are all NaN is a regime with an undefined ICER: it is left off
+    the plane, with a note on standard error."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+        lines = _content_lines(path)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from None
-    reader = csv.DictReader(lines)
     points = []
-    for row in reader:
+    undefined = []
+    for row in csv.DictReader(text for _, text in lines):
         try:
-            points.append(
-                PlanePoint(
-                    regime_id=int(row["regime"]),
-                    rd_eff=float(row["rd_eff"]),
-                    rd_cost=float(row["rd_cost"]),
-                    icer=float(row["icer"]),
-                    reliable=row["reliable"].strip().lower() == "true",
-                )
-            )
+            rid = int(row["regime"])
+            icer, rd_eff, rd_cost = (float(row[k]) for k in ("icer", "rd_eff", "rd_cost"))
+            reliable = (row["reliable"] or "").strip().lower()
+            if reliable not in ("true", "false"):
+                raise ValueError(f"reliable must be true or false, got {row['reliable']!r}")
+            if np.isnan([icer, rd_eff, rd_cost]).all():
+                undefined.append(rid)
+                continue
+            points.append(PlanePoint(
+                regime_id=rid, rd_eff=rd_eff, rd_cost=rd_cost, icer=icer,
+                reliable=reliable == "true",
+            ))
         except (KeyError, TypeError, ValueError) as err:
             raise CliError(f"{path}: not an icer-table file ({err})") from None
+    if undefined:
+        print(f"note: ICER undefined for regime {', '.join(map(str, undefined))}; "
+              "left off the plane", file=sys.stderr)
     if not points:
         raise CliError(f"{path}: no rows")
     return points
@@ -827,26 +787,13 @@ def _run_bootstrap(config: RunConfig) -> None:
     s = config.settings
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
-    for key in ("i", "j"):
-        rid = s.get(key)
-        if rid is not None and not any(r.id == rid for r in regimes):
-            raise CliError(f"regime {rid} not in regime table")
-    if s["reference"] in (s["i"], s.get("j")):
-        raise CliError("regime of interest equals the reference")
-
-    analyzed = _only(regimes, s["reference"], s["i"], s.get("j"))
+    ids = (s["i"],) if s["j"] is None else (s["i"], s["j"])
 
     def statistic(resampled: Dataset) -> float:
-        results = _icer_results(resampled, analyzed, s)
-        res_i = results[s["i"]]
-        if res_i is None:
-            raise DegenerateDenominator(f"regime {s['i']}")
-        if s.get("j") is None:
-            return res_i.icer
-        res_j = results[s["j"]]
-        if res_j is None:
-            raise DegenerateDenominator(f"regime {s['j']}")
-        return res_i.icer - res_j.icer
+        results = _icer_results(resampled, regimes, s, *ids)
+        if s["j"] is None:
+            return results[s["i"]].icer
+        return results[s["i"]].icer - results[s["j"]].icer
 
     point = statistic(dataset)
     boot = bootstrap_ci(
@@ -856,7 +803,7 @@ def _run_bootstrap(config: RunConfig) -> None:
         seed=s["seed"],
         alpha=s["alpha"],
     )
-    name = f"icer_{s['i']}" if s.get("j") is None else f"icer_{s['i']}_minus_{s['j']}"
+    name = f"icer_{s['i']}" if s["j"] is None else f"icer_{s['i']}_minus_{s['j']}"
     write_csv(
         s["out"], config,
         ["statistic", "estimate", "ci_lower", "ci_upper", "alpha",

@@ -27,6 +27,7 @@ __all__ = [
     "STAGE1_SUPPORT",
     "STAGE2_SUPPORT",
     "EstimationFailure",
+    "InvalidRecord",
     "Dataset",
     "RegimeSpec",
     "EstimateWithIC",
@@ -135,14 +136,26 @@ def first_invalid_record(x1, x1_names, a1, l2, s2, a2, y, c) -> tuple[int, str, 
     return first
 
 
+class InvalidRecord(EstimationFailure, ValueError):
+    """A record breaks a design rule; ``row`` counts from 0.  It is also a
+    ``ValueError``, as a bad column given to ``Dataset`` is."""
+
+    def __init__(self, row: int, column: str, reason: str) -> None:
+        super().__init__(f"record {row + 1}, column {column!r}: {reason}")
+        self.row, self.column, self.reason = row, column, reason
+
+
+_COLUMNS = ("x1", "a1", "l2", "s2", "a2", "y", "c")
+
+
 class Dataset:
     """Columnar container for SMART trajectories.
 
     Columns are read as float64 and checked by :func:`first_invalid_record`
-    (a failure raises ``ValueError("record R, column 'C': reason")``, R from
-    1); only then are the codes and y cast to int64.  Columns are frozen
-    (read-only views).  ``x1`` always has shape (n, p); the common
-    scalar-baseline case is p = 1.
+    (a failure raises :class:`InvalidRecord`, worded ``record R, column 'C':
+    reason`` with R from 1); only then are the codes and y cast to int64.
+    Columns are frozen (read-only views).  ``x1`` always has shape (n, p);
+    the common scalar-baseline case is p = 1.
 
     Parameters
     ----------
@@ -188,8 +201,7 @@ class Dataset:
 
         failure = first_invalid_record(x1, self.x1_names, a1, l2, s2, a2, y, c)
         if failure is not None:
-            row, column, reason = failure
-            raise ValueError(f"record {row + 1}, column {column!r}: {reason}")
+            raise InvalidRecord(*failure)
 
         self.x1 = x1
         self.a1 = a1.astype(np.int64)
@@ -198,7 +210,7 @@ class Dataset:
         self.a2 = a2.astype(np.int64)
         self.y = y.astype(np.int64)
         self.c = c
-        for name in ("x1", "a1", "l2", "s2", "a2", "y", "c"):
+        for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -209,18 +221,18 @@ class Dataset:
         return self.x1.shape[0]
 
     def take(self, indices) -> "Dataset":
-        """Row subset (with replacement allowed), e.g. for bootstrap resampling."""
+        """Row subset (with replacement allowed), e.g. for bootstrap resampling;
+        rows of a valid dataset are copied without a second check."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            x1=self.x1[idx],
-            a1=self.a1[idx],
-            l2=self.l2[idx],
-            s2=self.s2[idx],
-            a2=self.a2[idx],
-            y=self.y[idx],
-            c=self.c[idx],
-            x1_names=self.x1_names,
-        )
+        if idx.size == 0:
+            raise ValueError("dataset must contain at least one record")
+        subset = Dataset.__new__(Dataset)
+        subset.x1_names = self.x1_names
+        for name in _COLUMNS:
+            column = getattr(self, name)[idx]
+            column.setflags(write=False)
+            setattr(subset, name, column)
+        return subset
 
     def outcome(self, name: str) -> np.ndarray:
         """Outcome column by tag: 'y' (effectiveness) or 'c' (cost)."""

@@ -85,6 +85,10 @@ def test_ingest_diagnostics_name_line_and_column(tmp_path):
     with pytest.raises(Exception, match="missing column 'a2'"):
         ingest_dataset(str(bad))
 
+    bad.write_text("id,x1,a1,l2,s2,a2,y,c\n1,0.1,0\n2,0.2,7,1,0.5,1,1,2.0\n")
+    with pytest.raises(CliError, match=r"line 2, column '-': expected 8 fields, got 3"):
+        ingest_dataset(str(bad))
+
     bad.write_text("")
     with pytest.raises(Exception, match="empty"):
         ingest_dataset(str(bad))
@@ -179,6 +183,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+    cfg.write_bytes(b"n = 5\xff\n")
+    code, _, err = run_cli(
+        "simulate", "--config", str(cfg), "--seed", "1",
+        "--out", str(tmp_path / "x.csv"), capsys=capsys,
+    )
+    assert code == 2
+    assert "usage error: config file: 'utf-8' codec can't decode" in err
 
     for value in ("foo", ",", "ipw,foo", "ipw,ipw"):
         code, _, err = run_cli(
@@ -470,14 +482,28 @@ def test_bootstrap_estimates_only_the_regimes_it_reads(
     assert set(calls) == {1, *(int(v) for v in argv[1::2])}
 
 
-def test_bootstrap_rejects_the_reference_as_second_regime(tmp_path, data_csv, capsys):
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("icer-table", "--reference", "9"), "reference regime 9 not in regime table"),
+        (("contrast", "--i", "9", "--j", "2"), "regime 9 not in regime table"),
+        (("contrast", "--i", "1", "--j", "2"), "regime of interest equals the reference"),
+        (("bootstrap", "--i", "9", "--seed", "5"), "regime 9 not in regime table"),
+        (("bootstrap", "--i", "1", "--seed", "5"), "regime of interest equals the reference"),
+        (("bootstrap", "--i", "2", "--j", "1", "--seed", "5"),
+         "regime of interest equals the reference"),
+    ],
+    ids=["icer-table-ref9", "contrast-i9", "contrast-i1", "bootstrap-i9", "bootstrap-i1",
+         "bootstrap-j1"],
+)
+def test_regime_id_errors_exit_1_with_one_wording(tmp_path, data_csv, capsys, argv, message):
     code, _, err = run_cli(
-        "bootstrap", "--data", str(data_csv), "--i", "2", "--j", "1",
-        "--replicates", "100", "--seed", "5", "--out", str(tmp_path / "boot.csv"),
-        capsys=capsys,
+        *argv, "--data", str(data_csv), "--out", str(tmp_path / "out.csv"), capsys=capsys,
     )
     assert code == 1
-    assert "error kind=CliError subcommand=bootstrap" in err
+    assert err.splitlines()[-1] == (
+        f'error kind=CliError subcommand={argv[0]} message="{message}"'
+    )
 
 
 def _without_regime_8(tmp_path, data_csv):
@@ -508,6 +534,33 @@ def test_regime_without_support_gets_an_undefined_row(tmp_path, data_csv):
         "contrast", "--data", str(trimmed), "--estimator", "ipw",
         "--i", "2", "--j", "4", "--out", str(tmp_path / "contrast.csv"),
     ]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+def test_undefined_rows_are_left_off_the_plane(tmp_path, data_csv, capsys, subcommand):
+    trimmed = _without_regime_8(tmp_path, data_csv)
+    table = tmp_path / "icers.csv"
+    assert main([
+        "icer-table", "--data", str(trimmed), "--estimator", "ipw", "--out", str(table),
+    ]) == 0
+    points = tmp_path / "points.csv"
+    outputs = {
+        "frontier": ["--out-points", str(points), "--out-frontier", str(tmp_path / "f.csv")],
+        "plot": ["--out", str(tmp_path / "plane.svg")],
+    }[subcommand]
+    code, _, err = run_cli(subcommand, "--in", str(table), *outputs, capsys=capsys)
+    assert code == 0, err
+    assert "note: ICER undefined for regime 8; left off the plane" in err
+    if subcommand == "frontier":
+        _, rows = _rows(points)
+        assert [r["regime"] for r in rows] == [str(i) for i in range(2, 8)]
+
+    # Only a wholly undefined row is skipped; a bad flag is still refused.
+    text = table.read_text()
+    table.write_text(text.replace(",false\n", ",maybe\n", 1))
+    code, _, err = run_cli(subcommand, "--in", str(table), *outputs, capsys=capsys)
+    assert code == 1
+    assert "not an icer-table file (reliable must be true or false, got 'maybe')" in err
 
 
 def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv):

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from smartcea.core import Dataset, EstimateWithIC, RegimeSpec, consistency_mask
+from smartcea import core
+from smartcea.core import Dataset, EstimateWithIC, InvalidRecord, RegimeSpec, consistency_mask
 
 
 def test_d2_selects_branch():
@@ -114,8 +115,10 @@ def test_dataset_refuses_fractional_codes_and_outcomes(column, values, message):
     # Cast to int64 first, these would pass as 0 or 1 (a2 = 1.5 as 1).
     base = dict(x1=[0.1, 0.2], a1=[0, 1], l2=[1, 0], s2=[0.0, 0.0], a2=[1, 3],
                 y=[0, 1], c=[1.0, 2.0])
-    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+    with pytest.raises(InvalidRecord, match=re.escape(message) + "$") as err:
         Dataset(**{**base, column: values})
+    record = err.value
+    assert str(record) == f"record {record.row + 1}, column {column!r}: {record.reason}"
 
 
 def test_dataset_requires_at_least_one_record():
@@ -141,6 +144,27 @@ def test_take_preserves_supports_and_allows_replacement(trial):
     assert sub.n == 4
     assert np.array_equal(sub.x1[0], trial.x1[0])
     assert np.array_equal(sub.x1[1], trial.x1[0])
+
+
+def test_take_copies_equal_read_only_columns_without_checking_again(trial, monkeypatch):
+    idx = np.array([5, 0, 5, 1808, 2])
+    rebuilt = Dataset(
+        **{name: getattr(trial, name)[idx] for name in ("x1", "a1", "l2", "s2", "a2", "y", "c")},
+        x1_names=trial.x1_names,
+    )
+
+    def refuse(*args):
+        raise AssertionError("take checked the rows again")
+
+    monkeypatch.setattr(core, "first_invalid_record", refuse)
+    sub = trial.take(idx)
+    assert sub.x1_names == trial.x1_names
+    for name in ("x1", "a1", "l2", "s2", "a2", "y", "c"):
+        got, want = getattr(sub, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+    with pytest.raises(ValueError, match="at least one record"):
+        trial.take([])
 
 
 def test_estimate_with_ic_se_matches_definition():

@@ -287,7 +287,7 @@ def faulty_columns(draw):
 @PROPERTY_SETTINGS
 @given(columns=faulty_columns())
 def test_dataset_and_ingest_refuse_the_same_record(tmp_path_factory, columns):
-    # Both apply core.first_invalid_record; ingest reports line = record + 1.
+    # Ingest rewords Dataset's refusal; it reports line = record + 1.
     path = tmp_path_factory.mktemp("rules") / "trial.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(HEADER)
