@@ -608,7 +608,7 @@ def _icer_results(
     """ICER against the reference of each regime in ``ids`` (of every other
     regime when none is given); None marks an undefined ratio, which for a
     requested id raises ``DegenerateDenominator``.  Each id must be in the
-    regime table and differ from the reference."""
+    regime table and differ from the reference and from the other ids."""
     ref = settings["reference"]
     by_id = {r.id: r for r in regimes}
     if ref not in by_id:
@@ -618,6 +618,8 @@ def _icer_results(
             raise CliError(f"regime {rid} not in regime table")
         if rid == ref:
             raise CliError("regime of interest equals the reference")
+    if len(set(ids)) < len(ids):
+        raise CliError("regimes of interest must differ")
     results = icer_table(
         dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
         settings["estimator"], estimate_g(dataset, _g_mode(settings)),
@@ -693,7 +695,8 @@ def _read_icer_table(path: str) -> list[PlanePoint]:
         print(f"note: ICER undefined for regime {', '.join(map(str, undefined))}; "
               "left off the plane", file=sys.stderr)
     if not points:
-        raise CliError(f"{path}: no rows")
+        reason = "no regime has a defined ICER" if undefined else "no rows"
+        raise CliError(f"{path}: {reason}")
     return points
 
 

@@ -382,6 +382,16 @@ def true_values(
     them once per arm; a regime adds its two branch constants, picked per
     row by L(2).  Raises ``ValueError`` before any draw for a
     ``reference_id`` that names no regime.
+
+    Y is counted in logit space: Y = 1{U < expit(eta)} = 1{logit(U) < eta}.
+    Each block takes logit(U) once, each arm subtracts its S(2) and
+    curvature terms once, and a regime compares the remainder with its
+    branch constant; no regime evaluates an ``expit``.  The two tests can
+    disagree only where U lies within a few ulps of expit(eta)
+    (``tests/test_dgp.py`` states the bound), which a 53-bit uniform
+    essentially never hits.  Each regime's cost is built in place in one
+    buffer.  Every element's expression and every sum's order are those of
+    cost_scale * E / (rate + distance), so the cost sums keep their bits.
     """
     if mc_draws < 10_000:
         raise ValueError("mc_draws must be at least 10000")
@@ -406,18 +416,33 @@ def true_values(
         x1, u_l2, eps_s2, u_y, e_c = (
             arr[:m] for arr in (x1, u_l2, eps_s2, u_y, e_c)
         )
-        curvature = 0.5 * x1**2 + np.log(np.abs(x1) + 0.01)
-        scaled_e_c = config.cost_scale * e_c
+        # Built in place to hold fewer block-sized arrays at once; addition
+        # and multiplication commute, so the bits are those of
+        # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
+        curvature = np.log(np.abs(x1) + 0.01)
+        curvature += 0.5 * x1**2
+        scaled_e_c = np.multiply(config.cost_scale, e_c, out=e_c)
+        # logit(U) in u_y's own buffer; U = 0 gives -inf, below every eta.
+        with np.errstate(divide="ignore"):
+            log1m_u = np.log1p(-u_y)
+            logit_u = np.log(u_y, out=u_y)
+        logit_u -= log1m_u
+        # log1m_u is spent; its buffer holds each arm's logit(U) - (S(2) + curvature).
+        y_threshold = log1m_u
 
         for d1, members in arms.items():
             lapse = u_l2 < expit(x1 + d1)
             s2 = x1 + 2.0 * d1 + eps_s2
             distance = np.abs(s2 + x1 + lapse - 3.0 * d1)
+            np.add(s2, curvature, out=y_threshold)
+            np.subtract(logit_u, y_threshold, out=y_threshold)
             for i, logits, rates in members:
-                p_y = expit(np.where(lapse, *logits) + s2 + curvature)
-                c = scaled_e_c / (np.where(lapse, *rates) + distance)
-                sum_y[i] += (u_y < p_y).sum()
+                sum_y[i] += np.count_nonzero(y_threshold < np.where(lapse, *logits))
+                c = np.where(lapse, *rates)
+                c += distance
+                np.divide(scaled_e_c, c, out=c)
                 sum_c[i] += c.sum()
-                sum_c2[i] += (c * c).sum()
+                c *= c
+                sum_c2[i] += c.sum()
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)

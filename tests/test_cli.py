@@ -492,9 +492,11 @@ def test_bootstrap_estimates_only_the_regimes_it_reads(
         (("bootstrap", "--i", "1", "--seed", "5"), "regime of interest equals the reference"),
         (("bootstrap", "--i", "2", "--j", "1", "--seed", "5"),
          "regime of interest equals the reference"),
+        (("contrast", "--i", "2", "--j", "2"), "regimes of interest must differ"),
+        (("bootstrap", "--i", "2", "--j", "2", "--seed", "5"), "regimes of interest must differ"),
     ],
     ids=["icer-table-ref9", "contrast-i9", "contrast-i1", "bootstrap-i9", "bootstrap-i1",
-         "bootstrap-j1"],
+         "bootstrap-j1", "contrast-i2-j2", "bootstrap-i2-j2"],
 )
 def test_regime_id_errors_exit_1_with_one_wording(tmp_path, data_csv, capsys, argv, message):
     code, _, err = run_cli(
@@ -561,6 +563,31 @@ def test_undefined_rows_are_left_off_the_plane(tmp_path, data_csv, capsys, subco
     code, _, err = run_cli(subcommand, "--in", str(table), *outputs, capsys=capsys)
     assert code == 1
     assert "not an icer-table file (reliable must be true or false, got 'maybe')" in err
+
+
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+def test_table_without_a_defined_icer_is_refused_by_name(tmp_path, capsys, subcommand):
+    # A file whose every row is undefined has rows, so "no rows" would
+    # misname the fault; a header-only file still has none.
+    header = "regime,icer,ci_lower,ci_upper,rd_cost,rd_eff,cv_cost,cv_eff,reliable\n"
+    undefined = tmp_path / "undefined.csv"
+    undefined.write_text(header + "".join(f"{rid},{'nan,' * 7}false\n" for rid in (2, 5)))
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header)
+    outputs = {
+        "frontier": ["--out-points", str(tmp_path / "p.csv"), "--out-frontier", str(tmp_path / "f.csv")],
+        "plot": ["--out", str(tmp_path / "plane.svg")],
+    }[subcommand]
+    for table, message in (
+        (undefined, f"{undefined}: no regime has a defined ICER"),
+        (empty, f"{empty}: no rows"),
+    ):
+        code, _, err = run_cli(subcommand, "--in", str(table), *outputs, capsys=capsys)
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            f'error kind=CliError subcommand={subcommand} message="{message}"'
+        )
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "plane.svg").exists()
 
 
 def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smartcea import dgp
 from smartcea.core import RegimeSpec
@@ -20,6 +22,7 @@ from smartcea.dgp import (
     target_se,
     true_values,
 )
+from smartcea.glm import expit, logit
 from smartcea.rng import BLOCK
 
 from discrete_bed import (
@@ -181,6 +184,10 @@ def test_icer_for_lookup():
 
 _TRUTH_FIELDS = ("ey", "ec", "rd_cost", "rd_eff", "icer", "mc_se_ey", "mc_se_ec")
 _Y_7_8_SWAPPED = Y_CONSTANTS[:6] + (Y_CONSTANTS[7], Y_CONSTANTS[6])
+# Cell (0, 1, 1) gets 1e-12 and cell (1, 1, 1) gets 1 - 1e-12: at seed 17
+# expit(eta) rounds to exactly 1.0 on about 1,400 lapse rows per block of
+# the d1 = 1 arm, and falls below 1e-15 on the d1 = 0 arm.
+_Y_SATURATED = (1e-12, 1.0 - 1e-12) + Y_CONSTANTS[2:]
 
 
 @pytest.mark.parametrize(
@@ -190,8 +197,10 @@ _Y_7_8_SWAPPED = Y_CONSTANTS[:6] + (Y_CONSTANTS[7], Y_CONSTANTS[6])
         (DgpConfig(), (8, 7, 6, 5, 4, 3, 2, 1), 524_289, 4),
         (DgpConfig(), (2, 4, 6), 262_144, 2),
         (DgpConfig(y_constants=_Y_7_8_SWAPPED), None, 300_001, 1),
+        (DgpConfig(y_constants=_Y_SATURATED), None, 300_001, 1),
     ],
-    ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped"],
+    ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped",
+         "y-saturated"],
 )
 def test_truth_matches_per_regime_oracle_bit_for_bit(
     config, regime_ids, mc_draws, reference_id
@@ -204,6 +213,29 @@ def test_truth_matches_per_regime_oracle_bit_for_bit(
     assert got.regimes == want.regimes
     for name in _TRUTH_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+_U_STEP = 2.0**-53  # the grid of Generator.random: U = k * 2**-53
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    eta=st.floats(-40.0, 40.0),
+    offset=st.integers(-64, 64) | st.integers(-(2**53), 2**53),
+)
+def test_logit_space_draw_matches_probability_space_draw(eta, offset):
+    # true_values counts Y = 1{U < expit(eta)} as 1{logit(U) < eta}.  In
+    # floating point the two can differ only where U lies within 4 grid
+    # steps (4 ulp of numbers in [0.5, 1)) of expit(eta).  U = 0 is left
+    # out: its logit is -inf, below every eta, and expit(eta) > 0 here.
+    # In 2e6 pairs drawn like these, the two disagreed only within one
+    # step.  A margin of 4 ulp of expit(eta) itself is too narrow near 0,
+    # where the grid is far coarser than the ulp.
+    p = float(expit(eta))
+    k = min(max(round(p / _U_STEP) + offset, 1), 2**53 - 1)
+    u = k * _U_STEP
+    assume(abs(u - p) > 4 * _U_STEP)
+    assert (float(logit(u)) < eta) == (u < p)
 
 
 def _no_draws(*args):
