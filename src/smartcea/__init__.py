@@ -15,9 +15,7 @@ from .cea import (
     EmptyFrontier,
     Frontier,
     PlanePoint,
-    cost_ranking,
     efficient_frontier,
-    plane_points,
     render_plane_svg,
 )
 from .core import (
@@ -56,7 +54,6 @@ from .inference import (
     contrast,
     delta_method_ic,
     icer,
-    icer_variance_decomposition,
     risk_difference,
     wald_ci,
 )
@@ -65,7 +62,6 @@ from .study import (
     StudyMetrics,
     StudyResult,
     icer_table,
-    relative_variance,
     run_study,
 )
 
@@ -98,18 +94,14 @@ __all__ = [
     "bootstrap_ci",
     "consistency_mask",
     "contrast",
-    "cost_ranking",
     "delta_method_ic",
     "efficient_frontier",
     "embedded_regimes",
     "estimate_g",
     "icer",
     "icer_table",
-    "icer_variance_decomposition",
     "ipw_mean",
-    "plane_points",
     "regime_mean",
-    "relative_variance",
     "render_plane_svg",
     "risk_difference",
     "run_study",

@@ -1,4 +1,4 @@
-"""Cost-effectiveness plane, cost ranking, and the efficient frontier.
+"""Cost-effectiveness plane and the efficient frontier.
 
 Conventions: the reference regime sits at the origin of the plane and every
 other regime is a point (incremental effect, incremental cost) against that
@@ -16,15 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EstimateWithIC, EstimationFailure
-from .inference import IcerResult, wald_ci
+from .core import EstimationFailure
 
 __all__ = [
     "EmptyFrontier",
     "PlanePoint",
-    "plane_points",
-    "CostRankRow",
-    "cost_ranking",
     "Frontier",
     "efficient_frontier",
     "render_plane_svg",
@@ -58,60 +54,6 @@ class PlanePoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rd_eff) and math.isfinite(self.rd_cost)):
             raise ValueError("plane coordinates must be finite")
-
-
-def plane_points(
-    icer_results: Sequence[tuple[int, IcerResult]], cv_threshold: float = 2.0
-) -> tuple[PlanePoint, ...]:
-    """Plane coordinates for each (regime id, ICER result) pair, ordered by id.
-
-    Unreliable results (a component coefficient of variation at or above
-    ``cv_threshold``) are retained and flagged, never dropped: downstream
-    plots and frontiers must show them.
-    """
-    ids = [rid for rid, _ in icer_results]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate regime ids")
-    points = []
-    for rid, res in sorted(icer_results, key=lambda pair: pair[0]):
-        points.append(
-            PlanePoint(
-                regime_id=rid,
-                rd_eff=res.rd_eff.psi,
-                rd_cost=res.rd_cost.psi,
-                icer=res.icer,
-                reliable=bool(
-                    res.cv_cost < cv_threshold and res.cv_eff < cv_threshold
-                ),
-            )
-        )
-    return tuple(points)
-
-
-@dataclass(frozen=True)
-class CostRankRow:
-    regime_id: int
-    psi: float
-    se: float
-    ci: tuple[float, float]
-
-
-def cost_ranking(
-    estimates: Sequence[tuple[int, EstimateWithIC]], alpha: float = 0.05
-) -> tuple[CostRankRow, ...]:
-    """Regimes from cheapest to most expensive, each with a Wald interval.
-
-    Ties in the point estimate are broken by regime id, so the output order
-    is deterministic and is always a permutation of the input regimes.
-    """
-    ids = [rid for rid, _ in estimates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate regime ids")
-    rows = [
-        CostRankRow(regime_id=rid, psi=est.psi, se=est.se, ci=wald_ci(est.psi, est.ic, alpha))
-        for rid, est in estimates
-    ]
-    return tuple(sorted(rows, key=lambda r: (r.psi, r.regime_id)))
 
 
 @dataclass(frozen=True)

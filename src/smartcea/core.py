@@ -213,9 +213,6 @@ class Dataset:
         for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.x1.shape[0]
-
     @property
     def n(self) -> int:
         return self.x1.shape[0]

@@ -35,7 +35,6 @@ __all__ = [
     "CovariateSpec",
     "DEFAULT_Q",
     "DEFAULT_G",
-    "ORACLE_Q",
     "SATURATED_Q",
     "SATURATED_G",
     "GModel",
@@ -88,12 +87,6 @@ class CovariateSpec:
 # that regresses on what was collected rather than on oracle transforms.
 DEFAULT_Q = CovariateSpec(stage1=("x1",), stage2=("x1", "l2", "s2"))
 DEFAULT_G = CovariateSpec(stage1=("x1",), stage2=("x1", "a1", "s2"))
-# Oracle covariate set matching the benchmark generator's outcome model,
-# available for efficiency comparisons against the default.
-ORACLE_Q = CovariateSpec(
-    stage1=("x1", "x1_sq", "log_abs_x1"),
-    stage2=("l2", "s2", "x1_sq", "log_abs_x1"),
-)
 SATURATED_Q = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
 SATURATED_G = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
 

@@ -108,13 +108,14 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     Raises
     ------
     ValueError
-        If the design has no columns, a shape does not match, a response
-        lies outside [0, 1], a weight is negative or every weight is zero,
-        or any entry of the design, response, weights or offset is not
-        finite.
+        If the design has no rows or no columns, a shape does not match, a
+        response lies outside [0, 1], a weight is negative or every weight
+        is zero, or any entry of the design, response, weights or offset is
+        not finite.
     RankDeficient
         If the ridged normal equations (ridge 1e-10 on the diagonal) are
-        still singular, or the weighted design has rank below p.
+        still singular, or the weighted design has rank below p (as it
+        always has with fewer weighted rows than columns).
     SeparationDetected
         If every weighted fitted probability saturates at its response's
         boundary (degenerate likelihood, MLE at infinity), or the score
@@ -136,10 +137,8 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     n, p = X.shape
     if p == 0:
         raise ValueError("design needs at least one column")
-    if n < p:
-        raise ValueError(
-            f"need at least one row and as many rows ({n}) as columns ({p})"
-        )
+    if n == 0:
+        raise ValueError("design needs at least one row")
     z = np.asarray(response, dtype=np.float64)
     if z.shape != (n,):
         raise ValueError("response length does not match design")

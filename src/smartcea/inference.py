@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .core import Dataset, EstimateWithIC, EstimationFailure
 from .estimate import FluctuationDiverged, ZeroSupport
-from .glm import SeparationDetected
+from .glm import RankDeficient, SeparationDetected
 from .rng import PURPOSE_BOOTSTRAP, philox_stream
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "delta_method_ic",
     "IcerResult",
     "icer",
-    "IcerVarianceDecomposition",
-    "icer_variance_decomposition",
     "ContrastResult",
     "contrast",
     "BootstrapResult",
@@ -153,57 +151,6 @@ def icer(
 
 
 @dataclass(frozen=True)
-class IcerVarianceDecomposition:
-    """Var(ICER) = ICER^2 (cv_c^2 + cv_e^2 - cov_term), split into pieces.
-
-    ``term_a`` is the cost CV squared, ``term_b`` the effect CV squared, and
-    ``cov_term`` = 2 Cov(ic_c, ic_e) / (n psi_e psi_c).  ``var_total`` always
-    equals the variance of the delta-method influence curve divided by n.
-    When the cost difference is exactly zero the ratio form is unavailable
-    (``cov_defined`` is False, term_a and cov_term are inf/nan) and
-    ``var_total`` falls back to the direct influence-curve variance.
-    Iterating yields (term_a, term_b, cov_term, var_total).
-    """
-
-    term_a: float
-    term_b: float
-    cov_term: float
-    var_total: float
-    cov_defined: bool = True
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.term_a, self.term_b, self.cov_term, self.var_total))
-
-
-def icer_variance_decomposition(result: IcerResult) -> IcerVarianceDecomposition:
-    """Split the delta-method ICER variance into component and covariance terms.
-
-    Exposing the pieces shows which component drives the uncertainty and how
-    much the built-in cost-effect correlation offsets it.
-    """
-    rd_cost = result.rd_cost
-    rd_eff = result.rd_eff
-    n = rd_cost.n
-    direct = float(np.var(result.ic_icer, ddof=1)) / n
-    term_b = (rd_eff.se / abs(rd_eff.psi)) ** 2
-    if rd_cost.psi == 0.0:
-        return IcerVarianceDecomposition(
-            term_a=math.inf,
-            term_b=term_b,
-            cov_term=math.nan,
-            var_total=direct,
-            cov_defined=False,
-        )
-    term_a = (rd_cost.se / abs(rd_cost.psi)) ** 2
-    cov = float(np.cov(rd_cost.ic, rd_eff.ic, ddof=1)[0, 1])
-    cov_term = 2.0 * cov / (n * rd_eff.psi * rd_cost.psi)
-    var_total = result.icer**2 * (term_a + term_b - cov_term)
-    return IcerVarianceDecomposition(
-        term_a=term_a, term_b=term_b, cov_term=cov_term, var_total=var_total
-    )
-
-
-@dataclass(frozen=True)
 class ContrastResult:
     """Difference of two ICERs against the same reference regime."""
 
@@ -259,7 +206,8 @@ def bootstrap_ci(
     Replicate b resamples rows with the stream (seed, bootstrap, b), so the
     first replicates are identical whatever ``n_replicates`` is.  Replicates
     where the statistic is undefined (degenerate denominator, a regime with
-    no consistent records) or where a fit behind it has no finite maximum
+    no consistent records), where a fit behind it is rank-deficient (a design
+    the resampled rows do not span) or where a fit has no finite maximum
     (separation, a diverged TMLE fluctuation) are dropped but counted as
     degenerate; if their share exceeds ``max_degenerate_share`` (in [0, 1]),
     or no replicate is left, the interval is refused with
@@ -280,7 +228,11 @@ def bootstrap_ci(
         try:
             kept.append(float(analysis_spec(dataset.take(idx))))
         except (
-            DegenerateDenominator, ZeroSupport, SeparationDetected, FluctuationDiverged
+            DegenerateDenominator,
+            ZeroSupport,
+            RankDeficient,
+            SeparationDetected,
+            FluctuationDiverged,
         ):
             n_degenerate += 1
     if not kept or n_degenerate > max_degenerate_share * n_replicates:

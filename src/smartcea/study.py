@@ -51,8 +51,6 @@ __all__ = [
     "StudyResult",
     "run_study",
     "icer_table",
-    "RelativeVariance",
-    "relative_variance",
     "TRUTH_MC_DRAWS",
 ]
 
@@ -160,51 +158,6 @@ class StudyResult:
         raise KeyError((estimator, regime_id))
 
 
-@dataclass(frozen=True)
-class RelativeVariance:
-    """Paired variance ratio in both orientations, explicitly labeled."""
-
-    tmle_over_ipw: float
-    ipw_over_tmle: float
-    n_aligned: int
-
-
-def relative_variance(
-    tmle_estimates: Mapping[int, np.ndarray], ipw_estimates: Mapping[int, np.ndarray]
-) -> dict[int, RelativeVariance]:
-    """Per-regime ratio of empirical variances across repetitions.
-
-    Inputs map regime id to the per-rep estimate stream, NaN marking an
-    excluded rep.  Both estimators must have kept exactly the same reps for
-    a regime (the paired design breaks otherwise); mismatched rep sets are
-    an error, as is a zero denominator variance.  Both orientations are
-    returned because published tables have used both.
-    """
-    if set(tmle_estimates) != set(ipw_estimates):
-        raise ValueError("estimators cover different regimes")
-    out: dict[int, RelativeVariance] = {}
-    for rid in sorted(tmle_estimates):
-        a = np.asarray(tmle_estimates[rid], dtype=np.float64)
-        b = np.asarray(ipw_estimates[rid], dtype=np.float64)
-        if a.shape != b.shape:
-            raise ValueError(f"regime {rid}: estimate streams differ in length")
-        mask_a = np.isfinite(a)
-        mask_b = np.isfinite(b)
-        if not np.array_equal(mask_a, mask_b):
-            raise ValueError(
-                f"regime {rid}: estimators kept different reps; align exclusions first"
-            )
-        if mask_a.sum() < 2:
-            raise ValueError(f"regime {rid}: fewer than 2 aligned reps")
-        ratio = _variance_ratio(a, b, mask_a)
-        if not ratio:
-            raise ValueError(f"regime {rid}: zero variance in one estimate stream")
-        out[rid] = RelativeVariance(
-            tmle_over_ipw=ratio, ipw_over_tmle=1.0 / ratio, n_aligned=int(mask_a.sum())
-        )
-    return out
-
-
 def _variance_ratio(num: np.ndarray, den: np.ndarray, aligned: np.ndarray) -> float | None:
     """var(num) / var(den) over the aligned reps; None when undefined."""
     if aligned.sum() < 2:
@@ -285,7 +238,7 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     for est in config.estimators:
         try:
             g = estimate_g(dataset, DEFAULT_G_MODES[est])
-        except (SeparationDetected, ZeroSupport):
+        except (SeparationDetected, ZeroSupport, RankDeficient):
             results = {}
         else:
             results = icer_table(

@@ -24,13 +24,26 @@ log-likelihood separately from the fitted probabilities, and halves a step
 on any decrease of that likelihood, rounding included.  The library kernel
 must agree with it to within what the score tolerance pins down, and must
 fail in the same way.
+
+``relative_variance`` is the paired TMLE/IPW variance ratio per regime, in
+both orientations, with the checks that both estimators kept the same
+repetitions.  ``smartcea.study.run_study`` reports the same ratio as
+``rel_var_vs_ipw`` through ``_variance_ratio``, which this oracle calls; the
+acceptance gate on the paired variance ratio reads it.
+
+``icer_variance_decomposition`` splits the delta-method ICER variance into
+the squared component coefficients of variation and the covariance term.
+The acceptance check of the delta method against finite differences uses it
+to confirm that the pieces add up to the influence-curve variance.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,6 +77,7 @@ from smartcea.glm import (
     expit,
     logit,
 )
+from smartcea.inference import IcerResult
 from smartcea.rng import (
     BLOCK,
     PURPOSE_CALIBRATE,
@@ -71,6 +85,7 @@ from smartcea.rng import (
     PURPOSE_TRUTH,
     philox_stream,
 )
+from smartcea.study import _variance_ratio
 
 
 class NoConsistentIndexing(Exception):
@@ -581,4 +596,100 @@ def reference_ingest_dataset(path: str) -> Dataset:
     return Dataset(
         x1=x1, a1=a1, l2=l2, s2=s2, a2=a2, y=y, c=c,
         x1_names=tuple(x1_cols),
+    )
+
+
+@dataclass(frozen=True)
+class RelativeVariance:
+    """Paired variance ratio in both orientations, explicitly labeled."""
+
+    tmle_over_ipw: float
+    ipw_over_tmle: float
+    n_aligned: int
+
+
+def relative_variance(
+    tmle_estimates: Mapping[int, np.ndarray], ipw_estimates: Mapping[int, np.ndarray]
+) -> dict[int, RelativeVariance]:
+    """Per-regime ratio of empirical variances across repetitions.
+
+    Inputs map regime id to the per-rep estimate stream, NaN marking an
+    excluded rep.  Both estimators must have kept exactly the same reps for
+    a regime (the paired design breaks otherwise); mismatched rep sets are
+    an error, as is a zero denominator variance.  Both orientations are
+    returned because published tables have used both.
+    """
+    if set(tmle_estimates) != set(ipw_estimates):
+        raise ValueError("estimators cover different regimes")
+    out: dict[int, RelativeVariance] = {}
+    for rid in sorted(tmle_estimates):
+        a = np.asarray(tmle_estimates[rid], dtype=np.float64)
+        b = np.asarray(ipw_estimates[rid], dtype=np.float64)
+        if a.shape != b.shape:
+            raise ValueError(f"regime {rid}: estimate streams differ in length")
+        mask_a = np.isfinite(a)
+        mask_b = np.isfinite(b)
+        if not np.array_equal(mask_a, mask_b):
+            raise ValueError(
+                f"regime {rid}: estimators kept different reps; align exclusions first"
+            )
+        if mask_a.sum() < 2:
+            raise ValueError(f"regime {rid}: fewer than 2 aligned reps")
+        ratio = _variance_ratio(a, b, mask_a)
+        if not ratio:
+            raise ValueError(f"regime {rid}: zero variance in one estimate stream")
+        out[rid] = RelativeVariance(
+            tmle_over_ipw=ratio, ipw_over_tmle=1.0 / ratio, n_aligned=int(mask_a.sum())
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class IcerVarianceDecomposition:
+    """Var(ICER) = ICER^2 (cv_c^2 + cv_e^2 - cov_term), split into pieces.
+
+    ``term_a`` is the cost CV squared, ``term_b`` the effect CV squared, and
+    ``cov_term`` = 2 Cov(ic_c, ic_e) / (n psi_e psi_c).  ``var_total`` always
+    equals the variance of the delta-method influence curve divided by n.
+    When the cost difference is exactly zero the ratio form is unavailable
+    (``cov_defined`` is False, term_a and cov_term are inf/nan) and
+    ``var_total`` falls back to the direct influence-curve variance.
+    Iterating yields (term_a, term_b, cov_term, var_total).
+    """
+
+    term_a: float
+    term_b: float
+    cov_term: float
+    var_total: float
+    cov_defined: bool = True
+
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.term_a, self.term_b, self.cov_term, self.var_total))
+
+
+def icer_variance_decomposition(result: IcerResult) -> IcerVarianceDecomposition:
+    """Split the delta-method ICER variance into component and covariance terms.
+
+    Exposing the pieces shows which component drives the uncertainty and how
+    much the built-in cost-effect correlation offsets it.
+    """
+    rd_cost = result.rd_cost
+    rd_eff = result.rd_eff
+    n = rd_cost.n
+    direct = float(np.var(result.ic_icer, ddof=1)) / n
+    term_b = (rd_eff.se / abs(rd_eff.psi)) ** 2
+    if rd_cost.psi == 0.0:
+        return IcerVarianceDecomposition(
+            term_a=math.inf,
+            term_b=term_b,
+            cov_term=math.nan,
+            var_total=direct,
+            cov_defined=False,
+        )
+    term_a = (rd_cost.se / abs(rd_cost.psi)) ** 2
+    cov = float(np.cov(rd_cost.ic, rd_eff.ic, ddof=1)[0, 1])
+    cov_term = 2.0 * cov / (n * rd_eff.psi * rd_cost.psi)
+    var_total = result.icer**2 * (term_a + term_b - cov_term)
+    return IcerVarianceDecomposition(
+        term_a=term_a, term_b=term_b, cov_term=cov_term, var_total=var_total
     )

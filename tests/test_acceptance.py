@@ -70,10 +70,11 @@ from smartcea.estimate import (
     estimate_g,
     regime_mean,
 )
-from smartcea.inference import delta_method_ic, icer, icer_variance_decomposition
-from smartcea.study import StudyConfig, relative_variance, run_study
+from smartcea.inference import delta_method_ic, icer
+from smartcea.study import StudyConfig, run_study
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
+from oracles import icer_variance_decomposition, relative_variance
 
 WELL_BEHAVED = (2, 4, 6, 8)
 UNSTABLE = (3, 5, 7)

@@ -1,4 +1,4 @@
-"""Plane construction, frontier geometry, ranking, and SVG rendering."""
+"""Plane points, frontier geometry, and SVG rendering."""
 
 from __future__ import annotations
 
@@ -10,13 +10,9 @@ from smartcea.cea import (
     Y_AXIS_LABEL,
     EmptyFrontier,
     PlanePoint,
-    cost_ranking,
     efficient_frontier,
-    plane_points,
     render_plane_svg,
 )
-from smartcea.core import EstimateWithIC
-from smartcea.inference import icer, wald_ci
 
 
 def _point(rid, eff, cost, reliable=True):
@@ -24,18 +20,6 @@ def _point(rid, eff, cost, reliable=True):
     return PlanePoint(
         regime_id=rid, rd_eff=eff, rd_cost=cost, icer=ratio, reliable=reliable
     )
-
-
-def _icer_result(rd_cost_psi, rd_eff_psi, se_c=0.3, se_e=1.0, seed=0, n=150):
-    rng = np.random.default_rng(seed)
-
-    def est(psi, se):
-        ic = rng.normal(size=n)
-        ic -= ic.mean()
-        ic *= se * np.sqrt(n) / np.sqrt(np.var(ic, ddof=1))
-        return EstimateWithIC(psi=psi, ic=ic)
-
-    return icer(est(rd_cost_psi, se_c), est(rd_eff_psi, se_e))
 
 
 def _dominated(p, others):
@@ -87,27 +71,6 @@ def brute_frontier(points, anchor=(0.0, 0.0)):
         chain.append(best)
         cur = (best.rd_eff, best.rd_cost)
     return chain
-
-
-def test_plane_points_sorted_and_flagged():
-    results = [
-        (4, _icer_result(2.6, 24.7, seed=1)),
-        (2, _icer_result(3.1, 25.9, seed=2)),
-        (7, _icer_result(2.3, 1.1, se_e=4.0, seed=3)),
-    ]
-    points = plane_points(results)
-    assert [p.regime_id for p in points] == [2, 4, 7]
-    flags = {p.regime_id: p.reliable for p in points}
-    assert flags[2] and flags[4]
-    assert not flags[7]  # effect cv far above the default threshold
-    loose = plane_points(results, cv_threshold=10.0)
-    assert all(p.reliable for p in loose)
-
-
-def test_plane_points_rejects_duplicate_ids():
-    res = _icer_result(2.0, 20.0)
-    with pytest.raises(ValueError):
-        plane_points([(2, res), (2, res)])
 
 
 def test_plane_point_requires_finite_coordinates():
@@ -190,24 +153,6 @@ def test_frontier_segments_chain_vertices():
     ):
         assert a == v_prev
         assert b == v_next
-
-
-def test_cost_ranking_orders_and_breaks_ties_by_id():
-    rng = np.random.default_rng(5)
-
-    def est(psi):
-        ic = rng.normal(size=80)
-        return EstimateWithIC(psi=psi, ic=ic - ic.mean())
-
-    estimates = [(3, est(4.2)), (1, est(3.9)), (7, est(4.2)), (2, est(5.0))]
-    rows = cost_ranking(estimates)
-    assert [r.regime_id for r in rows] == [1, 3, 7, 2]
-    assert rows[0].psi == 3.9
-    for row, (rid, e) in zip(rows, sorted(estimates, key=lambda t: (t[1].psi, t[0]))):
-        assert row.regime_id == rid
-        assert row.ci == pytest.approx(wald_ci(e.psi, e.ic))
-    with pytest.raises(ValueError):
-        cost_ranking([(1, est(1.0)), (1, est(2.0))])
 
 
 def test_svg_is_deterministic_with_exact_labels():

@@ -16,7 +16,6 @@ from smartcea.dgp import (
 )
 from smartcea.estimate import (
     DEFAULT_Q,
-    ORACLE_Q,
     SATURATED_G,
     SATURATED_Q,
     CovariateSpec,
@@ -30,6 +29,13 @@ from smartcea.estimate import (
 from smartcea.glm import SeparationDetected
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
+
+# Oracle covariate set matching the benchmark generator's outcome model,
+# available for efficiency comparisons against the default.
+ORACLE_Q = CovariateSpec(
+    stage1=("x1", "x1_sq", "log_abs_x1"),
+    stage2=("l2", "s2", "x1_sq", "log_abs_x1"),
+)
 
 
 def _request(regime, outcome, estimator, g, q=DEFAULT_Q):

@@ -150,6 +150,21 @@ def test_rank_deficiency_raises():
         fit_logistic(design, z)
 
 
+def test_fewer_rows_than_columns_is_rank_deficient():
+    design = np.array([[1.0, 0.3, -1.2, 0.5], [1.0, -0.7, 0.4, 2.0]])
+    with pytest.raises(RankDeficient):
+        fit_logistic(design, np.array([0.0, 1.0]))
+    # The same holds when zero weights leave fewer rows than columns.
+    rng = np.random.default_rng(4)
+    tall = np.column_stack([np.ones(20), rng.normal(size=(20, 3))])
+    weights = np.zeros(20)
+    weights[[3, 11]] = 1.0
+    with pytest.raises(RankDeficient):
+        fit_logistic(tall, (rng.random(20) < 0.5).astype(float), weights=weights)
+    with pytest.raises(ValueError, match="at least one row"):
+        fit_logistic(np.ones((0, 4)), np.zeros(0))
+
+
 def test_constant_response_raises_separation():
     design = _design({"intercept": np.ones(40)})
     with pytest.raises(SeparationDetected):

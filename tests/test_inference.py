@@ -8,7 +8,7 @@ import pytest
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import embedded_regimes
 from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, regime_mean
-from smartcea.glm import SeparationDetected
+from smartcea.glm import RankDeficient, SeparationDetected
 from smartcea.inference import (
     PER_HUNDRED,
     DegenerateDenominator,
@@ -17,10 +17,11 @@ from smartcea.inference import (
     contrast,
     delta_method_ic,
     icer,
-    icer_variance_decomposition,
     risk_difference,
     wald_ci,
 )
+
+from oracles import icer_variance_decomposition
 
 
 def _estimate(psi, se, n=200, seed=0):
@@ -290,7 +291,9 @@ def test_bootstrap_rejects_a_share_bound_outside_the_unit_interval(trial, share)
         )
 
 
-@pytest.mark.parametrize("failure", [SeparationDetected, FluctuationDiverged])
+@pytest.mark.parametrize(
+    "failure", [SeparationDetected, FluctuationDiverged, RankDeficient]
+)
 def test_bootstrap_counts_a_failed_fit_as_degenerate(trial, failure):
     def failing_on(replicates):
         seen = []

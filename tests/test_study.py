@@ -16,9 +16,10 @@ from smartcea.inference import PER_HUNDRED, icer, risk_difference
 from smartcea.study import (
     StudyConfig,
     icer_table,
-    relative_variance,
     run_study,
 )
+
+from oracles import relative_variance
 
 TRUTH = true_values(DgpConfig(seed=2), mc_draws=100_000, seed=2)
 
@@ -341,6 +342,20 @@ def test_icer_table_marks_regimes_without_support_undefined():
     assert all(res is None for res in without_reference.values())
 
 
+def test_icer_table_undefines_a_regime_with_too_few_records_for_its_design():
+    # Two records follow regime 8: too few to span the four-column stage-2
+    # outcome design of TMLE, so its mean is not identified.
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+    follows_8 = consistency_mask(data, regimes[7])
+    keep = np.concatenate([np.flatnonzero(~follows_8), np.flatnonzero(follows_8)[:2]])
+    trimmed = data.take(np.sort(keep))
+    assert consistency_mask(trimmed, regimes[7]).sum() == 2
+    table = icer_table(trimmed, regimes, regimes[0], "tmle", estimate_g(trimmed, "known"))
+    assert table[8] is None
+    assert all(table[rid] is not None for rid in range(2, 8))
+
+
 @pytest.mark.parametrize(
     "failure", [RankDeficient, SeparationDetected, FluctuationDiverged]
 )
@@ -362,6 +377,25 @@ def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
     table = icer_table(data, regimes, regimes[0], "ipw", g)
     assert table[4] is None
     assert all(table[rid] is not None for rid in (2, 3, 5, 6, 7, 8))
+
+
+def test_rank_deficient_treatment_model_fails_only_its_repetition(monkeypatch):
+    fitted_calls = []
+
+    def failing_in_rep_1(dataset, mode, *args, **kwargs):
+        if mode == "fitted":
+            fitted_calls.append(None)
+            if len(fitted_calls) == 2:
+                raise RankDeficient("forced in repetition 1")
+        return estimate_g(dataset, mode, *args, **kwargs)
+
+    monkeypatch.setattr(study, "estimate_g", failing_in_rep_1)
+    config = StudyConfig(reps=3, n=400, seed=13)
+    result = run_study(config, truth=TRUTH, retain_degenerate=True)
+    for rid in range(2, 9):
+        assert result.draws[("tmle", rid)].failed.tolist() == [False, True, False]
+        assert not result.draws[("ipw", rid)].failed.any()
+        assert result.row("tmle", rid).n_used == 2
 
 
 def test_study_repetition_runs_each_estimator_once(counted_means):
