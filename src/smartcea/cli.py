@@ -489,9 +489,10 @@ def ingest_dataset(path: str) -> Dataset:
 def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     """Regime table: one row per regime (id, d1, d2_if_lapse, d2_if_no_lapse).
 
-    Comma- or whitespace-separated, # comments allowed, header optional;
-    UTF-8 with an optional byte-order mark.  Ids must be unique; ids of at
-    least 1 and codes in the design supports are ``RegimeSpec``'s rules.
+    Comma- or whitespace-separated, # comments allowed; the first row is a
+    header when its first field does not read as a number.  UTF-8 with an
+    optional byte-order mark.  Ids must be unique; ids of at least 1 and
+    codes in the design supports are ``RegimeSpec``'s rules.
     """
     try:
         lines = _content_lines(path)
@@ -504,7 +505,9 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
         fields = text.replace(",", " ").split()
         if first:
             first = False
-            if not fields[0].lstrip("-").isdigit():
+            try:
+                float(fields[0] if fields else 0)  # an empty row is no header
+            except ValueError:
                 continue  # header row
         if len(fields) != 4:
             raise CliError(f"{path} line {lineno}: expected 4 fields, got {len(fields)}")
@@ -581,7 +584,10 @@ def _run_estimate(config: RunConfig) -> None:
     outcomes = ("y", "c") if s["outcome"] == "both" else (s["outcome"],)
     ic_dir = s.get("ic_dir")
     if ic_dir:
-        os.makedirs(ic_dir, exist_ok=True)
+        try:
+            os.makedirs(ic_dir, exist_ok=True)
+        except OSError as err:
+            raise CliError(f"cannot create {ic_dir}: {err}") from None
     header = ["regime", "outcome", "psi", "se"] + (["ic_file"] if ic_dir else [])
     rows = []
     for regime in regimes:
@@ -737,8 +743,9 @@ def _run_plot(config: RunConfig) -> None:
     )
     try:
         with open(s["out"], "w", encoding="utf-8") as fh:
+            # An XML comment may not contain "--".
             for line in config.header_lines():
-                fh.write(f"<!-- {line[2:]} -->\n")
+                fh.write(f"<!-- {line[2:].replace('--', '-&#45;')} -->\n")
             fh.write(svg)
     except OSError as err:
         raise CliError(f"cannot write {s['out']}: {err}") from None

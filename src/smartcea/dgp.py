@@ -21,21 +21,24 @@ prescribes two cells (one per branch) and the observed data reveal only one,
 so the generator needs a cell-level indexing.  A calibration search over
 all cell assignments (``calibrate_regime_indexing`` in ``tests/oracles.py``)
 recovers both that indexing and the published row numbering from the
-benchmark table of true regime means; the winning assignment ships as
+benchmark table of true regime means; the winning assignment is recorded as
 ``DEFAULT_REGIME_INDEX_MAP`` (lapse cells carry constants 1-4 in (a2, a1)
 order with a1 varying fastest, no-lapse cells carry 5-8 likewise), and
-``embedded_regimes`` ships the matching row numbering.  The tests rerun the
+``embedded_regimes`` ships the matching row numbering.  That assignment is
+the canonical cell order of ``_cell_index``, so the generator indexes the
+constant vectors by cell index directly; another assignment is expressed
+by permuting ``y_constants`` and ``c_constants``.  The tests rerun the
 search to confirm both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
+from .core import Dataset, RegimeSpec
 from .glm import expit, logit
 from .rng import (
     BLOCK,
@@ -113,25 +116,13 @@ def _cell_index(a1, l2, a2):
     return np.where(l2 == 1, a1 + 2 * (a2 - 1), 4 + a1 + 2 * (a2 - 3))
 
 
-def _canonical_cells() -> tuple[tuple[int, int, int], ...]:
-    cells: list[tuple[int, int, int]] = [(-1, -1, -1)] * 8
-    for l2 in (1, 0):
-        for a2 in sorted(STAGE2_SUPPORT[l2]):
-            for a1 in sorted(STAGE1_SUPPORT):
-                cells[int(_cell_index(a1, l2, a2))] = (a1, l2, a2)
-    return tuple(cells)
-
-
-_CELLS = _canonical_cells()
-
-
 @dataclass(frozen=True)
 class DgpConfig:
     """Sample size, seed, and constants of the benchmark generator.
 
-    ``regime_index_map`` assigns each observed treatment cell (a1, l2, a2)
-    a 1-based index into the constant vectors; the shipped default is the
-    calibrated assignment.
+    Entry k of ``y_constants`` and ``c_constants`` belongs to the treatment
+    cell with ``_cell_index`` k, the calibrated assignment that
+    ``DEFAULT_REGIME_INDEX_MAP`` records.
     """
 
     n: int = 1809
@@ -139,9 +130,6 @@ class DgpConfig:
     y_constants: tuple[float, ...] = Y_CONSTANTS
     c_constants: tuple[float, ...] = C_CONSTANTS
     cost_scale: float = COST_SCALE
-    regime_index_map: Mapping[tuple[int, int, int], int] = field(
-        default_factory=lambda: dict(DEFAULT_REGIME_INDEX_MAP)
-    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -156,19 +144,6 @@ class DgpConfig:
             raise ValueError("c_constants must be positive")
         if self.cost_scale <= 0.0:
             raise ValueError("cost_scale must be positive")
-        if set(self.regime_index_map) != set(_CELLS):
-            raise ValueError(
-                "regime_index_map must cover exactly the 8 observable cells"
-            )
-        if sorted(self.regime_index_map.values()) != list(range(1, 9)):
-            raise ValueError("regime_index_map values must be a bijection onto 1..8")
-
-    def constant_index(self, cell) -> np.ndarray:
-        """0-based constant indices for canonical cell indices 0..7."""
-        lookup = np.empty(8, dtype=np.int64)
-        for key, value in self.regime_index_map.items():
-            lookup[int(_cell_index(*key))] = value - 1
-        return lookup[cell]
 
 
 def embedded_regimes() -> tuple[RegimeSpec, ...]:
@@ -252,7 +227,7 @@ def simulate_smart(config: DgpConfig) -> Dataset:
         l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
         s2 = x1 + 2.0 * a1 + eps_s2
         a2 = np.where(l2 == 1, np.where(u_a2 < 0.5, 1, 2), np.where(u_a2 < 0.5, 3, 4))
-        k = config.constant_index(_cell_index(a1, l2, a2))
+        k = _cell_index(a1, l2, a2)
         p_y = expit(base_logit[k] + s2 + 0.5 * x1**2 + np.log(np.abs(x1) + 0.01))
         y = (u_y < p_y).astype(np.int64)
         rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)
@@ -355,11 +330,9 @@ def _regimes_by_arm(
     each pair holds the regime's (lapse, no-lapse) branch constants."""
     base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
     rate_k = np.asarray(config.c_constants, dtype=np.float64)
-    index = config.regime_index_map
     arms: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for i, reg in enumerate(regs):
-        cells = ((reg.d1, 1, reg.d2_if_lapse), (reg.d1, 0, reg.d2_if_no_lapse))
-        k = [index[cell] - 1 for cell in cells]
+        k = [int(_cell_index(reg.d1, l2, reg.d2(l2))) for l2 in (1, 0)]
         arms.setdefault(reg.d1, []).append((i, base_logit[k], rate_k[k]))
     return arms
 

@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_G",
     "SATURATED_Q",
     "SATURATED_G",
+    "G_TRUNCATION",
     "GModel",
     "RegimeMeanRequest",
     "estimate_g",
@@ -89,6 +90,9 @@ DEFAULT_Q = CovariateSpec(stage1=("x1",), stage2=("x1", "l2", "s2"))
 DEFAULT_G = CovariateSpec(stage1=("x1",), stage2=("x1", "a1", "s2"))
 SATURATED_Q = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
 SATURATED_G = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
+
+# Fitted treatment probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
+G_TRUNCATION = 0.01
 
 
 def _term_columns(dataset: Dataset, name: str) -> np.ndarray:
@@ -166,7 +170,6 @@ def estimate_g(
     dataset: Dataset,
     kind: str = "known",
     covariate_spec: CovariateSpec = DEFAULT_G,
-    truncation: float = 0.01,
 ) -> GModel:
     """Treatment mechanism: design probabilities or logistic fits.
 
@@ -174,7 +177,7 @@ def estimate_g(
     whatever options a sample happened to see.  'fitted' estimates a stage-1
     logistic model of a1 on the baseline covariates and per-branch stage-2
     models of a2 on (baseline, a1, s2), each of the design's two options;
-    fitted probabilities are truncated to [truncation, 1 - truncation].
+    fitted probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
     Known probabilities are never truncated.
     """
     n = dataset.n
@@ -190,8 +193,6 @@ def estimate_g(
 
     if kind != "fitted":
         raise ValueError(f"unknown g kind {kind!r}, expected 'known' or 'fitted'")
-    if not 0.0 < truncation < 0.5:
-        raise ValueError("truncation must lie in (0, 0.5)")
 
     hi1 = max(STAGE1_SUPPORT)
     X1 = _design(dataset, covariate_spec.stage1, ("x1",))
@@ -199,7 +200,7 @@ def estimate_g(
         fit1 = fit_logistic(X1, (dataset.a1 == hi1).astype(np.float64))
     except SeparationDetected as err:
         raise SeparationDetected(f"stage 1: {err}") from None
-    p_hi1 = np.clip(predict(fit1, X1), truncation, 1.0 - truncation)
+    p_hi1 = np.clip(predict(fit1, X1), G_TRUNCATION, 1.0 - G_TRUNCATION)
     p_a1 = np.where(dataset.a1 == hi1, p_hi1, 1.0 - p_hi1)
 
     p_a2 = np.empty(n)
@@ -213,7 +214,7 @@ def estimate_g(
             fit2 = fit_logistic(X2[rows], (dataset.a2[rows] == hi2).astype(np.float64))
         except SeparationDetected as err:
             raise SeparationDetected(f"stage 2, branch l2={branch}: {err}") from None
-        p_hi2 = np.clip(predict(fit2, X2[rows]), truncation, 1.0 - truncation)
+        p_hi2 = np.clip(predict(fit2, X2[rows]), G_TRUNCATION, 1.0 - G_TRUNCATION)
         p_a2[rows] = np.where(dataset.a2[rows] == hi2, p_hi2, 1.0 - p_hi2)
     return GModel(p_a1=p_a1, p_a2=p_a2)
 

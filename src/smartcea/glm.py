@@ -254,18 +254,15 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     )
 
 
-def predict(fit: GlmFit, design, offset=None) -> np.ndarray:
-    """expit(design @ coefficients + offset), clamped to [1e-12, 1 - 1e-12]."""
+def predict(fit: GlmFit, design) -> np.ndarray:
+    """expit(design @ coefficients), clamped to [1e-12, 1 - 1e-12].
+
+    A fit with an offset is evaluated by its caller, which holds the offset.
+    """
     X = _as_matrix(design)
     if X.shape[1] != fit.coefficients.shape[0]:
         raise ValueError(
             f"design has {X.shape[1]} columns, fit expects "
             f"{fit.coefficients.shape[0]}"
         )
-    eta = X @ fit.coefficients
-    if offset is not None:
-        off = np.asarray(offset, dtype=np.float64)
-        if off.shape != (X.shape[0],):
-            raise ValueError("offset length does not match design")
-        eta = eta + off
-    return np.clip(expit(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return np.clip(expit(X @ fit.coefficients), PROB_CLAMP, 1.0 - PROB_CLAMP)

@@ -25,6 +25,7 @@ from .rng import PURPOSE_BOOTSTRAP, philox_stream
 __all__ = [
     "PER_HUNDRED",
     "MIN_DENOMINATOR",
+    "MAX_DEGENERATE_SHARE",
     "DegenerateDenominator",
     "TooManyDegenerate",
     "risk_difference",
@@ -43,6 +44,10 @@ PER_HUNDRED = 100.0
 
 # Effect differences smaller than this are treated as exactly zero.
 MIN_DENOMINATOR = 1e-12
+
+# A bootstrap interval is refused when more than this share of replicates
+# is degenerate.
+MAX_DEGENERATE_SHARE = 0.1
 
 
 class DegenerateDenominator(EstimationFailure):
@@ -198,7 +203,6 @@ def bootstrap_ci(
     n_replicates: int = 500,
     seed: int = 0,
     alpha: float = 0.05,
-    max_degenerate_share: float = 0.1,
 ) -> BootstrapResult:
     """Percentile bootstrap over records.
 
@@ -209,16 +213,14 @@ def bootstrap_ci(
     no consistent records), where a fit behind it is rank-deficient (a design
     the resampled rows do not span) or where a fit has no finite maximum
     (separation, a diverged TMLE fluctuation) are dropped but counted as
-    degenerate; if their share exceeds ``max_degenerate_share`` (in [0, 1]),
-    or no replicate is left, the interval is refused with
+    degenerate; if their share exceeds :data:`MAX_DEGENERATE_SHARE`, or no
+    replicate is left, the interval is refused with
     :class:`TooManyDegenerate`.
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates for a percentile interval")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 <= max_degenerate_share <= 1.0:
-        raise ValueError("max_degenerate_share must lie in [0, 1]")
     n = dataset.n
     kept = []
     n_degenerate = 0
@@ -235,7 +237,7 @@ def bootstrap_ci(
             FluctuationDiverged,
         ):
             n_degenerate += 1
-    if not kept or n_degenerate > max_degenerate_share * n_replicates:
+    if not kept or n_degenerate > MAX_DEGENERATE_SHARE * n_replicates:
         raise TooManyDegenerate(
             f"{n_degenerate} of {n_replicates} replicates were degenerate"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,6 +61,9 @@ TRUTH_MC_DRAWS = 2_000_000
 # known randomization probabilities against TMLE with fitted ones.
 DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 
+# The study scores every embedded regime against the first, standard of care.
+_REGIMES = embedded_regimes()
+
 # Per-cell record of one repetition, in column order; a repetition's array
 # adds a 1/0 reliability flag as its last column.
 _FIELDS = ("icer", "se", "ci_lower", "ci_upper", "cv_cost", "cv_eff")
@@ -70,18 +73,17 @@ _FIELDS = ("icer", "se", "ci_lower", "ci_upper", "cv_cost", "cv_eff")
 class StudyConfig:
     """Design of one simulation study.
 
-    Each estimator uses its treatment model from :data:`DEFAULT_G_MODES`.
-    ``regimes`` must contain the reference regime, and no id twice.
+    The study scores the eight regimes of :func:`~smartcea.dgp.embedded_regimes`
+    against regime 1, standard of care.  Each estimator uses its treatment
+    model from :data:`DEFAULT_G_MODES`.
     """
 
     reps: int = 500
     n: int = 1809
     seed: int = 0
     estimators: tuple[str, ...] = ("ipw", "tmle")
-    regimes: tuple[RegimeSpec, ...] = field(default_factory=embedded_regimes)
     alpha: float = 0.05
     cv_threshold: float = 2.0
-    reference_id: int = 1
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -95,15 +97,10 @@ class StudyConfig:
         for est in self.estimators:
             if est not in DEFAULT_G_MODES:
                 raise ValueError(f"unknown estimator {est!r}")
-        ids = [r.id for r in self.regimes]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"regime ids repeat: {ids}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.cv_threshold <= 0.0:
             raise ValueError("cv_threshold must be positive")
-        if not any(r.id == self.reference_id for r in self.regimes):
-            raise ValueError(f"reference regime {self.reference_id} not in regimes")
 
 
 @dataclass(frozen=True)
@@ -220,10 +217,6 @@ def icer_table(
     return out
 
 
-def _targets(config: StudyConfig) -> list[int]:
-    return [r.id for r in config.regimes if r.id != config.reference_id]
-
-
 def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     """One repetition: simulate once, analyze under every estimator.
 
@@ -232,8 +225,6 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     cell's statistic is undefined for this rep.
     """
     dataset = simulate_smart(DgpConfig(n=config.n, seed=_rep_seed(config.seed, rep)))
-    reference = next(r for r in config.regimes if r.id == config.reference_id)
-    targets = _targets(config)
     rows = []
     for est in config.estimators:
         try:
@@ -242,11 +233,11 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
             results = {}
         else:
             results = icer_table(
-                dataset, config.regimes, reference, est, g,
+                dataset, _REGIMES, _REGIMES[0], est, g,
                 cv_threshold=config.cv_threshold, alpha=config.alpha,
             )
-        for rid in targets:
-            res = results.get(rid)
+        for regime in _REGIMES[1:]:
+            res = results.get(regime.id)
             rows.append(
                 [math.nan] * (len(_FIELDS) + 1) if res is None
                 else [res.icer, res.se, *res.ci, res.cv_cost, res.cv_eff, res.reliable]
@@ -254,21 +245,17 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, len(_FIELDS) + 1)
 
 
-def _truth_icers(config: StudyConfig, truth: TruthTable) -> dict[int, float]:
-    """Truth ICER per regime, published-table fallback where undefined.
+def _truth_icers(truth: TruthTable) -> dict[int, float]:
+    """Truth ICER per scored regime, published-table fallback where undefined.
 
     A regime whose true effect difference is exactly zero has no true ICER;
     bias and coverage for it are anchored at the published benchmark value
-    when one exists so the cell stays comparable instead of vanishing; only
-    for a regime of ``embedded_regimes()`` under its own id, their numbering.
+    so the cell stays comparable instead of vanishing.
     """
     out: dict[int, float] = {}
-    for regime in config.regimes:
-        if regime.id != config.reference_id:
-            value = truth.icer_for(regime.id)
-            if not math.isfinite(value) and regime in embedded_regimes():
-                value = float(TARGET_ICER[regime.id - 1])
-            out[regime.id] = value
+    for regime in _REGIMES[1:]:
+        value = truth.icer_for(regime.id)
+        out[regime.id] = value if math.isfinite(value) else float(TARGET_ICER[regime.id - 1])
     return out
 
 
@@ -283,8 +270,8 @@ def run_study(
 
     ``truth`` defaults to a fresh :func:`~smartcea.dgp.true_values` table at
     :data:`TRUTH_MC_DRAWS` draws under the study's master seed; a given one
-    must hold every regime of ``config`` against the same reference, or
-    ``ValueError`` is raised before any repetition.  Each
+    must hold every embedded regime against regime 1, or ``ValueError`` is
+    raised before any repetition.  Each
     repetition runs every estimator once through :func:`icer_table`.
     ``retain_degenerate`` keeps unreliable-but-defined reps in the moments.
     ``threads`` caps process-level parallelism across reps; results are
@@ -296,20 +283,16 @@ def run_study(
         raise ValueError("threads must be at least 1")
     if truth is None:
         truth = true_values(
-            DgpConfig(n=config.n, seed=config.seed),
-            regimes=config.regimes,
-            mc_draws=TRUTH_MC_DRAWS,
-            seed=config.seed,
-            reference_id=config.reference_id,
+            DgpConfig(n=config.n, seed=config.seed), mc_draws=TRUTH_MC_DRAWS, seed=config.seed
         )
-    if truth.reference_id != config.reference_id or not set(config.regimes) <= set(truth.regimes):
+    if truth.reference_id != _REGIMES[0].id or not set(_REGIMES) <= set(truth.regimes):
         raise ValueError(
             f"truth table (reference {truth.reference_id}) does not hold the study's "
-            f"regimes {[r.id for r in config.regimes]} against reference {config.reference_id}"
+            f"regimes {[r.id for r in _REGIMES]} against reference {_REGIMES[0].id}"
         )
-    truth_icers = _truth_icers(config, truth)
+    truth_icers = _truth_icers(truth)
 
-    cells = [(est, rid) for est in config.estimators for rid in _targets(config)]
+    cells = [(est, r.id) for est in config.estimators for r in _REGIMES[1:]]
     parallel = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
     per_rep = []
     with parallel as pool:

@@ -52,7 +52,7 @@ from scipy.stats import chi2
 from smartcea.cli import CliError
 from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
 from smartcea.dgp import (
-    _CELLS,
+    DEFAULT_REGIME_INDEX_MAP,
     TARGET_EC,
     TARGET_EY,
     TARGET_ROUNDING,
@@ -86,6 +86,10 @@ from smartcea.rng import (
     philox_stream,
 )
 from smartcea.study import _variance_ratio
+
+
+# The eight treatment cells in canonical order: _CELLS[k] has _cell_index k.
+_CELLS = tuple(sorted(DEFAULT_REGIME_INDEX_MAP, key=lambda cell: int(_cell_index(*cell))))
 
 
 class NoConsistentIndexing(Exception):
@@ -220,13 +224,14 @@ def calibrate_regime_indexing(
     index_map = {
         _CELLS[cell]: int(best_sigma[cell]) + 1 for cell in range(8)
     }
+    # The generator gives the cell with _cell_index k constant k, so the
+    # candidate map is read by permuting the constants into cell order.
     winner = DgpConfig(
         n=cfg.n,
         seed=cfg.seed,
-        y_constants=cfg.y_constants,
-        c_constants=cfg.c_constants,
+        y_constants=tuple(cfg.y_constants[k] for k in best_sigma),
+        c_constants=tuple(cfg.c_constants[k] for k in best_sigma),
         cost_scale=cfg.cost_scale,
-        regime_index_map=index_map,
     )
     matched = tuple(
         RegimeSpec(
@@ -306,7 +311,7 @@ def per_regime_true_values(
             l2 = (u_l2 < expit(x1 + d1)).astype(np.int64)
             s2 = x1 + 2.0 * d1 + eps_s2
             a2 = np.where(l2 == 1, reg.d2_if_lapse, reg.d2_if_no_lapse)
-            k = config.constant_index(_cell_index(d1, l2, a2))
+            k = _cell_index(d1, l2, a2)
             p_y = expit(base_logit[k] + s2 + curvature)
             y = u_y < p_y
             rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * d1)
@@ -359,7 +364,7 @@ def reference_simulate_smart(config: DgpConfig) -> Dataset:
         l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
         s2 = x1 + 2.0 * a1 + eps_s2
         a2 = np.where(l2 == 1, np.where(u_a2 < 0.5, 1, 2), np.where(u_a2 < 0.5, 3, 4))
-        k = config.constant_index(_cell_index(a1, l2, a2))
+        k = _cell_index(a1, l2, a2)
         p_y = expit(base_logit[k] + s2 + 0.5 * x1**2 + np.log(np.abs(x1) + 0.01))
         y = (u_y < p_y).astype(np.int64)
         rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)

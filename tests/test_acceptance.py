@@ -52,6 +52,7 @@ from smartcea.cli import main
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import (
     C_CONSTANTS,
+    DEFAULT_REGIME_INDEX_MAP,
     TARGET_EC,
     TARGET_EY,
     TARGET_ICER,
@@ -90,7 +91,7 @@ def _same_effect_law(config, regime, reference):
     reachable cell, so that its true effect difference is exactly zero."""
 
     def constant(reg, l2):
-        index = config.regime_index_map[(reg.d1, l2, reg.d2(l2))]
+        index = DEFAULT_REGIME_INDEX_MAP[(reg.d1, l2, reg.d2(l2))]
         return config.y_constants[index - 1]
 
     return regime.d1 == reference.d1 and all(

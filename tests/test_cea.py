@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcea.cea import (
     X_AXIS_LABEL,
@@ -142,6 +144,60 @@ def test_frontier_matches_gift_wrapping_oracle():
         # Every vertex after the anchor is one of the inputs.
         coords = {(p.rd_eff, p.rd_cost) for p in points}
         assert all(v in coords for v in frontier.vertices[1:])
+
+
+@st.composite
+def _grid_points(draw):
+    """Up to 8 points on a small integer grid, so that repeated points,
+    equal effects and collinear triples are common; ids in random order."""
+    coords = draw(
+        st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), min_size=1, max_size=8)
+    )
+    ids = draw(st.permutations(range(2, 2 + len(coords))))
+    return [_point(rid, float(eff), float(cost)) for rid, (eff, cost) in zip(ids, coords)]
+
+
+def _lower_hull_vertices(points):
+    """Brute-force frontier: the points right of the origin that nothing
+    dominates (a tie keeps the lower id), then each one that lies strictly
+    below every chord of two others, the origin included, that spans its
+    effect; the most effective one always ends the hull."""
+    right = [p for p in points if p.rd_eff > 0.0]
+    kept = [
+        p for p in right
+        if not any(
+            q is not p and q.rd_eff >= p.rd_eff and q.rd_cost <= p.rd_cost
+            and ((q.rd_eff, q.rd_cost) != (p.rd_eff, p.rd_cost) or q.regime_id < p.regime_id)
+            for q in right
+        )
+    ]
+    plane = [(0.0, 0.0)] + [(p.rd_eff, p.rd_cost) for p in kept]
+    last = max(p.rd_eff for p in kept) if kept else None
+
+    def below_every_chord(x, y):
+        return all(
+            (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0
+            for ax, ay in plane for bx, by in plane if ax < x < bx
+        )
+
+    vertices = [p for p in kept if p.rd_eff == last or below_every_chord(p.rd_eff, p.rd_cost)]
+    return sorted(vertices, key=lambda p: p.rd_eff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_points())
+def test_frontier_is_the_brute_force_lower_hull(points):
+    expected = _lower_hull_vertices(points)
+    if not expected:
+        with pytest.raises(EmptyFrontier):
+            efficient_frontier(points)
+        return
+    frontier = efficient_frontier(points)
+    assert frontier.regime_ids == tuple(p.regime_id for p in expected)
+    corners = [(0.0, 0.0)] + [(p.rd_eff, p.rd_cost) for p in expected]
+    assert frontier.slopes == tuple(
+        (b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(corners, corners[1:])
+    )
 
 
 def test_frontier_segments_chain_vertices():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ def test_regime_file_parsing(tmp_path):
         read_regime_file(str(spec))
 
 
+@pytest.mark.parametrize(
+    ("first", "expected"),
+    [
+        ("1.0,0,1,3", "line 1: malformed integer"),
+        ("+1,0,1,3", [1, 2, 3]),
+        ("regime,0,1,3", [2, 3]),
+        (",", "line 1: expected 4 fields, got 0"),
+    ],
+)
+def test_regime_file_first_row_is_a_header_only_if_not_a_number(tmp_path, first, expected):
+    # "1.0" was taken for a header, and regime 1 vanished without a message.
+    spec = tmp_path / "regimes.txt"
+    spec.write_text(f"{first}\n2,1,1,3\n3,0,2,3\n")
+    if isinstance(expected, str):
+        with pytest.raises(CliError, match=expected):
+            read_regime_file(str(spec))
+    else:
+        assert [r.id for r in read_regime_file(str(spec))] == expected
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         "mc-study", "--reps", "0", "--seed", "1", "--out", str(tmp_path / "x.csv"),
@@ -275,6 +296,18 @@ def test_estimate_columns_and_ic_files(tmp_path, data_csv):
         assert abs(np.mean(values)) < 1e-6
 
 
+def test_estimate_ic_dir_on_a_file_exits_1(tmp_path, data_csv, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(
+        "estimate", "--data", str(data_csv), "--ic-dir", str(taken),
+        "--out", str(tmp_path / "est.csv"), capsys=capsys,
+    )
+    assert code == 1
+    assert "kind=CliError subcommand=estimate" in err
+    assert f"cannot create {taken}" in err
+
+
 def test_icer_table_and_contrast(tmp_path, data_csv):
     table = tmp_path / "icers.csv"
     code = main([
@@ -338,6 +371,18 @@ def test_frontier_and_plot_pipeline(tmp_path, data_csv):
     first = svg_path.read_bytes()
     assert main(["plot", "--in", str(table), "--out", str(svg_path)]) == 0
     assert svg_path.read_bytes() == first
+
+
+def test_plot_header_comments_stay_well_formed_xml(tmp_path, data_csv):
+    # "--" may not appear inside an XML comment; the output name carries one.
+    table = tmp_path / "icers.csv"
+    assert main(["icer-table", "--data", str(data_csv), "--out", str(table)]) == 0
+    svg_path = tmp_path / "plane--v2.svg"
+    assert main(["plot", "--in", str(table), "--out", str(svg_path)]) == 0
+    document = xml.dom.minidom.parse(str(svg_path))
+    comments = [n.data for n in document.childNodes if n.nodeType == n.COMMENT_NODE]
+    assert any("plane-&#45;v2.svg" in c for c in comments)
+    assert document.documentElement.tagName == "svg"
 
 
 def test_icer_table_input_may_start_with_a_byte_order_mark(tmp_path, data_csv):

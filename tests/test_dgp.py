@@ -68,6 +68,13 @@ def test_default_cell_map_is_identity_on_canonical_order():
     assert len(cells) == 8
 
 
+def test_default_cell_map_is_the_cell_index():
+    # The generator indexes its constants by _cell_index directly, which
+    # is the calibrated map only because the two agree on every cell.
+    for cell, index in DEFAULT_REGIME_INDEX_MAP.items():
+        assert int(dgp._cell_index(*cell)) == index - 1
+
+
 def test_simulate_is_deterministic():
     a = simulate_smart(DgpConfig(n=400, seed=9))
     b = simulate_smart(DgpConfig(n=400, seed=9))

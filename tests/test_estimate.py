@@ -16,6 +16,7 @@ from smartcea.dgp import (
 )
 from smartcea.estimate import (
     DEFAULT_Q,
+    G_TRUNCATION,
     SATURATED_G,
     SATURATED_Q,
     CovariateSpec,
@@ -26,7 +27,7 @@ from smartcea.estimate import (
     regime_mean,
     tmle_mean,
 )
-from smartcea.glm import SeparationDetected
+from smartcea.glm import SeparationDetected, expit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 
@@ -76,11 +77,27 @@ def test_fitted_g_recovers_design_probabilities():
     assert np.all(np.abs(g.p_a2 - 0.5) < 0.02)
 
 
-def test_fitted_g_respects_truncation(trial):
-    g = estimate_g(trial, "fitted", truncation=0.05)
+def test_fitted_g_respects_truncation():
+    # Stage-1 treatment that follows x1 closely, so fitted P(A1 = 1 | X1)
+    # leaves [G_TRUNCATION, 1 - G_TRUNCATION] in both tails; record 0 got
+    # the treatment its covariate makes least likely.
+    rng = np.random.default_rng(3)
+    n = 2000
+    x1 = rng.normal(scale=2.0, size=n)
+    x1[0] = -5.0
+    a1 = (rng.random(n) < expit(3.0 * x1)).astype(np.int64)
+    a1[0] = 1
+    l2 = (rng.random(n) < 0.5).astype(np.int64)
+    a2 = np.where(l2 == 1, 1, 3) + (rng.random(n) < 0.5)
+    data = Dataset(
+        x1=x1, a1=a1, l2=l2, s2=rng.normal(size=n), a2=a2,
+        y=(rng.random(n) < 0.5).astype(np.int64), c=rng.exponential(size=n),
+    )
+    g = estimate_g(data, "fitted")
     for probs in (g.p_a1, g.p_a2):
-        assert np.all(probs >= 0.05)
-        assert np.all(probs <= 0.95)
+        assert np.all(probs >= G_TRUNCATION)
+        assert np.all(probs <= 1.0 - G_TRUNCATION)
+    assert g.p_a1[0] == G_TRUNCATION
 
 
 def test_estimate_g_rejects_unknown_kind(trial):

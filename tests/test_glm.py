@@ -114,7 +114,7 @@ def test_offset_enters_linear_predictor():
     z = (rng.random(n) < expit(1.0 + offset)).astype(float)
     design = _design({"intercept": np.ones(n)})
     fit = fit_logistic(design, z, offset=offset)
-    probs = predict(fit, design, offset=offset)
+    probs = expit(design @ fit.coefficients + offset)
     assert np.allclose(probs, expit(fit.coefficients[0] + offset))
     # The intercept solves the offset score equation: mean residual is zero.
     assert abs(float(np.mean(z - probs))) < 1e-9
@@ -186,7 +186,9 @@ def test_predict_clamps_probabilities():
     z = np.array([0.0, 1.0, 1.0])
     design = _design({"intercept": np.ones(3)})
     fit = fit_logistic(design, z)
-    probs = predict(fit, design, offset=np.array([-100.0, 0.0, 100.0]))
+    # Linear predictors of about -100, 0 and 100.
+    extreme = _design({"intercept": np.array([-150.0, 0.0, 150.0])})
+    probs = predict(fit, extreme)
     assert np.all(probs > 0.0)
     assert np.all(probs < 1.0)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from smartcea import inference
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import embedded_regimes
 from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, regime_mean
@@ -252,18 +253,18 @@ def test_bootstrap_agrees_with_wald_on_regime_2(trial, g_known):
     assert jaccard > 0.5
 
 
-def test_bootstrap_counts_and_bounds_degenerate_replicates(trial):
+def test_bootstrap_counts_and_bounds_degenerate_replicates(trial, monkeypatch):
     def sometimes_degenerate(resampled):
         if resampled.a1[0] == 0:
             raise DegenerateDenominator("resample led by an a1 = 0 record")
         return float(resampled.outcome("y").mean())
 
+    monkeypatch.setattr(inference, "MAX_DEGENERATE_SHARE", 0.9)
     result = bootstrap_ci(
         trial,
         sometimes_degenerate,
         n_replicates=200,
         seed=17,
-        max_degenerate_share=0.9,
     )
     assert result.n_degenerate > 0
     kept = result.estimates[np.isfinite(result.estimates)]
@@ -273,22 +274,14 @@ def test_bootstrap_counts_and_bounds_degenerate_replicates(trial):
     def always_degenerate(resampled):
         raise DegenerateDenominator("always")
 
+    monkeypatch.undo()
     with pytest.raises(TooManyDegenerate):
         bootstrap_ci(trial, always_degenerate, n_replicates=100, seed=17)
     # A share bound of 1 lets every replicate drop out, but an interval
     # needs at least one kept replicate.
+    monkeypatch.setattr(inference, "MAX_DEGENERATE_SHARE", 1.0)
     with pytest.raises(TooManyDegenerate, match="100 of 100"):
-        bootstrap_ci(
-            trial, always_degenerate, n_replicates=100, seed=17, max_degenerate_share=1.0
-        )
-
-
-@pytest.mark.parametrize("share", [-0.1, 1.5, float("nan")])
-def test_bootstrap_rejects_a_share_bound_outside_the_unit_interval(trial, share):
-    with pytest.raises(ValueError, match="max_degenerate_share"):
-        bootstrap_ci(
-            trial, lambda d: 0.0, n_replicates=100, seed=1, max_degenerate_share=share
-        )
+        bootstrap_ci(trial, always_degenerate, n_replicates=100, seed=17)
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -62,8 +60,6 @@ def test_config_validation():
         StudyConfig(alpha=1.5)
     with pytest.raises(ValueError):
         StudyConfig(cv_threshold=0.0)
-    with pytest.raises(ValueError):
-        StudyConfig(reference_id=99)
 
 
 @pytest.mark.parametrize("estimators", [("ipw", "ipw"), ("tmle", "ipw", "tmle")])
@@ -71,13 +67,6 @@ def test_config_rejects_repeated_estimators(estimators):
     # A repeated name would run that estimator twice and report every row twice.
     with pytest.raises(ValueError, match="repeat"):
         StudyConfig(estimators=estimators)
-
-
-def test_config_rejects_repeated_regime_ids():
-    # A repeated id would score that regime twice and report its rows twice.
-    regimes = embedded_regimes()
-    with pytest.raises(ValueError, match="regime ids repeat"):
-        StudyConfig(regimes=regimes + (regimes[1],))
 
 
 def _no_reps(*args):
@@ -104,7 +93,7 @@ def test_stub_estimator_returning_truth_scores_perfectly(monkeypatch):
     config = StudyConfig(reps=10, n=50, seed=1, estimators=("ipw",))
     truth_icers = {
         r.id: TRUTH.icer_for(r.id) if np.isfinite(TRUTH.icer_for(r.id)) else 0.0
-        for r in config.regimes
+        for r in embedded_regimes()
     }
     monkeypatch.setattr(
         study, "icer_table", _stub_icer_table(lambda d, r, e: truth_icers[r.id])
@@ -253,21 +242,6 @@ def test_truth_icer_fallback_anchors_undefined_ratios():
     config = StudyConfig(reps=2, n=100, seed=1)
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     assert result.truth_icers[3] == TARGET_ICER[2]
-
-
-def test_truth_icer_fallback_needs_the_benchmark_regime_under_its_own_id():
-    # Benchmark regime 3 renumbered 5 keeps its undefined truth ICER: the
-    # published value for id 5 belongs to another regime.
-    r1, r3 = embedded_regimes()[0], embedded_regimes()[2]
-    renumbered = replace(r3, id=5)
-    truth = true_values(DgpConfig(seed=2), regimes=(r1, renumbered), mc_draws=20_000, seed=2)
-    assert np.isnan(truth.icer_for(5))
-    config = StudyConfig(reps=2, n=100, seed=1, regimes=(r1, renumbered))
-    result = run_study(config, truth=truth, retain_degenerate=True)
-    assert np.isnan(result.truth_icers[5])
-    for est in config.estimators:
-        metrics = result.row(est, 5).metrics
-        assert np.isnan(metrics.bias) and np.isnan(metrics.coverage_pct)
 
 
 def test_row_lookup_raises_for_unknown_cell():
