@@ -33,7 +33,6 @@ from .dgp import (
     true_values,
 )
 from .estimate import (
-    CovariateSpec,
     FluctuationDiverged,
     GModel,
     RegimeMeanRequest,
@@ -69,7 +68,6 @@ __all__ = [
     "__version__",
     "BootstrapResult",
     "ContrastResult",
-    "CovariateSpec",
     "Dataset",
     "DegenerateDenominator",
     "DgpConfig",

@@ -60,15 +60,14 @@ class PlanePoint:
 class Frontier:
     """Efficient frontier: vertices from the anchor up, segment slopes attached.
 
-    ``vertices`` are (effect, cost) pairs starting at the anchor; ``segments``
-    pairs them consecutively; ``slopes`` holds each segment's incremental
-    cost-effectiveness ratio.  Vertex effects increase strictly and slopes
-    never decrease, by construction.
+    ``vertices`` are (effect, cost) pairs starting at the anchor; ``slopes[k]``
+    is the incremental cost-effectiveness ratio of the segment from
+    ``vertices[k]`` to ``vertices[k + 1]``.  Vertex effects increase strictly
+    and slopes never decrease, by construction.
     """
 
     regime_ids: tuple[int, ...]
     vertices: tuple[tuple[float, float], ...]
-    segments: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
     slopes: tuple[float, ...]
 
 
@@ -119,12 +118,10 @@ def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
         chain_ids.append(p.regime_id)
 
     vertices = tuple(chain)
-    segments = tuple(zip(vertices, vertices[1:]))
-    slopes = tuple((b[1] - a[1]) / (b[0] - a[0]) for a, b in segments)
+    slopes = tuple((b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(vertices, vertices[1:]))
     return Frontier(
         regime_ids=tuple(rid for rid in chain_ids if rid is not None),
         vertices=vertices,
-        segments=segments,
         slopes=slopes,
     )
 
@@ -163,10 +160,14 @@ def render_plane_svg(
     Every regime gets a numbered marker (hollow when its reliability flag is
     down); the frontier, when given, is drawn as a polyline from the anchor.
     Output is deterministic (fixed float formatting, no timestamps), so the
-    same inputs render byte-identical files.
+    same inputs render byte-identical files.  A size within the fixed margins
+    (80 px wide, 64 px high) leaves no plot area and raises ``ValueError``.
     """
     if not points:
         raise ValueError("nothing to plot")
+    ml, mr, mt, mb = 64, 16, 16, 48
+    if width <= ml + mr or height <= mt + mb:
+        raise ValueError(f"{width} x {height} px leaves no plot area inside the margins")
     xs = [p.rd_eff for p in points]
     ys = [p.rd_cost for p in points]
     if frontier is not None:
@@ -178,8 +179,6 @@ def render_plane_svg(
     y_pad = 0.08 * (y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-
-    ml, mr, mt, mb = 64, 16, 16, 48
 
     def sx(v: float) -> float:
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

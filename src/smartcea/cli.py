@@ -183,8 +183,8 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("in_", str, None, "icer-table CSV to read", required=True),
             Option("drop_unreliable", bool, False, "drop flagged points before the frontier", is_flag=True),
             Option("no_frontier", bool, False, "points only, no frontier polyline", is_flag=True),
-            Option("width", int, 640, "SVG width in px", ">= 1", _pos_int),
-            Option("height", int, 480, "SVG height in px", ">= 1", _pos_int),
+            Option("width", int, 640, "SVG width in px", "> 80", lambda v: v > 80),
+            Option("height", int, 480, "SVG height in px", "> 64", lambda v: v > 64),
             replace(OUT_OPT, help="output SVG path"),
         ),
     ),

@@ -44,6 +44,7 @@ from .rng import (
     BLOCK,
     PURPOSE_SIMULATE,
     PURPOSE_TRUTH,
+    check_seed,
     philox_stream,
     skip_raw,
 )
@@ -134,8 +135,7 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
         if len(self.y_constants) != 8 or len(self.c_constants) != 8:
             raise ValueError("y_constants and c_constants must each have 8 entries")
         if any(not 0.0 < p < 1.0 for p in self.y_constants):

@@ -9,14 +9,17 @@ intercept-only logistic submodel with inverse-probability weights, which
 solves the efficient influence curve's score equation; outcomes are mapped
 to [0, 1] for the logistic machinery and mapped back at the end.
 
+Each working regression adjusts for the history the design makes available
+at its stage, with main terms or, on request, saturated: one indicator per
+observed stratum of those columns.
+
 Treatment probabilities come from a :class:`GModel`, either the design's
 known randomization probabilities (uniform over the supports in ``core``) or
-logistic fits (`estimate_g`).  It
-stores g only at the treatments each record received: a record enters the
-weights I(A = d) / (g1 g2) only when those treatments are the regime's.  A
-:class:`RegimeMeanRequest` bundles one estimation task: the regime, the
-outcome column, the estimator, the treatment model, and the outcome-model
-covariates.
+logistic fits (`estimate_g`).  It stores g only at the treatments each
+record received: a record enters the weights I(A = d) / (g1 g2) only when
+those treatments are the regime's.  A :class:`RegimeMeanRequest` bundles one
+estimation task: the regime, the outcome column, the estimator, the
+treatment model, and a flag for saturated outcome regressions.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 __all__ = [
     "ZeroSupport",
     "FluctuationDiverged",
-    "CovariateSpec",
-    "DEFAULT_Q",
-    "DEFAULT_G",
-    "SATURATED_Q",
-    "SATURATED_G",
     "G_TRUNCATION",
     "GModel",
     "RegimeMeanRequest",
@@ -55,78 +53,20 @@ class FluctuationDiverged(EstimationFailure):
     """A TMLE fluctuation step separated instead of converging."""
 
 
-@dataclass(frozen=True)
-class CovariateSpec:
-    """Named covariate terms for the two stage-specific regressions.
-
-    Terms: 'x1' (all baseline columns), 'x1_sq', 'log_abs_x1', 'a1', 'l2',
-    's2'.  An intercept is always prepended.  The special spec
-    ("saturated",) instead builds one indicator per observed stratum of the
-    model's standard adjustment variables (outcome stage 2: x1, l2, s2;
-    outcome stage 1: x1; treatment stage 1: x1; treatment stage 2: x1, a1,
-    s2), with no intercept; it is exact when those variables have small
-    finite support.
-    """
-
-    stage1: tuple[str, ...]
-    stage2: tuple[str, ...]
-
-    _TERMS = frozenset(
-        {"x1", "x1_sq", "log_abs_x1", "a1", "l2", "s2", "saturated"}
-    )
-
-    def __post_init__(self) -> None:
-        for stage in (self.stage1, self.stage2):
-            for term in stage:
-                if term not in self._TERMS:
-                    raise ValueError(f"unknown covariate term {term!r}")
-            if "saturated" in stage and stage != ("saturated",):
-                raise ValueError("'saturated' must be the only term in its stage")
-
-
-# Main-terms adjustment on all measured covariates, mirroring an analysis
-# that regresses on what was collected rather than on oracle transforms.
-DEFAULT_Q = CovariateSpec(stage1=("x1",), stage2=("x1", "l2", "s2"))
-DEFAULT_G = CovariateSpec(stage1=("x1",), stage2=("x1", "a1", "s2"))
-SATURATED_Q = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
-SATURATED_G = CovariateSpec(stage1=("saturated",), stage2=("saturated",))
-
 # Fitted treatment probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
 G_TRUNCATION = 0.01
 
 
-def _term_columns(dataset: Dataset, name: str) -> np.ndarray:
-    if name == "x1":
-        return dataset.x1
-    if name == "x1_sq":
-        return dataset.x1**2
-    if name == "log_abs_x1":
-        return np.log(np.abs(dataset.x1) + 0.01)
-    if name == "a1":
-        return dataset.a1[:, None].astype(np.float64)
-    if name == "l2":
-        return dataset.l2[:, None].astype(np.float64)
-    if name == "s2":
-        return dataset.s2[:, None]
-    raise ValueError(f"unknown covariate term {name!r}")
-
-
-def _cell_indicators(strata: np.ndarray) -> np.ndarray:
+def _design(columns: tuple[np.ndarray, ...], saturated: bool) -> np.ndarray:
+    """An intercept followed by ``columns`` in order or, if ``saturated``, one
+    indicator per observed stratum of ``columns`` (exact on finite supports)."""
+    if not saturated:
+        return np.column_stack((np.ones(columns[0].shape[0]), *columns))
+    strata = np.column_stack(columns)
     _, inverse = np.unique(strata, axis=0, return_inverse=True)
     X = np.zeros((strata.shape[0], int(inverse.max()) + 1))
     X[np.arange(strata.shape[0]), inverse] = 1.0
     return X
-
-
-def _design(
-    dataset: Dataset, terms: tuple[str, ...], strata_terms: tuple[str, ...]
-) -> np.ndarray:
-    if "saturated" in terms:
-        strata = np.hstack([_term_columns(dataset, t) for t in strata_terms])
-        return _cell_indicators(strata)
-    cols = [np.ones((dataset.n, 1))]
-    cols.extend(_term_columns(dataset, t) for t in terms)
-    return np.hstack(cols)
 
 
 @dataclass(frozen=True)
@@ -147,15 +87,16 @@ class RegimeMeanRequest:
     """One estimation task: which regime, which outcome, how.
 
     ``outcome`` is 'y' (effectiveness) or 'c' (cost); ``estimator`` is 'ipw'
-    or 'tmle'; ``g`` supplies the treatment mechanism; ``q_covariates`` the
-    iterated-regression covariates (TMLE only).
+    or 'tmle'; ``g`` supplies the treatment mechanism; ``saturated`` codes
+    the iterated outcome regressions with one indicator per stratum of their
+    adjustment columns instead of main terms (TMLE only).
     """
 
     regime: RegimeSpec
     outcome: str
     estimator: str
     g: GModel
-    q_covariates: CovariateSpec = DEFAULT_Q
+    saturated: bool = False
 
     def __post_init__(self) -> None:
         if self.outcome not in ("y", "c"):
@@ -166,19 +107,26 @@ class RegimeMeanRequest:
             )
 
 
-def estimate_g(
-    dataset: Dataset,
-    kind: str = "known",
-    covariate_spec: CovariateSpec = DEFAULT_G,
-) -> GModel:
+def _received_probs(X: np.ndarray, a: np.ndarray, hi: int, context: str) -> np.ndarray:
+    """P(A = a_i | X_i) from a logistic fit of 1{A = hi} on X, truncated to
+    [G_TRUNCATION, 1 - G_TRUNCATION]; ``context`` prefixes a separation error."""
+    try:
+        fit = fit_logistic(X, (a == hi).astype(np.float64))
+    except SeparationDetected as err:
+        raise SeparationDetected(f"{context}: {err}") from None
+    p_hi = np.clip(predict(fit, X), G_TRUNCATION, 1.0 - G_TRUNCATION)
+    return np.where(a == hi, p_hi, 1.0 - p_hi)
+
+
+def estimate_g(dataset: Dataset, kind: str = "known") -> GModel:
     """Treatment mechanism: design probabilities or logistic fits.
 
     'known' takes the randomization to be uniform over each design support,
     whatever options a sample happened to see.  'fitted' estimates a stage-1
     logistic model of a1 on the baseline covariates and per-branch stage-2
     models of a2 on (baseline, a1, s2), each of the design's two options;
-    fitted probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
-    Known probabilities are never truncated.
+    'saturated' codes those covariates by stratum.  Fitted probabilities are
+    truncated to [G_TRUNCATION, 1 - G_TRUNCATION]; known ones never are.
     """
     n = dataset.n
     if kind == "known":
@@ -191,31 +139,21 @@ def estimate_g(
             ),
         )
 
-    if kind != "fitted":
-        raise ValueError(f"unknown g kind {kind!r}, expected 'known' or 'fitted'")
-
-    hi1 = max(STAGE1_SUPPORT)
-    X1 = _design(dataset, covariate_spec.stage1, ("x1",))
-    try:
-        fit1 = fit_logistic(X1, (dataset.a1 == hi1).astype(np.float64))
-    except SeparationDetected as err:
-        raise SeparationDetected(f"stage 1: {err}") from None
-    p_hi1 = np.clip(predict(fit1, X1), G_TRUNCATION, 1.0 - G_TRUNCATION)
-    p_a1 = np.where(dataset.a1 == hi1, p_hi1, 1.0 - p_hi1)
+    if kind not in ("fitted", "saturated"):
+        raise ValueError(
+            f"unknown g kind {kind!r}, expected 'known', 'fitted' or 'saturated'"
+        )
+    X1 = _design((dataset.x1,), kind == "saturated")
+    p_a1 = _received_probs(X1, dataset.a1, max(STAGE1_SUPPORT), "stage 1")
 
     p_a2 = np.empty(n)
-    X2 = _design(dataset, covariate_spec.stage2, ("x1", "a1", "s2"))
+    X2 = _design((dataset.x1, dataset.a1, dataset.s2), kind == "saturated")
     for branch in (0, 1):
-        hi2 = max(STAGE2_SUPPORT[branch])
         rows = dataset.l2 == branch
         if not rows.any():
             raise ZeroSupport(f"no records observed on branch l2={branch}")
-        try:
-            fit2 = fit_logistic(X2[rows], (dataset.a2[rows] == hi2).astype(np.float64))
-        except SeparationDetected as err:
-            raise SeparationDetected(f"stage 2, branch l2={branch}: {err}") from None
-        p_hi2 = np.clip(predict(fit2, X2[rows]), G_TRUNCATION, 1.0 - G_TRUNCATION)
-        p_a2[rows] = np.where(dataset.a2[rows] == hi2, p_hi2, 1.0 - p_hi2)
+        hi2, context = max(STAGE2_SUPPORT[branch]), f"stage 2, branch l2={branch}"
+        p_a2[rows] = _received_probs(X2[rows], dataset.a2[rows], hi2, context)
     return GModel(p_a1=p_a1, p_a2=p_a2)
 
 
@@ -282,12 +220,12 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
         return EstimateWithIC(psi=lo, ic=np.zeros(dataset.n))
     z = (z_raw - lo) / (hi - lo)
 
-    X2 = _design(dataset, request.q_covariates.stage2, ("x1", "l2", "s2"))
+    X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)
     fit2 = fit_logistic(X2[mask], z[mask])
     q2 = predict(fit2, X2)
     q2_star = _fluctuate(z, q2, h2)
 
-    X1 = _design(dataset, request.q_covariates.stage1, ("x1",))
+    X1 = _design((dataset.x1,), request.saturated)
     fit1 = fit_logistic(X1[stage1_mask], q2_star[stage1_mask])
     q1 = predict(fit1, X1)
     q1_star = _fluctuate(q2_star, q1, h1)

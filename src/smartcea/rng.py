@@ -4,13 +4,16 @@ Every stochastic routine in the package draws from a Philox generator whose
 128-bit key packs the user seed in the high word and a purpose tag plus block
 index in the low word.  Streams are therefore independent across purposes and
 blocks, and a given (seed, purpose, block) always yields the same draws
-regardless of chunking or platform.
+regardless of chunking or platform.  A seed is an integer in [0, 2^64), so
+distinct seeds never share a key; ``check_seed`` refuses anything else.
 
 Philox is counter-based, so a stream can be moved past raw outputs it does
 not need without computing them (``skip_raw``).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -20,6 +23,7 @@ __all__ = [
     "PURPOSE_BOOTSTRAP",
     "PURPOSE_CALIBRATE",
     "BLOCK",
+    "check_seed",
     "philox_stream",
     "skip_raw",
 ]
@@ -35,9 +39,19 @@ PURPOSE_CALIBRATE = 4
 # change which stream a given row draws from.
 BLOCK = 262144
 
-_MASK64 = (1 << 64) - 1
 # Raw 64-bit outputs per Philox counter increment (its 4x64 output buffer).
 _PHILOX_WORDS = 4
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; ``ValueError`` unless an integer in [0, 2^64) (numpy's too)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value < (1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return value
 
 
 def philox_stream(seed: int, purpose: int, block: int = 0) -> np.random.Generator:
@@ -46,7 +60,7 @@ def philox_stream(seed: int, purpose: int, block: int = 0) -> np.random.Generato
         raise ValueError("purpose must fit in 16 bits")
     if not 0 <= block < (1 << 48):
         raise ValueError("block must fit in 48 bits")
-    key = ((int(seed) & _MASK64) << 64) | (purpose << 48) | block
+    key = (check_seed(seed) << 64) | (purpose << 48) | block
     return np.random.Generator(np.random.Philox(key=key))
 
 

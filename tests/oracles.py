@@ -35,6 +35,10 @@ acceptance gate on the paired variance ratio reads it.
 the squared component coefficients of variation and the covariance term.
 The acceptance check of the delta method against finite differences uses it
 to confirm that the pieces add up to the influence-curve variance.
+
+``brute_frontier`` is the gift-wrapping construction of the efficient
+frontier that ``smartcea.cea.efficient_frontier``'s monotone chain must
+reproduce, regime for regime.
 """
 
 from __future__ import annotations
@@ -698,3 +702,54 @@ def icer_variance_decomposition(result: IcerResult) -> IcerVarianceDecomposition
     return IcerVarianceDecomposition(
         term_a=term_a, term_b=term_b, cov_term=cov_term, var_total=var_total
     )
+
+
+def _dominated(p, others):
+    for q in others:
+        if q is p:
+            continue
+        if (
+            (q.rd_eff > p.rd_eff and q.rd_cost <= p.rd_cost)
+            or (q.rd_eff >= p.rd_eff and q.rd_cost < p.rd_cost)
+            or (
+                q.rd_eff == p.rd_eff
+                and q.rd_cost == p.rd_cost
+                and q.regime_id < p.regime_id
+            )
+        ):
+            return True
+    return False
+
+
+def brute_frontier(points, anchor=(0.0, 0.0)):
+    """Gift-wrapping reference: drop strongly dominated options, then
+    repeatedly take the shallowest slope, breaking ties toward the farthest
+    point (collinear interiors drop)."""
+    chain = []
+    cur = anchor
+    candidates = [
+        p for p in points if p.rd_eff > anchor[0] and not _dominated(p, points)
+    ]
+    while True:
+        best = None
+        best_slope = None
+        for p in candidates:
+            if p.rd_eff <= cur[0]:
+                continue
+            slope = (p.rd_cost - cur[1]) / (p.rd_eff - cur[0])
+            if (
+                best is None
+                or slope < best_slope - 1e-12
+                or (abs(slope - best_slope) <= 1e-12 and p.rd_eff > best.rd_eff)
+                or (
+                    abs(slope - best_slope) <= 1e-12
+                    and p.rd_eff == best.rd_eff
+                    and p.regime_id < best.regime_id
+                )
+            ):
+                best, best_slope = p, slope
+        if best is None:
+            break
+        chain.append(best)
+        cur = (best.rd_eff, best.rd_cost)
+    return chain

@@ -64,18 +64,12 @@ from smartcea.dgp import (
     target_se,
     true_values,
 )
-from smartcea.estimate import (
-    SATURATED_G,
-    SATURATED_Q,
-    RegimeMeanRequest,
-    estimate_g,
-    regime_mean,
-)
+from smartcea.estimate import RegimeMeanRequest, estimate_g, regime_mean
 from smartcea.inference import delta_method_ic, icer
 from smartcea.study import StudyConfig, run_study
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
-from oracles import icer_variance_decomposition, relative_variance
+from oracles import brute_frontier, icer_variance_decomposition, relative_variance
 
 WELL_BEHAVED = (2, 4, 6, 8)
 UNSTABLE = (3, 5, 7)
@@ -295,7 +289,7 @@ def test_paired_variance_ratio(desk_study):
 def test_saturated_tmle_equals_empirical_plugin():
     dgp = make_discrete_dgp(seed=5)
     data = sample_discrete(dgp, n=2000, seed=3)
-    g = estimate_g(data, "fitted", covariate_spec=SATURATED_G)
+    g = estimate_g(data, "saturated")
     for regime in embedded_regimes():
         plugin = empirical_discrete(data, regime)
         for outcome, want in zip(("y", "c"), plugin):
@@ -306,7 +300,7 @@ def test_saturated_tmle_equals_empirical_plugin():
                     outcome=outcome,
                     estimator="tmle",
                     g=g,
-                    q_covariates=SATURATED_Q,
+                    saturated=True,
                 ),
             )
             assert abs(est.psi - want) < 1e-8, f"regime {regime.id} {outcome}"
@@ -371,55 +365,6 @@ def test_delta_method_matches_finite_differences():
         assert abs(dec.var_total - direct) <= 1e-10 * direct
 
 
-def _dominated(p, others):
-    for q in others:
-        if q is p:
-            continue
-        if (
-            (q.rd_eff > p.rd_eff and q.rd_cost <= p.rd_cost)
-            or (q.rd_eff >= p.rd_eff and q.rd_cost < p.rd_cost)
-            or (
-                q.rd_eff == p.rd_eff
-                and q.rd_cost == p.rd_cost
-                and q.regime_id < p.regime_id
-            )
-        ):
-            return True
-    return False
-
-
-def _brute_frontier(points, anchor=(0.0, 0.0)):
-    chain = []
-    cur = anchor
-    candidates = [
-        p for p in points if p.rd_eff > anchor[0] and not _dominated(p, points)
-    ]
-    while True:
-        best = None
-        best_slope = None
-        for p in candidates:
-            if p.rd_eff <= cur[0]:
-                continue
-            slope = (p.rd_cost - cur[1]) / (p.rd_eff - cur[0])
-            if (
-                best is None
-                or slope < best_slope - 1e-12
-                or (abs(slope - best_slope) <= 1e-12 and p.rd_eff > best.rd_eff)
-                or (
-                    abs(slope - best_slope) <= 1e-12
-                    and p.rd_eff == best.rd_eff
-                    and p.regime_id < best.regime_id
-                )
-            ):
-                best = p
-                best_slope = slope
-        if best is None:
-            break
-        chain.append(best)
-        cur = (best.rd_eff, best.rd_cost)
-    return chain
-
-
 def test_frontier_agrees_with_brute_force():
     rng = np.random.default_rng(8)
     for trial in range(1000):
@@ -434,7 +379,7 @@ def test_frontier_agrees_with_brute_force():
             )
             for i in range(size)
         ]
-        expected = [p.regime_id for p in _brute_frontier(points)]
+        expected = [p.regime_id for p in brute_frontier(points)]
         try:
             frontier = efficient_frontier(points)
         except EmptyFrontier:

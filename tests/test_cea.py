@@ -16,63 +16,14 @@ from smartcea.cea import (
     render_plane_svg,
 )
 
+from oracles import brute_frontier
+
 
 def _point(rid, eff, cost, reliable=True):
     ratio = cost / eff if eff != 0 else float("nan")
     return PlanePoint(
         regime_id=rid, rd_eff=eff, rd_cost=cost, icer=ratio, reliable=reliable
     )
-
-
-def _dominated(p, others):
-    for q in others:
-        if q is p:
-            continue
-        if (
-            (q.rd_eff > p.rd_eff and q.rd_cost <= p.rd_cost)
-            or (q.rd_eff >= p.rd_eff and q.rd_cost < p.rd_cost)
-            or (
-                q.rd_eff == p.rd_eff
-                and q.rd_cost == p.rd_cost
-                and q.regime_id < p.regime_id
-            )
-        ):
-            return True
-    return False
-
-
-def brute_frontier(points, anchor=(0.0, 0.0)):
-    """Gift-wrapping reference: drop strongly dominated options, then
-    repeatedly take the shallowest slope, breaking ties toward the farthest
-    point (collinear interiors drop)."""
-    chain = []
-    cur = anchor
-    candidates = [
-        p for p in points if p.rd_eff > anchor[0] and not _dominated(p, points)
-    ]
-    while True:
-        best = None
-        best_slope = None
-        for p in candidates:
-            if p.rd_eff <= cur[0]:
-                continue
-            slope = (p.rd_cost - cur[1]) / (p.rd_eff - cur[0])
-            if (
-                best is None
-                or slope < best_slope - 1e-12
-                or (abs(slope - best_slope) <= 1e-12 and p.rd_eff > best.rd_eff)
-                or (
-                    abs(slope - best_slope) <= 1e-12
-                    and p.rd_eff == best.rd_eff
-                    and p.regime_id < best.regime_id
-                )
-            ):
-                best, best_slope = p, slope
-        if best is None:
-            break
-        chain.append(best)
-        cur = (best.rd_eff, best.rd_cost)
-    return chain
 
 
 def test_plane_point_requires_finite_coordinates():
@@ -200,17 +151,6 @@ def test_frontier_is_the_brute_force_lower_hull(points):
     )
 
 
-def test_frontier_segments_chain_vertices():
-    points = [_point(1, 10.0, 2.0), _point(2, 20.0, 3.0), _point(5, 25.0, 9.0)]
-    frontier = efficient_frontier(points)
-    assert frontier.segments[0][0] == frontier.vertices[0]
-    for (a, b), v_prev, v_next in zip(
-        frontier.segments, frontier.vertices, frontier.vertices[1:]
-    ):
-        assert a == v_prev
-        assert b == v_next
-
-
 def test_svg_is_deterministic_with_exact_labels():
     points = [_point(2, 20.0, 3.0), _point(3, -2.0, 1.0, reliable=False)]
     frontier = efficient_frontier(points)
@@ -226,6 +166,13 @@ def test_svg_is_deterministic_with_exact_labels():
     assert "polyline" in svg_a
     assert svg_a.count("<circle") == 2
     assert 'fill="white"' in svg_a  # unreliable marker is hollow
+
+
+@pytest.mark.parametrize("width, height", [(80, 480), (640, 64), (10, 10)])
+def test_svg_refuses_a_size_without_plot_area(width, height):
+    # The margins take 64 + 16 px of the width and 16 + 48 px of the height.
+    with pytest.raises(ValueError, match="no plot area"):
+        render_plane_svg([_point(2, 20.0, 3.0)], width=width, height=height)
 
 
 def test_svg_without_frontier_has_no_polyline():

@@ -221,6 +221,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2
         assert "estimators: must be comma-separated subset of ipw,tmle" in err
 
+    # A plot size inside render_plane_svg's fixed margins leaves no plot area.
+    for flag, value, domain in (("--width", "80", "> 80"), ("--height", "64", "> 64")):
+        svg = tmp_path / "plane.svg"
+        code, _, err = run_cli(
+            "plot", "--in", str(tmp_path / "icers.csv"), flag, value, "--out", str(svg),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert f"{flag[2:]}: must be {domain}, got {value}" in err
+        assert not svg.exists()
+
 
 def test_runtime_errors_exit_1_with_machine_readable_line(tmp_path, capsys):
     code, _, err = run_cli(

@@ -15,11 +15,7 @@ from smartcea.dgp import (
     simulate_smart,
 )
 from smartcea.estimate import (
-    DEFAULT_Q,
     G_TRUNCATION,
-    SATURATED_G,
-    SATURATED_Q,
-    CovariateSpec,
     RegimeMeanRequest,
     ZeroSupport,
     estimate_g,
@@ -31,17 +27,10 @@ from smartcea.glm import SeparationDetected, expit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 
-# Oracle covariate set matching the benchmark generator's outcome model,
-# available for efficiency comparisons against the default.
-ORACLE_Q = CovariateSpec(
-    stage1=("x1", "x1_sq", "log_abs_x1"),
-    stage2=("l2", "s2", "x1_sq", "log_abs_x1"),
-)
 
-
-def _request(regime, outcome, estimator, g, q=DEFAULT_Q):
+def _request(regime, outcome, estimator, g, saturated=False):
     return RegimeMeanRequest(
-        regime=regime, outcome=outcome, estimator=estimator, g=g, q_covariates=q
+        regime=regime, outcome=outcome, estimator=estimator, g=g, saturated=saturated
     )
 
 
@@ -229,14 +218,26 @@ def test_saturated_tmle_equals_nonparametric_plug_in():
     dgp = make_discrete_dgp(seed=5)
     data = sample_discrete(dgp, n=2000, seed=3)
     g_known = estimate_g(data, "known")
-    g_sat = estimate_g(data, "fitted", covariate_spec=SATURATED_G)
+    g_sat = estimate_g(data, "saturated")
     for regime in embedded_regimes()[:4]:
         ey, ec = empirical_discrete(data, regime)
         for g in (g_known, g_sat):
-            est_y = tmle_mean(data, _request(regime, "y", "tmle", g, q=SATURATED_Q))
-            est_c = tmle_mean(data, _request(regime, "c", "tmle", g, q=SATURATED_Q))
+            est_y = tmle_mean(data, _request(regime, "y", "tmle", g, saturated=True))
+            est_c = tmle_mean(data, _request(regime, "c", "tmle", g, saturated=True))
             assert abs(est_y.psi - ey) < 1e-8
             assert abs(est_c.psi - ec) < 1e-8
+
+
+def test_saturated_g_weights_give_the_empirical_plug_in():
+    # Saturated g is each stratum's empirical treatment share, so the IPW
+    # weights reproduce the sequential empirical plug-in exactly.
+    dgp = make_discrete_dgp(seed=5)
+    data = sample_discrete(dgp, n=2000, seed=3)
+    g = estimate_g(data, "saturated")
+    for regime in embedded_regimes():
+        for outcome, want in zip(("y", "c"), empirical_discrete(data, regime)):
+            est = ipw_mean(data, _request(regime, outcome, "ipw", g))
+            assert abs(est.psi - want) < 1e-10, (regime.id, outcome)
 
 
 def test_ipw_consistent_for_exact_truth():
@@ -266,14 +267,3 @@ def test_large_sample_anchors_regime_2():
     est_c = tmle_mean(data, _request(regime, "c", "tmle", gn))
     assert abs(est_c.psi - oracle_ec_2) < 4.0 * est_c.se
     assert abs(est_c.psi - TARGET_EC[1]) < 0.025 + 4.0 * est_c.se
-
-
-def test_oracle_covariates_run(trial, g_fitted, regimes):
-    est = tmle_mean(trial, _request(regimes[1], "y", "tmle", g_fitted, q=ORACLE_Q))
-    assert 0.0 < est.psi < 1.0
-    assert abs(float(est.ic.mean())) < 1e-6
-
-
-def test_covariate_spec_rejects_unknown_terms():
-    with pytest.raises(ValueError):
-        CovariateSpec(stage1=("x9",), stage2=("x1",))

@@ -1,4 +1,5 @@
-"""Random streams: the Philox skip-ahead leaves the state a draw would."""
+"""Random streams: the Philox skip-ahead leaves the state a draw would, and
+every seeded entry point takes only seeds in [0, 2^64)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smartcea.dgp import DgpConfig, simulate_smart, true_values
+from smartcea.inference import bootstrap_ci
 from smartcea.rng import PURPOSE_SIMULATE, philox_stream, skip_raw
 
 PROPERTY_SETTINGS = settings(
@@ -83,3 +86,36 @@ def test_skip_raw_touches_only_the_bit_generator():
 def test_skip_raw_rejects_a_negative_count():
     with pytest.raises(ValueError, match="nonnegative"):
         skip_raw(philox_stream(0, PURPOSE_SIMULATE, 0), -1)
+
+
+BAD_SEEDS = [2**64, -1, 1.5]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_philox_stream_refuses_seeds_outside_the_rule(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        philox_stream(seed, PURPOSE_SIMULATE, 0)
+
+
+def test_numpy_integer_seeds_name_the_same_stream():
+    for seed in (0, 7, 2**64 - 1):
+        a = philox_stream(np.uint64(seed), PURPOSE_SIMULATE, 0).random(4)
+        b = philox_stream(seed, PURPOSE_SIMULATE, 0).random(4)
+        assert np.array_equal(a, b)
+
+
+SEEDED = {
+    "DgpConfig": lambda seed: DgpConfig(seed=seed),
+    "true_values": lambda seed: true_values(DgpConfig(), mc_draws=10_000, seed=seed),
+    "bootstrap_ci": lambda seed: bootstrap_ci(
+        simulate_smart(DgpConfig(n=50, seed=1)), lambda d: 0.0, n_replicates=100, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_seeded_entry_points_refuse_seeds_outside_the_rule(entry, seed):
+    # 2^64 would alias seed 0, -1 seed 2^64 - 1 and 1.5 seed 1.
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        SEEDED[entry](seed)
