@@ -39,6 +39,7 @@ from .cea import (
 )
 from .core import Dataset, EstimationFailure, InvalidRecord, RegimeSpec
 from .dgp import (
+    TRUTH_MC_DRAWS,
     DgpConfig,
     TruthTable,
     embedded_regimes,
@@ -47,7 +48,7 @@ from .dgp import (
 )
 from .estimate import RegimeMeanRequest, estimate_g, regime_mean
 from .inference import DegenerateDenominator, IcerResult, bootstrap_ci, contrast
-from .study import DEFAULT_G_MODES, TRUTH_MC_DRAWS, StudyConfig, icer_table, run_study
+from .study import DEFAULT_G_MODES, StudyConfig, icer_table, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
 
@@ -61,7 +62,7 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class Option:
-    """One subcommand setting: flag, config-file key, and validation."""
+    """One subcommand setting: flag (on/off when ``type`` is bool), config key, checks."""
 
     name: str
     type: Callable
@@ -71,7 +72,6 @@ class Option:
     check: Callable[[object], bool] | None = None
     required: bool = False
     choices: tuple | None = None
-    is_flag: bool = False
 
 
 def _pos_int(v):
@@ -119,7 +119,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         "Monte-Carlo truth table for the benchmark regimes",
         (
             Option(
-                "mc_draws", int, 2_000_000, "Monte-Carlo draws",
+                "mc_draws", int, TRUTH_MC_DRAWS, "Monte-Carlo draws",
                 ">= 10000", lambda v: v >= 10_000,
             ),
             SEED_OPT,
@@ -163,7 +163,6 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             ESTIMATOR_OPT,
             G_OPT,
             REFERENCE_OPT,
-            CV_OPT,
             ALPHA_OPT,
             OUT_OPT,
         ),
@@ -172,7 +171,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         "efficient frontier from an icer-table output",
         (
             Option("in_", str, None, "icer-table CSV to read", required=True),
-            Option("drop_unreliable", bool, False, "drop flagged points before the hull", is_flag=True),
+            Option("drop_unreliable", bool, False, "drop flagged points before the hull"),
             Option("out_points", str, None, "plane points CSV path", required=True),
             Option("out_frontier", str, None, "frontier vertices CSV path", required=True),
         ),
@@ -181,8 +180,8 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         "cost-effectiveness plane SVG from an icer-table output",
         (
             Option("in_", str, None, "icer-table CSV to read", required=True),
-            Option("drop_unreliable", bool, False, "drop flagged points before the frontier", is_flag=True),
-            Option("no_frontier", bool, False, "points only, no frontier polyline", is_flag=True),
+            Option("drop_unreliable", bool, False, "drop flagged points before the frontier"),
+            Option("no_frontier", bool, False, "points only, no frontier polyline"),
             Option("width", int, 640, "SVG width in px", "> 80", lambda v: v > 80),
             Option("height", int, 480, "SVG height in px", "> 64", lambda v: v > 64),
             replace(OUT_OPT, help="output SVG path"),
@@ -199,7 +198,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
                 "comma-separated subset of ipw,tmle, not empty", _estimator_list,
             ),
             Option("retain_degenerate", bool, False,
-                   "keep unreliable-but-defined reps in the moments", is_flag=True),
+                   "keep unreliable-but-defined reps in the moments"),
             CV_OPT,
             ALPHA_OPT,
             THREADS_OPT,
@@ -256,7 +255,7 @@ def _flag_name(opt: Option) -> str:
 
 
 def _coerce(opt: Option, raw: str):
-    if opt.is_flag:
+    if opt.type is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes"):
             return True
@@ -313,7 +312,7 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
         sp.add_argument("--config", default=None, help="flat key = value settings file")
         for opt in options:
             extra_help = f"{opt.help}" + (f" (default: {opt.default})" if opt.default is not None else "")
-            if opt.is_flag:
+            if opt.type is bool:
                 sp.add_argument(_flag_name(opt), dest=opt.name, action="store_true",
                                 default=None, help=extra_help)
             elif opt.choices:
@@ -345,7 +344,7 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
         if flag_value is not None and opt.name in file_cfg:
             overridden.append(opt.name)
         if flag_value is not None:
-            value = flag_value if opt.is_flag else _coerce(opt, flag_value)
+            value = flag_value if opt.type is bool else _coerce(opt, flag_value)
         elif opt.name in file_cfg:
             value = _coerce(opt, file_cfg[opt.name])
         else:
@@ -425,7 +424,7 @@ def ingest_dataset(path: str) -> Dataset:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             for row in csv.reader(record_lines(fh)):
                 rows.append(row)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {path}: {err}") from None
     if not rows:
         raise CliError(f"{path}: empty file")
@@ -496,7 +495,7 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
     """
     try:
         lines = _content_lines(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {path}: {err}") from None
     regimes: list[RegimeSpec] = []
     seen: set[int] = set()
@@ -629,7 +628,7 @@ def _icer_results(
     results = icer_table(
         dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
         settings["estimator"], estimate_g(dataset, _g_mode(settings)),
-        cv_threshold=settings.get("cv_threshold", 2.0), alpha=settings.get("alpha", 0.05),
+        cv_threshold=settings.get("cv_threshold", 2.0), alpha=settings["alpha"],
     )
     for rid in ids:
         if results[rid] is None:
@@ -677,7 +676,7 @@ def _read_icer_table(path: str) -> list[PlanePoint]:
     the plane, with a note on standard error."""
     try:
         lines = _content_lines(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {path}: {err}") from None
     points = []
     undefined = []

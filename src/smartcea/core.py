@@ -18,6 +18,7 @@ stage 2.  Neither a regime nor a record outside them can be built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "STAGE1_SUPPORT",
     "STAGE2_SUPPORT",
+    "check_count",
     "EstimationFailure",
     "InvalidRecord",
     "Dataset",
@@ -37,6 +39,17 @@ __all__ = [
 
 STAGE1_SUPPORT = frozenset({0, 1})
 STAGE2_SUPPORT = {0: frozenset({3, 4}), 1: frozenset({1, 2})}
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """``ValueError`` unless ``value`` is an integer (``operator.index``) of at
+    least ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 class EstimationFailure(Exception):

@@ -21,14 +21,13 @@ prescribes two cells (one per branch) and the observed data reveal only one,
 so the generator needs a cell-level indexing.  A calibration search over
 all cell assignments (``calibrate_regime_indexing`` in ``tests/oracles.py``)
 recovers both that indexing and the published row numbering from the
-benchmark table of true regime means; the winning assignment is recorded as
-``DEFAULT_REGIME_INDEX_MAP`` (lapse cells carry constants 1-4 in (a2, a1)
-order with a1 varying fastest, no-lapse cells carry 5-8 likewise), and
-``embedded_regimes`` ships the matching row numbering.  That assignment is
-the canonical cell order of ``_cell_index``, so the generator indexes the
-constant vectors by cell index directly; another assignment is expressed
-by permuting ``y_constants`` and ``c_constants``.  The tests rerun the
-search to confirm both.
+benchmark table of true regime means.  The winning assignment is the
+canonical cell order of ``_cell_index`` (lapse cells carry constants 1-4 in
+(a2, a1) order with a1 varying fastest, no-lapse cells carry 5-8 likewise),
+so the generator indexes the constant vectors by cell index directly;
+another assignment is expressed by permuting ``y_constants`` and
+``c_constants``.  ``embedded_regimes`` ships the matching row numbering.
+The tests rerun the search to confirm both.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, RegimeSpec
+from .core import Dataset, RegimeSpec, check_count
 from .glm import expit, logit
+from .inference import MIN_DENOMINATOR, PER_HUNDRED
 from .rng import (
     BLOCK,
     PURPOSE_SIMULATE,
@@ -53,14 +53,12 @@ __all__ = [
     "Y_CONSTANTS",
     "C_CONSTANTS",
     "COST_SCALE",
-    "DEFAULT_REGIME_INDEX_MAP",
     "TARGET_EY",
     "TARGET_EC",
-    "TARGET_RD_COST",
-    "TARGET_RD_EFF",
     "TARGET_ICER",
     "TARGET_MC_DRAWS",
     "TARGET_ROUNDING",
+    "TRUTH_MC_DRAWS",
     "target_se",
     "DgpConfig",
     "embedded_regimes",
@@ -73,18 +71,8 @@ Y_CONSTANTS = (0.72, 0.74, 0.72, 0.70, 0.71, 0.70, 0.79, 0.80)
 C_CONSTANTS = (2.0, 0.03, 0.035, 0.044, 0.06, 0.05, 0.058, 0.025)
 COST_SCALE = 5.0
 
-# Calibrated assignment of observed treatment cells to constant indices, as
-# recovered by ``calibrate_regime_indexing`` in ``tests/oracles.py``.
-DEFAULT_REGIME_INDEX_MAP = {
-    (0, 1, 1): 1,
-    (1, 1, 1): 2,
-    (0, 1, 2): 3,
-    (1, 1, 2): 4,
-    (0, 0, 3): 5,
-    (1, 0, 3): 6,
-    (0, 0, 4): 7,
-    (1, 0, 4): 8,
-}
+# Default Monte-Carlo resolution of a truth table.
+TRUTH_MC_DRAWS = 2_000_000
 
 # Benchmark true values per regime (SOC first), the calibration targets.
 # The published table is itself a Monte Carlo evaluation, rounded to 4
@@ -100,15 +88,13 @@ DEFAULT_REGIME_INDEX_MAP = {
 #   within 1.0 table standard error of the same evaluation.
 # The paper's abstract does not state the draw count; TARGET_MC_DRAWS is the
 # round estimate, and a figure from the full text would replace it.
-# RD_COST and RD_EFF are the differences of the printed means and ICER is
-# their printed ratio, so they inherit the means' errors.
+# ICER is the printed ratio of the differences of the printed means, so it
+# inherits the means' errors.
 TARGET_MC_DRAWS = 100_000
 TARGET_ROUNDING = 5e-5
 _NAN = float("nan")
 TARGET_EY = (0.6050, 0.8637, 0.6067, 0.8517, 0.6392, 0.8771, 0.6424, 0.8646)
 TARGET_EC = (3.9686, 7.0779, 6.2592, 6.6183, 4.0193, 7.2908, 6.3026, 6.8548)
-TARGET_RD_COST = (_NAN, 3.1094, 2.2906, 2.6497, 0.0508, 3.3223, 2.3341, 2.8863)
-TARGET_RD_EFF = (_NAN, 25.8660, 0.1650, 24.6610, 3.4140, 27.2090, 3.7340, 25.9580)
 TARGET_ICER = (_NAN, 0.1202, 13.8825, 0.1074, 0.0149, 0.1221, 0.6251, 0.1112)
 
 
@@ -122,8 +108,9 @@ class DgpConfig:
     """Sample size, seed, and constants of the benchmark generator.
 
     Entry k of ``y_constants`` and ``c_constants`` belongs to the treatment
-    cell with ``_cell_index`` k, the calibrated assignment that
-    ``DEFAULT_REGIME_INDEX_MAP`` records.
+    cell with ``_cell_index`` k, the assignment that the calibration search
+    in ``tests/oracles.py`` recovers.  ``n`` must be an integer of at least
+    1 (``core.check_count``) and ``seed`` one in [0, 2^64) (``check_seed``).
     """
 
     n: int = 1809
@@ -133,8 +120,7 @@ class DgpConfig:
     cost_scale: float = COST_SCALE
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        check_count("n", self.n, 1)
         check_seed(self.seed)
         if len(self.y_constants) != 8 or len(self.c_constants) != 8:
             raise ValueError("y_constants and c_constants must each have 8 entries")
@@ -246,10 +232,11 @@ def simulate_smart(config: DgpConfig) -> Dataset:
 class TruthTable:
     """Regime-specific true values with Monte Carlo error.
 
-    ``rd_eff`` is on the per-100-persons scale; ``icer`` is cost per
-    percentage point of effectiveness gained over the reference regime.  The
-    reference row carries zero differences and an undefined (NaN) ratio, as
-    does any regime whose effect difference is exactly zero.
+    ``rd_eff`` is on the per-100-persons scale (``PER_HUNDRED``); ``icer``
+    is cost per percentage point of effectiveness gained over the reference
+    regime.  The reference row carries zero differences and an undefined
+    (NaN) ratio, as does any regime whose effect difference is below
+    ``MIN_DENOMINATOR``, the rule of ``inference.icer``.
     """
 
     regimes: tuple[RegimeSpec, ...]
@@ -295,10 +282,10 @@ def _finish_truth(
     se_c = np.sqrt(np.maximum(sum_c2 / n - ec**2, 0.0) / n)
 
     ref_pos = next(i for i, r in enumerate(regs) if r.id == reference_id)
-    rd_eff = 100.0 * (ey - ey[ref_pos])
+    rd_eff = PER_HUNDRED * (ey - ey[ref_pos])
     rd_cost = ec - ec[ref_pos]
     with np.errstate(divide="ignore", invalid="ignore"):
-        icer = np.where(rd_eff != 0.0, rd_cost / rd_eff, np.nan)
+        icer = np.where(np.abs(rd_eff) < MIN_DENOMINATOR, np.nan, rd_cost / rd_eff)
     icer[ref_pos] = np.nan
 
     return TruthTable(
@@ -340,7 +327,7 @@ def _regimes_by_arm(
 def true_values(
     config: DgpConfig,
     regimes: Sequence[RegimeSpec] | None = None,
-    mc_draws: int = 2_000_000,
+    mc_draws: int = TRUTH_MC_DRAWS,
     seed: int = 0,
     reference_id: int = 1,
 ) -> TruthTable:
@@ -353,8 +340,9 @@ def true_values(
     no spurious Monte Carlo disagreement.  L(2), S(2) and the cost rate's
     distance term depend only on the stage-1 arm, so each block computes
     them once per arm; a regime adds its two branch constants, picked per
-    row by L(2).  Raises ``ValueError`` before any draw for a
-    ``reference_id`` that names no regime.
+    row by L(2).  Raises ``ValueError`` before any draw for an ``mc_draws``
+    that is not an integer of at least 10,000 or a ``reference_id`` that
+    names no regime.
 
     Y is counted in logit space: Y = 1{U < expit(eta)} = 1{logit(U) < eta}.
     Each block takes logit(U) once, each arm subtracts its S(2) and
@@ -366,8 +354,7 @@ def true_values(
     buffer.  Every element's expression and every sum's order are those of
     cost_scale * E / (rate + distance), so the cost sums keep their bits.
     """
-    if mc_draws < 10_000:
-        raise ValueError("mc_draws must be at least 10000")
+    check_count("mc_draws", mc_draws, 10_000)
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
     _check_reference(regs, reference_id)
     arms = _regimes_by_arm(config, regs)

@@ -17,9 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, EstimateWithIC, EstimationFailure
-from .estimate import FluctuationDiverged, ZeroSupport
-from .glm import RankDeficient, SeparationDetected
+from .core import Dataset, EstimateWithIC, EstimationFailure, check_count
 from .rng import PURPOSE_BOOTSTRAP, philox_stream
 
 __all__ = [
@@ -208,17 +206,16 @@ def bootstrap_ci(
 
     ``analysis_spec`` maps a resampled dataset to the scalar of interest.
     Replicate b resamples rows with the stream (seed, bootstrap, b), so the
-    first replicates are identical whatever ``n_replicates`` is.  Replicates
-    where the statistic is undefined (degenerate denominator, a regime with
-    no consistent records), where a fit behind it is rank-deficient (a design
-    the resampled rows do not span) or where a fit has no finite maximum
-    (separation, a diverged TMLE fluctuation) are dropped but counted as
-    degenerate; if their share exceeds :data:`MAX_DEGENERATE_SHARE`, or no
-    replicate is left, the interval is refused with
-    :class:`TooManyDegenerate`.
+    first replicates are identical whatever ``n_replicates``, an integer of
+    at least 100, is.  Replicates whose statistic raises an
+    :class:`~smartcea.core.EstimationFailure` (a degenerate denominator, a
+    regime with no consistent records, a rank-deficient or separated fit, a
+    diverged TMLE fluctuation) are dropped but counted as degenerate; any
+    other exception propagates.  If their share exceeds
+    :data:`MAX_DEGENERATE_SHARE`, or no replicate is left, the interval is
+    refused with :class:`TooManyDegenerate`.
     """
-    if n_replicates < 100:
-        raise ValueError("need at least 100 replicates for a percentile interval")
+    check_count("n_replicates", n_replicates, 100)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n = dataset.n
@@ -229,13 +226,7 @@ def bootstrap_ci(
         idx = rng.integers(0, n, size=n)
         try:
             kept.append(float(analysis_spec(dataset.take(idx))))
-        except (
-            DegenerateDenominator,
-            ZeroSupport,
-            RankDeficient,
-            SeparationDetected,
-            FluctuationDiverged,
-        ):
+        except EstimationFailure:
             n_degenerate += 1
     if not kept or n_degenerate > MAX_DEGENERATE_SHARE * n_replicates:
         raise TooManyDegenerate(

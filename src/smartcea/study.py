@@ -26,8 +26,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Dataset, RegimeSpec
-from .dgp import TARGET_ICER, DgpConfig, TruthTable, embedded_regimes, simulate_smart, true_values
+from .core import Dataset, EstimationFailure, RegimeSpec, check_count
+from .dgp import (
+    TARGET_ICER,
+    TRUTH_MC_DRAWS,
+    DgpConfig,
+    TruthTable,
+    embedded_regimes,
+    simulate_smart,
+    true_values,
+)
 from .estimate import (
     GModel,
     RegimeMeanRequest,
@@ -35,7 +43,7 @@ from .estimate import (
     estimate_g,
     regime_mean,
 )
-from .glm import RankDeficient, SeparationDetected
+from .glm import RankDeficient
 from .inference import (
     PER_HUNDRED,
     DegenerateDenominator,
@@ -51,11 +59,7 @@ __all__ = [
     "StudyResult",
     "run_study",
     "icer_table",
-    "TRUTH_MC_DRAWS",
 ]
-
-# Monte-Carlo resolution for the truth table behind bias and coverage.
-TRUTH_MC_DRAWS = 2_000_000
 
 # Treatment model per estimator: the benchmark comparison runs IPW with the
 # known randomization probabilities against TMLE with fitted ones.
@@ -86,10 +90,8 @@ class StudyConfig:
     cv_threshold: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        check_count("reps", self.reps, 1)
+        check_count("n", self.n, 2)
         if not self.estimators:
             raise ValueError("at least one estimator required")
         if len(set(self.estimators)) != len(self.estimators):
@@ -229,7 +231,7 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
     for est in config.estimators:
         try:
             g = estimate_g(dataset, DEFAULT_G_MODES[est])
-        except (SeparationDetected, ZeroSupport, RankDeficient):
+        except EstimationFailure:
             results = {}
         else:
             results = icer_table(
@@ -279,8 +281,7 @@ def run_study(
     ``progress(rep)`` is called as each repetition's result arrives, in
     repetition order.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    check_count("threads", threads, 1)
     if truth is None:
         truth = true_values(
             DgpConfig(n=config.n, seed=config.seed), mc_draws=TRUTH_MC_DRAWS, seed=config.seed

@@ -1,9 +1,11 @@
 """Test oracles that the library does not need at run time.
 
-``calibrate_regime_indexing`` is the search that recovered
-``smartcea.dgp.DEFAULT_REGIME_INDEX_MAP`` and the benchmark row numbering of
+``calibrate_regime_indexing`` is the search that recovered the generator's
+cell indexing and the benchmark row numbering of
 ``smartcea.dgp.embedded_regimes`` from the published table of true regime
-means.  The library ships only its result; the tests rerun the search to
+means.  The library ships only its result: the cell with
+``smartcea.dgp._cell_index`` k carries constant k + 1, which
+``CELL_INDEX_MAP`` spells out cell by cell.  The tests rerun the search to
 confirm it.  It draws from the reserved stream purpose
 ``smartcea.rng.PURPOSE_CALIBRATE``.
 
@@ -56,7 +58,6 @@ from scipy.stats import chi2
 from smartcea.cli import CliError
 from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
 from smartcea.dgp import (
-    DEFAULT_REGIME_INDEX_MAP,
     TARGET_EC,
     TARGET_EY,
     TARGET_ROUNDING,
@@ -92,8 +93,15 @@ from smartcea.rng import (
 from smartcea.study import _variance_ratio
 
 
-# The eight treatment cells in canonical order: _CELLS[k] has _cell_index k.
-_CELLS = tuple(sorted(DEFAULT_REGIME_INDEX_MAP, key=lambda cell: int(_cell_index(*cell))))
+# Constant index (from 1) of each of the eight treatment cells (a1, l2, a2).
+CELL_INDEX_MAP = {
+    (a1, l2, a2): int(_cell_index(a1, l2, a2)) + 1
+    for a1 in sorted(STAGE1_SUPPORT)
+    for l2, support in STAGE2_SUPPORT.items()
+    for a2 in sorted(support)
+}
+# The cells in canonical order: _CELLS[k] has _cell_index k.
+_CELLS = tuple(sorted(CELL_INDEX_MAP, key=CELL_INDEX_MAP.get))
 
 
 class NoConsistentIndexing(Exception):

@@ -52,7 +52,6 @@ from smartcea.cli import main
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import (
     C_CONSTANTS,
-    DEFAULT_REGIME_INDEX_MAP,
     TARGET_EC,
     TARGET_EY,
     TARGET_ICER,
@@ -69,7 +68,12 @@ from smartcea.inference import delta_method_ic, icer
 from smartcea.study import StudyConfig, run_study
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
-from oracles import brute_frontier, icer_variance_decomposition, relative_variance
+from oracles import (
+    CELL_INDEX_MAP,
+    brute_frontier,
+    icer_variance_decomposition,
+    relative_variance,
+)
 
 WELL_BEHAVED = (2, 4, 6, 8)
 UNSTABLE = (3, 5, 7)
@@ -85,7 +89,7 @@ def _same_effect_law(config, regime, reference):
     reachable cell, so that its true effect difference is exactly zero."""
 
     def constant(reg, l2):
-        index = DEFAULT_REGIME_INDEX_MAP[(reg.d1, l2, reg.d2(l2))]
+        index = CELL_INDEX_MAP[(reg.d1, l2, reg.d2(l2))]
         return config.y_constants[index - 1]
 
     return regime.d1 == reference.d1 and all(

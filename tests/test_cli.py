@@ -245,6 +245,39 @@ def test_runtime_errors_exit_1_with_machine_readable_line(tmp_path, capsys):
     assert 'message="' in line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("icer-table", "--data", "{bad}", "--out", "{out}"),
+        ("icer-table", "--data", "{data}", "--regimes", "{bad}", "--out", "{out}"),
+        ("frontier", "--in", "{bad}", "--out-points", "{out}", "--out-frontier", "{out}"),
+    ],
+    ids=["trial-csv", "regime-file", "icer-table-file"],
+)
+def test_input_that_is_not_utf8_is_named_in_the_error(tmp_path, data_csv, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"regime,icer\n1,\xff\n")
+    paths = {"bad": bad, "data": data_csv, "out": tmp_path / "x.csv"}
+    code, _, err = run_cli(*(a.format(**paths) for a in argv), capsys=capsys)
+    assert code == 1
+    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
+    assert "kind=CliError" in line
+    assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in line
+
+
+def test_contrast_takes_no_cv_threshold(tmp_path, data_csv, capsys):
+    # contrast writes no reliability column, so the threshold would only
+    # change the config header.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("cv_threshold = 2.0\n")
+    code, _, err = run_cli(
+        "contrast", "--config", str(cfg), "--data", str(data_csv), "--i", "2", "--j", "4",
+        "--out", str(tmp_path / "x.csv"), capsys=capsys,
+    )
+    assert code == 2
+    assert "unknown key 'cv_threshold' for subcommand contrast" in err
+
+
 def test_config_file_merges_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 50\nseed = 3\n")

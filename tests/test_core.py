@@ -9,6 +9,9 @@ import pytest
 
 from smartcea import core
 from smartcea.core import Dataset, EstimateWithIC, InvalidRecord, RegimeSpec, consistency_mask
+from smartcea.dgp import DgpConfig, true_values
+from smartcea.inference import bootstrap_ci
+from smartcea.study import StudyConfig, run_study
 
 
 def test_d2_selects_branch():
@@ -38,6 +41,31 @@ def test_regime_outside_support_cannot_be_built(codes):
 def test_regime_id_must_be_positive(rid):
     with pytest.raises(ValueError, match=f"regime {rid}: id must be at least 1"):
         RegimeSpec(rid, 0, 1, 3)
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew before checking the count")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda trial: DgpConfig(n=2.5),
+        lambda trial: StudyConfig(reps=2.5),
+        lambda trial: StudyConfig(n=200.5),
+        lambda trial: true_values(DgpConfig(), mc_draws=10000.5),
+        lambda trial: bootstrap_ci(trial, lambda d: 0.0, n_replicates=100.5),
+        lambda trial: run_study(StudyConfig(reps=1, n=200), threads=1.5),
+    ],
+    ids=["n", "reps", "study-n", "mc_draws", "n_replicates", "threads"],
+)
+def test_every_count_refuses_a_float_before_drawing(trial, call, monkeypatch):
+    # Every count goes through core.check_count, which refuses a float
+    # before numpy can see it.
+    monkeypatch.setattr(np.random, "Philox", _no_draws)
+    monkeypatch.setattr(np.random, "SeedSequence", _no_draws)
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call(trial)
 
 
 def test_is_consistent_uses_taken_branch_only():

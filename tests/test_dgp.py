@@ -12,7 +12,6 @@ from smartcea import dgp
 from smartcea.core import RegimeSpec
 from smartcea.dgp import (
     C_CONSTANTS,
-    DEFAULT_REGIME_INDEX_MAP,
     TARGET_EY,
     TARGET_ROUNDING,
     Y_CONSTANTS,
@@ -23,6 +22,7 @@ from smartcea.dgp import (
     true_values,
 )
 from smartcea.glm import expit, logit
+from smartcea.inference import MIN_DENOMINATOR
 from smartcea.rng import BLOCK
 
 from discrete_bed import (
@@ -35,6 +35,7 @@ from discrete_bed import (
     sample_discrete,
 )
 from oracles import (
+    CELL_INDEX_MAP,
     NoConsistentIndexing,
     calibrate_regime_indexing,
     per_regime_true_values,
@@ -58,21 +59,6 @@ def test_embedded_regimes_match_published_numbering():
     assert triples[3] == (0, 2, 3)
     assert triples[5] == (0, 1, 4)
     assert triples[8] == (1, 2, 4)
-
-
-def test_default_cell_map_is_identity_on_canonical_order():
-    cells = list(DEFAULT_REGIME_INDEX_MAP)
-    assert DEFAULT_REGIME_INDEX_MAP[(0, 1, 1)] == 1
-    assert DEFAULT_REGIME_INDEX_MAP[(1, 0, 4)] == 8
-    assert sorted(DEFAULT_REGIME_INDEX_MAP.values()) == list(range(1, 9))
-    assert len(cells) == 8
-
-
-def test_default_cell_map_is_the_cell_index():
-    # The generator indexes its constants by _cell_index directly, which
-    # is the calibrated map only because the two agree on every cell.
-    for cell, index in DEFAULT_REGIME_INDEX_MAP.items():
-        assert int(dgp._cell_index(*cell)) == index - 1
 
 
 def test_simulate_is_deterministic():
@@ -175,6 +161,18 @@ def test_truth_table_internal_identities():
             assert abs(table.icer[k] * table.rd_eff[k] - table.rd_cost[k]) < 1e-12
 
 
+def test_truth_icer_is_undefined_below_the_ratio_rules_denominator():
+    # inference.icer refuses |effect difference| < MIN_DENOMINATOR, and the
+    # truth table states the same rule.
+    regs = embedded_regimes()[:3]
+    sum_y = np.array([5000.0, 5000.0 + 5e-11, 6000.0])
+    sum_c = np.array([100.0, 200.0, 300.0])
+    table = dgp._finish_truth(regs, sum_y, sum_c, sum_c**2, 10_000, reference_id=1)
+    assert 0.0 < table.rd_eff[1] < MIN_DENOMINATOR
+    assert np.isnan(table.icer[1])
+    assert table.icer[2] == table.rd_cost[2] / table.rd_eff[2]
+
+
 def test_truth_is_deterministic_given_seed():
     a = true_values(DgpConfig(seed=5), mc_draws=100_000, seed=5)
     b = true_values(DgpConfig(seed=5), mc_draws=100_000, seed=5)
@@ -261,7 +259,7 @@ def test_truth_rejects_unknown_reference_before_drawing(monkeypatch):
 
 def test_calibration_recovers_default_indexing():
     result = calibrate_regime_indexing(mc_draws=200_000, seed=14)
-    assert result.regime_index_map == DEFAULT_REGIME_INDEX_MAP
+    assert result.regime_index_map == CELL_INDEX_MAP
     # Deviations from the published table combine its own Monte Carlo error
     # and rounding with the confirmation run's error; bound all three.
     se_e = target_se(result.mc_se_ey, 200_000)
@@ -275,7 +273,7 @@ def test_calibration_gate_allows_for_the_tables_own_error():
     # truth.  A gate built from the confirmation run's error alone rejected
     # this call (0.068 against 0.061) and tightened further with more draws.
     result = calibrate_regime_indexing(mc_draws=2_000_000, seed=14)
-    assert result.regime_index_map == DEFAULT_REGIME_INDEX_MAP
+    assert result.regime_index_map == CELL_INDEX_MAP
 
 
 def test_calibration_rejects_a_generator_the_table_contradicts():
@@ -295,10 +293,10 @@ def test_calibration_follows_permuted_constants():
     c_swapped = (C_CONSTANTS[1], C_CONSTANTS[0]) + C_CONSTANTS[2:]
     config = DgpConfig(y_constants=y_swapped, c_constants=c_swapped)
     result = calibrate_regime_indexing(config=config, mc_draws=200_000, seed=14)
-    expected = dict(DEFAULT_REGIME_INDEX_MAP)
+    expected = dict(CELL_INDEX_MAP)
     expected[(0, 1, 1)], expected[(1, 1, 1)] = 2, 1
     assert result.regime_index_map == expected
-    assert result.regime_index_map != DEFAULT_REGIME_INDEX_MAP
+    assert result.regime_index_map != CELL_INDEX_MAP
 
 
 def test_cost_constants_align_with_cost_ordering():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smartcea import inference
+from smartcea.cea import EmptyFrontier
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import embedded_regimes
 from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, regime_mean
@@ -285,7 +286,8 @@ def test_bootstrap_counts_and_bounds_degenerate_replicates(trial, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failure", [SeparationDetected, FluctuationDiverged, RankDeficient]
+    # EmptyFrontier fails no fit: every EstimationFailure counts.
+    "failure", [SeparationDetected, FluctuationDiverged, RankDeficient, EmptyFrontier]
 )
 def test_bootstrap_counts_a_failed_fit_as_degenerate(trial, failure):
     def failing_on(replicates):
@@ -305,3 +307,12 @@ def test_bootstrap_counts_a_failed_fit_as_degenerate(trial, failure):
     # 11 of 100 failed replicates exceed the 10% share.
     with pytest.raises(TooManyDegenerate):
         bootstrap_ci(trial, failing_on(set(range(11))), n_replicates=100, seed=17)
+
+
+def test_bootstrap_lets_a_non_domain_error_propagate(trial):
+    # Only an EstimationFailure is a degenerate replicate; a bug is not.
+    def statistic(resampled):
+        raise KeyError("not a domain failure")
+
+    with pytest.raises(KeyError, match="not a domain failure"):
+        bootstrap_ci(trial, statistic, n_replicates=100, seed=17)

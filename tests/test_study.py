@@ -8,7 +8,13 @@ import pytest
 from smartcea import study
 from smartcea.core import EstimateWithIC, consistency_mask
 from smartcea.dgp import TARGET_ICER, DgpConfig, embedded_regimes, simulate_smart, true_values
-from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, estimate_g, regime_mean
+from smartcea.estimate import (
+    FluctuationDiverged,
+    RegimeMeanRequest,
+    ZeroSupport,
+    estimate_g,
+    regime_mean,
+)
 from smartcea.glm import RankDeficient, SeparationDetected
 from smartcea.inference import PER_HUNDRED, icer, risk_difference
 from smartcea.study import (
@@ -353,14 +359,16 @@ def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
     assert all(table[rid] is not None for rid in (2, 3, 5, 6, 7, 8))
 
 
-def test_rank_deficient_treatment_model_fails_only_its_repetition(monkeypatch):
+@pytest.mark.parametrize("failure", [RankDeficient, SeparationDetected, ZeroSupport])
+def test_rank_deficient_treatment_model_fails_only_its_repetition(monkeypatch, failure):
+    # Each failure estimate_g raises stops only the repetition it happens in.
     fitted_calls = []
 
     def failing_in_rep_1(dataset, mode, *args, **kwargs):
         if mode == "fitted":
             fitted_calls.append(None)
             if len(fitted_calls) == 2:
-                raise RankDeficient("forced in repetition 1")
+                raise failure("forced in repetition 1")
         return estimate_g(dataset, mode, *args, **kwargs)
 
     monkeypatch.setattr(study, "estimate_g", failing_in_rep_1)
