@@ -61,6 +61,7 @@ from .study import (
     StudyMetrics,
     StudyResult,
     icer_table,
+    regime_means,
     run_study,
 )
 
@@ -100,6 +101,7 @@ __all__ = [
     "icer_table",
     "ipw_mean",
     "regime_mean",
+    "regime_means",
     "render_plane_svg",
     "risk_difference",
     "run_study",

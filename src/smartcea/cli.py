@@ -46,9 +46,9 @@ from .dgp import (
     simulate_smart,
     true_values,
 )
-from .estimate import RegimeMeanRequest, estimate_g, regime_mean
-from .inference import DegenerateDenominator, IcerResult, bootstrap_ci, contrast
-from .study import DEFAULT_G_MODES, StudyConfig, icer_table, run_study
+from .estimate import DEFAULT_G_MODES, estimate_g
+from .inference import CV_THRESHOLD, DegenerateDenominator, IcerResult, bootstrap_ci, contrast
+from .study import StudyConfig, icer_table, regime_means, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
 
@@ -84,7 +84,7 @@ def _estimator_names(value: str) -> tuple[str, ...]:
 
 def _estimator_list(value: str) -> bool:
     names = _estimator_names(value)
-    return bool(names) and len(set(names)) == len(names) and set(names) <= {"ipw", "tmle"}
+    return bool(names) and len(set(names)) == len(names) and set(names) <= DEFAULT_G_MODES.keys()
 
 
 SEED_OPT = Option("seed", int, None, "master seed; required, no wall-clock fallback",
@@ -93,10 +93,10 @@ ALPHA_OPT = Option("alpha", float, 0.05, "two-sided error rate for intervals",
                    "in (0, 1)", lambda v: 0.0 < v < 1.0)
 THREADS_OPT = Option("threads", int, None, "parallelism cap (default: available cores)",
                      ">= 1", _pos_int)
-ESTIMATOR_OPT = Option("estimator", str, "tmle", "point estimator", choices=("ipw", "tmle"))
+ESTIMATOR_OPT = Option("estimator", str, "tmle", "point estimator", choices=tuple(DEFAULT_G_MODES))
 G_OPT = Option("g", str, None, "treatment mechanism: design probabilities or logistic fits "
                "(default pairs known with ipw, fitted with tmle)", choices=("known", "fitted"))
-CV_OPT = Option("cv_threshold", float, 2.0,
+CV_OPT = Option("cv_threshold", float, CV_THRESHOLD,
                 "component coefficient-of-variation bound for the reliability flag",
                 "> 0", lambda v: v > 0.0)
 OUT_OPT = Option("out", str, None, "output CSV path", required=True)
@@ -194,8 +194,10 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("n", int, 1809, "records per repetition", ">= 2", lambda v: v >= 2),
             SEED_OPT,
             Option(
-                "estimators", str, "ipw,tmle", "comma-separated estimators to compare",
-                "comma-separated subset of ipw,tmle, not empty", _estimator_list,
+                "estimators", str, ",".join(DEFAULT_G_MODES),
+                "comma-separated estimators to compare",
+                f"comma-separated subset of {','.join(DEFAULT_G_MODES)}, not empty",
+                _estimator_list,
             ),
             Option("retain_degenerate", bool, False,
                    "keep unreliable-but-defined reps in the moments"),
@@ -589,17 +591,17 @@ def _run_estimate(config: RunConfig) -> None:
             raise CliError(f"cannot create {ic_dir}: {err}") from None
     header = ["regime", "outcome", "psi", "se"] + (["ic_file"] if ic_dir else [])
     rows = []
-    for regime in regimes:
-        for outcome in outcomes:
-            est = regime_mean(
-                dataset,
-                RegimeMeanRequest(
-                    regime=regime, outcome=outcome, estimator=s["estimator"], g=g
-                ),
-            )
-            row = [regime.id, outcome, est.psi, est.se]
+    for rid, means in regime_means(dataset, regimes, s["estimator"], g, outcomes).items():
+        if isinstance(means, EstimationFailure):
+            print(f"note: regime {rid} not identified ({type(means).__name__}: {means}); "
+                  "psi and se written as nan", file=sys.stderr)
+            rows += [[rid, outcome, float("nan"), float("nan")] + ([""] if ic_dir else [])
+                     for outcome in outcomes]
+            continue
+        for outcome, est in zip(outcomes, means):
+            row = [rid, outcome, est.psi, est.se]
             if ic_dir:
-                ic_path = os.path.join(ic_dir, f"ic_{s['estimator']}_{regime.id}_{outcome}.csv")
+                ic_path = os.path.join(ic_dir, f"ic_{s['estimator']}_{rid}_{outcome}.csv")
                 write_csv(ic_path, config, ["record", "ic"],
                           ([i + 1, v] for i, v in enumerate(est.ic)))
                 row.append(ic_path)
@@ -628,7 +630,7 @@ def _icer_results(
     results = icer_table(
         dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
         settings["estimator"], estimate_g(dataset, _g_mode(settings)),
-        cv_threshold=settings.get("cv_threshold", 2.0), alpha=settings["alpha"],
+        cv_threshold=settings.get("cv_threshold", CV_THRESHOLD), alpha=settings["alpha"],
     )
     for rid in ids:
         if results[rid] is None:

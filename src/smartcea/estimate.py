@@ -25,6 +25,7 @@ treatment model, and a flag for saturated outcome regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 __all__ = [
     "ZeroSupport",
     "FluctuationDiverged",
+    "DEFAULT_G_MODES",
     "G_TRUNCATION",
     "GModel",
     "RegimeMeanRequest",
@@ -52,6 +54,10 @@ class ZeroSupport(EstimationFailure):
 class FluctuationDiverged(EstimationFailure):
     """A TMLE fluctuation step separated instead of converging."""
 
+
+# Each estimator and its default treatment model: the benchmark comparison
+# runs IPW with the known randomization probabilities against TMLE with fitted ones.
+DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 
 # Fitted treatment probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
 G_TRUNCATION = 0.01
@@ -101,9 +107,10 @@ class RegimeMeanRequest:
     def __post_init__(self) -> None:
         if self.outcome not in ("y", "c"):
             raise ValueError(f"unknown outcome {self.outcome!r}, expected 'y' or 'c'")
-        if self.estimator not in ("ipw", "tmle"):
+        if self.estimator not in DEFAULT_G_MODES:
             raise ValueError(
-                f"unknown estimator {self.estimator!r}, expected 'ipw' or 'tmle'"
+                f"unknown estimator {self.estimator!r}, "
+                f"expected {' or '.join(map(repr, DEFAULT_G_MODES))}"
             )
 
 

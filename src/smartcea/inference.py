@@ -24,6 +24,7 @@ __all__ = [
     "PER_HUNDRED",
     "MIN_DENOMINATOR",
     "MAX_DEGENERATE_SHARE",
+    "CV_THRESHOLD",
     "DegenerateDenominator",
     "TooManyDegenerate",
     "risk_difference",
@@ -46,6 +47,10 @@ MIN_DENOMINATOR = 1e-12
 # A bootstrap interval is refused when more than this share of replicates
 # is degenerate.
 MAX_DEGENERATE_SHARE = 0.1
+
+
+# An ICER is reliable when both components' coefficients of variation are below this.
+CV_THRESHOLD = 2.0
 
 
 class DegenerateDenominator(EstimationFailure):
@@ -126,7 +131,7 @@ class IcerResult:
 def icer(
     rd_cost: EstimateWithIC,
     rd_eff: EstimateWithIC,
-    cv_threshold: float = 2.0,
+    cv_threshold: float = CV_THRESHOLD,
     alpha: float = 0.05,
 ) -> IcerResult:
     """Ratio of incremental cost to incremental effect, by the delta method.

@@ -22,11 +22,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EstimationFailure, RegimeSpec, check_count
+from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, check_count
 from .dgp import (
     TARGET_ICER,
     TRUTH_MC_DRAWS,
@@ -37,6 +37,7 @@ from .dgp import (
     true_values,
 )
 from .estimate import (
+    DEFAULT_G_MODES,
     GModel,
     RegimeMeanRequest,
     ZeroSupport,
@@ -45,6 +46,7 @@ from .estimate import (
 )
 from .glm import RankDeficient
 from .inference import (
+    CV_THRESHOLD,
     PER_HUNDRED,
     DegenerateDenominator,
     IcerResult,
@@ -58,12 +60,9 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "run_study",
+    "regime_means",
     "icer_table",
 ]
-
-# Treatment model per estimator: the benchmark comparison runs IPW with the
-# known randomization probabilities against TMLE with fitted ones.
-DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 
 # The study scores every embedded regime against the first, standard of care.
 _REGIMES = embedded_regimes()
@@ -85,9 +84,9 @@ class StudyConfig:
     reps: int = 500
     n: int = 1809
     seed: int = 0
-    estimators: tuple[str, ...] = ("ipw", "tmle")
+    estimators: tuple[str, ...] = tuple(DEFAULT_G_MODES)
     alpha: float = 0.05
-    cv_threshold: float = 2.0
+    cv_threshold: float = CV_THRESHOLD
 
     def __post_init__(self) -> None:
         check_count("reps", self.reps, 1)
@@ -171,51 +170,72 @@ def _rep_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, rep)).generate_state(1, np.uint64)[0])
 
 
+def regime_means(
+    dataset: Dataset,
+    regimes: Sequence[RegimeSpec],
+    estimator: str,
+    g: GModel,
+    outcomes: Sequence[str] = ("y", "c"),
+) -> dict[int, list[EstimateWithIC] | EstimationFailure]:
+    """Each regime's means of ``outcomes``, in that order, keyed by regime id.
+
+    A regime whose mean is not identified on these data (no consistent
+    record, or too few to span an outcome-model design) maps instead to the
+    :class:`ZeroSupport` or :class:`RankDeficient` that says so, and its
+    later outcomes are not estimated.  Any other estimation failure is
+    raised again as the same class, its message prefixed with the regime
+    and outcome it came from.  Keys follow the order of ``regimes``.
+    """
+    out: dict[int, list[EstimateWithIC] | EstimationFailure] = {}
+    for regime in regimes:
+        means = []
+        try:
+            for outcome in outcomes:
+                request = RegimeMeanRequest(
+                    regime=regime, outcome=outcome, estimator=estimator, g=g
+                )
+                means.append(regime_mean(dataset, request))
+        except (ZeroSupport, RankDeficient) as err:
+            out[regime.id] = err
+        except EstimationFailure as err:
+            raise type(err)(f"regime {regime.id}, outcome {outcome}: {err}") from None
+        else:
+            out[regime.id] = means
+    return out
+
+
 def icer_table(
     dataset: Dataset,
     regimes: Sequence[RegimeSpec],
     reference: RegimeSpec,
     estimator: str,
     g: GModel,
-    cv_threshold: float = 2.0,
+    cv_threshold: float = CV_THRESHOLD,
     alpha: float = 0.05,
 ) -> dict[int, IcerResult | None]:
     """ICER of each non-reference regime in ``regimes`` against ``reference``.
 
-    Every (regime, outcome) mean is estimated once, for the reference and the
-    given regimes only.  ``None`` marks an undefined ratio: a numerically
-    zero effect difference, or a regime or reference whose mean is not
-    identified (no consistent record, or too few to span an outcome-model
-    design).  Keys follow the order of ``regimes``.
+    Every (regime, outcome) mean is estimated once by :func:`regime_means`,
+    for the reference and the given regimes only.  ``None`` marks an
+    undefined ratio: a numerically zero effect difference, or a regime or
+    reference whose mean is not identified.  Keys follow the order of
+    ``regimes``.
     """
-
-    def means(regime: RegimeSpec):
-        try:
-            return [
-                regime_mean(
-                    dataset,
-                    RegimeMeanRequest(regime=regime, outcome=out, estimator=estimator, g=g),
-                )
-                for out in ("y", "c")
-            ]
-        except (ZeroSupport, RankDeficient):
-            return None
-
-    ref = means(reference)
+    ref = regime_means(dataset, [reference], estimator, g)[reference.id]
+    others = [r for r in regimes if r.id != reference.id]
+    if isinstance(ref, EstimationFailure):
+        return {r.id: None for r in others}
     out: dict[int, IcerResult | None] = {}
-    for regime in regimes:
-        if regime.id == reference.id:
-            continue
-        est = None if ref is None else means(regime)
-        if est is None:
-            out[regime.id] = None
+    for rid, est in regime_means(dataset, others, estimator, g).items():
+        if isinstance(est, EstimationFailure):
+            out[rid] = None
             continue
         rd_eff = risk_difference(est[0], ref[0], PER_HUNDRED)
         rd_cost = risk_difference(est[1], ref[1], 1.0)
         try:
-            out[regime.id] = icer(rd_cost, rd_eff, cv_threshold=cv_threshold, alpha=alpha)
+            out[rid] = icer(rd_cost, rd_eff, cv_threshold=cv_threshold, alpha=alpha)
         except DegenerateDenominator:
-            out[regime.id] = None
+            out[rid] = None
     return out
 
 

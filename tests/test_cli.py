@@ -527,7 +527,10 @@ def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys)
     )
     assert code == 1
     line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
-    assert line.startswith("error kind=FluctuationDiverged subcommand=icer-table")
+    assert line == (
+        'error kind=FluctuationDiverged subcommand=icer-table '
+        'message="regime 1, outcome y: forced"'
+    )
 
 
 def test_truth_rejects_unknown_reference_before_drawing(tmp_path, monkeypatch, capsys):
@@ -679,20 +682,62 @@ def test_table_without_a_defined_icer_is_refused_by_name(tmp_path, capsys, subco
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "plane.svg").exists()
 
 
-def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv):
-    # Without regime 8's records, the stage-2 outcome fits of regimes 4, 6
-    # and 8 see too few rows to span their design: those rows are undefined
-    # and the rest of the TMLE table is still written.
+@pytest.mark.parametrize("subcommand", ["icer-table", "estimate"])
+def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv, capsys, subcommand):
+    # Without regime 8's records, the stage-2 outcome fits of regimes 4 and 6
+    # see too few rows to span their design, and regime 8 has none: those
+    # rows are undefined and the rest of the TMLE output is still written.
     trimmed = _without_regime_8(tmp_path, data_csv)
-    table = tmp_path / "icers.csv"
-    assert main([
-        "icer-table", "--data", str(trimmed), "--estimator", "tmle", "--out", str(table),
-    ]) == 0
+    table = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        subcommand, "--data", str(trimmed), "--estimator", "tmle", "--out", str(table),
+        capsys=capsys,
+    )
+    assert code == 0
     _, rows = _rows(table)
-    assert [r["regime"] for r in rows if r["icer"] == "nan"] == ["4", "6", "8"]
-    for r in rows:
-        if r["icer"] == "nan":
-            assert (r["rd_eff"], r["reliable"]) == ("nan", "false")
+    if subcommand == "icer-table":
+        assert [r["regime"] for r in rows if r["icer"] == "nan"] == ["4", "6", "8"]
+        for r in rows:
+            if r["icer"] == "nan":
+                assert (r["rd_eff"], r["reliable"]) == ("nan", "false")
+        return
+    undefined = ("4", "6", "8")
+    assert [(r["regime"], r["outcome"]) for r in rows if r["psi"] == "nan"] == [
+        (rid, out) for rid in undefined for out in ("y", "c")
+    ]
+    assert all((r["psi"] == "nan") == (r["regime"] in undefined) for r in rows)
+    assert all((r["se"] == "nan") == (r["regime"] in undefined) for r in rows)
+    notes = [ln for ln in err.splitlines() if ln.startswith("note:")]
+    assert [n.split(":")[:2] for n in notes] == [
+        ["note", f" regime {rid} not identified ({kind}"]
+        for rid, kind in zip(undefined, ("RankDeficient", "RankDeficient", "ZeroSupport"))
+    ]
+
+
+def test_estimate_writes_undefined_rows_for_a_regime_without_records(tmp_path, capsys):
+    # No record of this 8-row trial follows regime 1: estimate writes its
+    # rows as nan with no influence-curve file, as icer-table leaves it out.
+    data = tmp_path / "t8.csv"
+    assert main(["simulate", "--n", "8", "--seed", "3", "--out", str(data)]) == 0
+    ic_dir = tmp_path / "ic"
+    code, _, err = run_cli(
+        "estimate", "--data", str(data), "--estimator", "ipw", "--ic-dir", str(ic_dir),
+        "--out", str(tmp_path / "means.csv"), capsys=capsys,
+    )
+    assert code == 0
+    _, rows = _rows(tmp_path / "means.csv")
+    assert [(r["psi"], r["se"], r["ic_file"]) for r in rows if r["regime"] == "1"] == [
+        ("nan", "nan", ""), ("nan", "nan", "")
+    ]
+    assert all(r["ic_file"] for r in rows if r["regime"] != "1")
+    assert sorted(p.name for p in ic_dir.iterdir()) == sorted(
+        f"ic_ipw_{rid}_{out}.csv" for rid in range(2, 9) for out in ("y", "c")
+    )
+    notes = [ln for ln in err.splitlines() if ln.startswith("note:")]
+    assert notes == [
+        "note: regime 1 not identified (ZeroSupport: no records consistent with regime 1); "
+        "psi and se written as nan"
+    ]
 
 
 def test_entry_point_subprocess():

@@ -351,7 +351,7 @@ def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
     monkeypatch.setattr(study, "regime_mean", failing)
     g = estimate_g(data, "known")
     if failure is not RankDeficient:
-        with pytest.raises(failure):
+        with pytest.raises(failure, match="regime 4, outcome y"):
             icer_table(data, regimes, regimes[0], "ipw", g)
         return
     table = icer_table(data, regimes, regimes[0], "ipw", g)
