@@ -47,7 +47,7 @@ from .dgp import (
     true_values,
 )
 from .estimate import DEFAULT_G_MODES, estimate_g
-from .inference import CV_THRESHOLD, DegenerateDenominator, IcerResult, bootstrap_ci, contrast
+from .inference import CV_THRESHOLD, IcerResult, bootstrap_ci, contrast
 from .study import StudyConfig, icer_table, regime_means, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
@@ -541,11 +541,9 @@ def _run_simulate(config: RunConfig) -> None:
     s = config.settings
     dataset = simulate_smart(DgpConfig(n=s["n"], seed=s["seed"]))
     header = ["id"] + list(dataset.x1_names) + ["a1", "l2", "s2", "a2", "y", "c"]
-    rows = (
-        [i + 1]
-        + [dataset.x1[i, j] for j in range(dataset.x1.shape[1])]
-        + [dataset.a1[i], dataset.l2[i], dataset.s2[i], dataset.a2[i], dataset.y[i], dataset.c[i]]
-        for i in range(dataset.n)
+    rows = zip(
+        range(1, dataset.n + 1), *dataset.x1.T,
+        dataset.a1, dataset.l2, dataset.s2, dataset.a2, dataset.y, dataset.c,
     )
     write_csv(s["out"], config, header, rows)
 
@@ -611,11 +609,11 @@ def _run_estimate(config: RunConfig) -> None:
 
 def _icer_results(
     dataset: Dataset, regimes: tuple[RegimeSpec, ...], settings: dict, *ids: int
-) -> dict[int, IcerResult | None]:
+) -> dict[int, IcerResult | EstimationFailure]:
     """ICER against the reference of each regime in ``ids`` (of every other
-    regime when none is given); None marks an undefined ratio, which for a
-    requested id raises ``DegenerateDenominator``.  Each id must be in the
-    regime table and differ from the reference and from the other ids."""
+    regime when none is given), or the failure leaving it undefined, raised
+    for a requested id as its own class prefixed ``regime <id>: ``.  Each id
+    must be in the regime table and differ from the reference and the rest."""
     ref = settings["reference"]
     by_id = {r.id: r for r in regimes}
     if ref not in by_id:
@@ -633,8 +631,8 @@ def _icer_results(
         cv_threshold=settings.get("cv_threshold", CV_THRESHOLD), alpha=settings["alpha"],
     )
     for rid in ids:
-        if results[rid] is None:
-            raise DegenerateDenominator(f"regime {rid}: ICER undefined on these data")
+        if isinstance(results[rid], EstimationFailure):
+            raise type(results[rid])(f"regime {rid}: {results[rid]}")
     return results
 
 
@@ -650,11 +648,13 @@ def _run_icer_table(config: RunConfig) -> None:
     regimes = _load_regimes(s)
     rows = []
     for rid, res in _icer_results(dataset, regimes, s).items():
-        if res is None:
-            rows.append([rid, *[float("nan")] * 7, False])
-        else:
+        if isinstance(res, IcerResult):
             rows.append([rid, res.icer, res.ci[0], res.ci[1], res.rd_cost.psi,
                          res.rd_eff.psi, res.cv_cost, res.cv_eff, res.reliable])
+        else:
+            print(f"note: regime {rid} ICER undefined ({type(res).__name__}: {res}); "
+                  "row written as nan", file=sys.stderr)
+            rows.append([rid, *[float("nan")] * 7, False])
     write_csv(s["out"], config, ICER_TABLE_HEADER, rows)
 
 

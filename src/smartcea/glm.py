@@ -209,17 +209,14 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
             except np.linalg.LinAlgError as err:
                 raise RankDeficient(str(err)) from None
 
-        cand = beta + step
-        cand_eta = X @ cand + off
-        cand_mu, cand_ll = state(cand_eta)
         floor = ll - LL_RTOL * abs(ll)
-        halvings = 0
-        while cand_ll < floor and halvings < MAX_HALVINGS:
-            step = 0.5 * step
+        for _ in range(MAX_HALVINGS + 1):
             cand = beta + step
             cand_eta = X @ cand + off
             cand_mu, cand_ll = state(cand_eta)
-            halvings += 1
+            if not cand_ll < floor:  # a NaN likelihood ends the search too
+                break
+            step = 0.5 * step
         beta, eta, mu, ll = cand, cand_eta, cand_mu, cand_ll
 
         score = XT @ (w * (z - mu))

@@ -212,30 +212,32 @@ def icer_table(
     g: GModel,
     cv_threshold: float = CV_THRESHOLD,
     alpha: float = 0.05,
-) -> dict[int, IcerResult | None]:
+) -> dict[int, IcerResult | EstimationFailure]:
     """ICER of each non-reference regime in ``regimes`` against ``reference``.
 
     Every (regime, outcome) mean is estimated once by :func:`regime_means`,
-    for the reference and the given regimes only.  ``None`` marks an
-    undefined ratio: a numerically zero effect difference, or a regime or
-    reference whose mean is not identified.  Keys follow the order of
-    ``regimes``.
+    for the reference and the given regimes only.  An undefined ratio maps
+    to the failure that leaves it so: the regime's own :class:`ZeroSupport`
+    or :class:`RankDeficient`, the reference's (same class, its message
+    prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
+    of a zero effect difference.  Keys follow the order of ``regimes``.
     """
     ref = regime_means(dataset, [reference], estimator, g)[reference.id]
     others = [r for r in regimes if r.id != reference.id]
     if isinstance(ref, EstimationFailure):
-        return {r.id: None for r in others}
-    out: dict[int, IcerResult | None] = {}
+        failure = type(ref)(f"reference regime {reference.id}: {ref}")
+        return {r.id: failure for r in others}
+    out: dict[int, IcerResult | EstimationFailure] = {}
     for rid, est in regime_means(dataset, others, estimator, g).items():
         if isinstance(est, EstimationFailure):
-            out[rid] = None
+            out[rid] = est
             continue
         rd_eff = risk_difference(est[0], ref[0], PER_HUNDRED)
         rd_cost = risk_difference(est[1], ref[1], 1.0)
         try:
             out[rid] = icer(rd_cost, rd_eff, cv_threshold=cv_threshold, alpha=alpha)
-        except DegenerateDenominator:
-            out[rid] = None
+        except DegenerateDenominator as err:
+            out[rid] = err
     return out
 
 
@@ -261,8 +263,8 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
         for regime in _REGIMES[1:]:
             res = results.get(regime.id)
             rows.append(
-                [math.nan] * (len(_FIELDS) + 1) if res is None
-                else [res.icer, res.se, *res.ci, res.cv_cost, res.cv_eff, res.reliable]
+                [res.icer, res.se, *res.ci, res.cv_cost, res.cv_eff, res.reliable]
+                if isinstance(res, IcerResult) else [math.nan] * (len(_FIELDS) + 1)
             )
     return np.array(rows, dtype=np.float64).reshape(-1, len(_FIELDS) + 1)
 

@@ -52,6 +52,11 @@ RUNS = (
     ["frontier", "--in", "icers-tmle.csv", "--out-points", "points.csv",
      "--out-frontier", "frontier.csv"],
     ["plot", "--in", "icers-tmle.csv", "--out", "plane.svg"],
+    # No record of this trial follows regime 1, so every ICER against it is undefined.
+    ["simulate", "--n", "8", "--seed", "3", "--out", "trial-8.csv"],
+    ["icer-table", "--data", "trial-8.csv", "--estimator", "ipw",
+     "--out", "icers-undefined.csv"],
+    ["estimate", "--data", "trial-8.csv", "--estimator", "ipw", "--out", "means-undefined.csv"],
 )
 
 # The 2M-draw truth table and the two bootstraps take about 3.4 s of the

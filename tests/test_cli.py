@@ -695,22 +695,28 @@ def test_rank_deficient_regimes_get_undefined_rows(tmp_path, data_csv, capsys, s
     )
     assert code == 0
     _, rows = _rows(table)
+    undefined = ("4", "6", "8")
+    kinds = ("RankDeficient", "RankDeficient", "ZeroSupport")
+    notes = [ln for ln in err.splitlines() if ln.startswith("note:")]
     if subcommand == "icer-table":
-        assert [r["regime"] for r in rows if r["icer"] == "nan"] == ["4", "6", "8"]
+        assert [r["regime"] for r in rows if r["icer"] == "nan"] == list(undefined)
         for r in rows:
             if r["icer"] == "nan":
                 assert (r["rd_eff"], r["reliable"]) == ("nan", "false")
+        assert [n.split(":")[:2] for n in notes] == [
+            ["note", f" regime {rid} ICER undefined ({kind}"]
+            for rid, kind in zip(undefined, kinds)
+        ]
+        assert all(n.endswith("; row written as nan") for n in notes)
         return
-    undefined = ("4", "6", "8")
     assert [(r["regime"], r["outcome"]) for r in rows if r["psi"] == "nan"] == [
         (rid, out) for rid in undefined for out in ("y", "c")
     ]
     assert all((r["psi"] == "nan") == (r["regime"] in undefined) for r in rows)
     assert all((r["se"] == "nan") == (r["regime"] in undefined) for r in rows)
-    notes = [ln for ln in err.splitlines() if ln.startswith("note:")]
     assert [n.split(":")[:2] for n in notes] == [
         ["note", f" regime {rid} not identified ({kind}"]
-        for rid, kind in zip(undefined, ("RankDeficient", "RankDeficient", "ZeroSupport"))
+        for rid, kind in zip(undefined, kinds)
     ]
 
 
@@ -738,6 +744,61 @@ def test_estimate_writes_undefined_rows_for_a_regime_without_records(tmp_path, c
         "note: regime 1 not identified (ZeroSupport: no records consistent with regime 1); "
         "psi and se written as nan"
     ]
+
+
+@pytest.fixture()
+def trial_with_twin(tmp_path):
+    """The n = 1809 trial and a regime table whose regime 9 is regime 1's twin."""
+    data = tmp_path / "trial.csv"
+    assert main(["simulate", "--n", "1809", "--seed", "7", "--out", str(data)]) == 0
+    regimes = tmp_path / "regimes.csv"
+    regimes.write_text("1,0,1,3\n2,1,1,3\n9,0,1,3\n")
+    return ["--data", str(data), "--regimes", str(regimes)]
+
+
+def test_icer_table_notes_a_zero_effect_difference(tmp_path, trial_with_twin, capsys):
+    table = tmp_path / "icers.csv"
+    code, _, err = run_cli("icer-table", *trial_with_twin, "--out", str(table), capsys=capsys)
+    assert code == 0
+    _, rows = _rows(table)
+    assert [(r["regime"], r["icer"] == "nan") for r in rows] == [("2", False), ("9", True)]
+    assert [ln for ln in err.splitlines() if ln.startswith("note:")] == [
+        "note: regime 9 ICER undefined (DegenerateDenominator: |effect difference| = 0 "
+        "below 1e-12); row written as nan"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contrast", "--i", "9", "--j", "2"],
+        ["bootstrap", "--i", "9", "--replicates", "100", "--seed", "1"],
+    ],
+)
+def test_an_undefined_requested_icer_fails_with_its_cause(tmp_path, trial_with_twin, capsys, argv):
+    code, _, err = run_cli(
+        *argv, *trial_with_twin, "--out", str(tmp_path / "out.csv"), capsys=capsys
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f"error kind=DegenerateDenominator subcommand={argv[0]} "
+        'message="regime 9: |effect difference| = 0 below 1e-12"'
+    )
+
+
+def test_contrast_names_the_reference_failure(tmp_path, capsys):
+    # No record of this 8-row trial follows the reference, regime 1.
+    data = tmp_path / "t8.csv"
+    assert main(["simulate", "--n", "8", "--seed", "3", "--out", str(data)]) == 0
+    code, _, err = run_cli(
+        "contrast", "--data", str(data), "--estimator", "ipw", "--i", "2", "--j", "4",
+        "--out", str(tmp_path / "contrast.csv"), capsys=capsys,
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        'error kind=ZeroSupport subcommand=contrast message="regime 2: reference regime 1: '
+        'no records consistent with regime 1"'
+    )
 
 
 def test_entry_point_subprocess():

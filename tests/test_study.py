@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smartcea import study
-from smartcea.core import EstimateWithIC, consistency_mask
+from smartcea.core import EstimateWithIC, RegimeSpec, consistency_mask
 from smartcea.dgp import TARGET_ICER, DgpConfig, embedded_regimes, simulate_smart, true_values
 from smartcea.estimate import (
     FluctuationDiverged,
@@ -16,7 +16,13 @@ from smartcea.estimate import (
     regime_mean,
 )
 from smartcea.glm import RankDeficient, SeparationDetected
-from smartcea.inference import PER_HUNDRED, icer, risk_difference
+from smartcea.inference import (
+    PER_HUNDRED,
+    DegenerateDenominator,
+    IcerResult,
+    icer,
+    risk_difference,
+)
 from smartcea.study import (
     StudyConfig,
     icer_table,
@@ -315,11 +321,13 @@ def test_icer_table_marks_regimes_without_support_undefined():
         return icer_table(trimmed, regimes, regimes[0], "ipw", g)
 
     without_8 = table_without(regimes[7])
-    assert without_8[8] is None
-    assert all(without_8[rid] is not None for rid in range(2, 8))
+    assert isinstance(without_8[8], ZeroSupport)
+    assert all(isinstance(without_8[rid], IcerResult) for rid in range(2, 8))
     without_reference = table_without(regimes[0])
     assert list(without_reference) == [2, 3, 4, 5, 6, 7, 8]
-    assert all(res is None for res in without_reference.values())
+    for res in without_reference.values():
+        assert isinstance(res, ZeroSupport)
+        assert str(res).startswith("reference regime 1: ")
 
 
 def test_icer_table_undefines_a_regime_with_too_few_records_for_its_design():
@@ -332,8 +340,8 @@ def test_icer_table_undefines_a_regime_with_too_few_records_for_its_design():
     trimmed = data.take(np.sort(keep))
     assert consistency_mask(trimmed, regimes[7]).sum() == 2
     table = icer_table(trimmed, regimes, regimes[0], "tmle", estimate_g(trimmed, "known"))
-    assert table[8] is None
-    assert all(table[rid] is not None for rid in range(2, 8))
+    assert isinstance(table[8], RankDeficient)
+    assert all(isinstance(table[rid], IcerResult) for rid in range(2, 8))
 
 
 @pytest.mark.parametrize(
@@ -355,8 +363,20 @@ def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
             icer_table(data, regimes, regimes[0], "ipw", g)
         return
     table = icer_table(data, regimes, regimes[0], "ipw", g)
-    assert table[4] is None
-    assert all(table[rid] is not None for rid in (2, 3, 5, 6, 7, 8))
+    assert isinstance(table[4], RankDeficient)
+    assert str(table[4]) == "forced"
+    assert all(isinstance(table[rid], IcerResult) for rid in (2, 3, 5, 6, 7, 8))
+
+
+def test_icer_table_maps_a_twin_of_the_reference_to_its_zero_denominator():
+    # Regime 9 treats every record as regime 1 does: its effect difference
+    # is exactly zero, so its ratio is undefined and the others are not.
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+    twin = RegimeSpec(9, 0, 1, 3)
+    table = icer_table(data, (*regimes, twin), regimes[0], "ipw", estimate_g(data, "known"))
+    assert isinstance(table[9], DegenerateDenominator)
+    assert all(isinstance(table[rid], IcerResult) for rid in range(2, 9))
 
 
 @pytest.mark.parametrize("failure", [RankDeficient, SeparationDetected, ZeroSupport])
