@@ -314,15 +314,8 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
         sp.add_argument("--config", default=None, help="flat key = value settings file")
         for opt in options:
             extra_help = f"{opt.help}" + (f" (default: {opt.default})" if opt.default is not None else "")
-            if opt.type is bool:
-                sp.add_argument(_flag_name(opt), dest=opt.name, action="store_true",
-                                default=None, help=extra_help)
-            elif opt.choices:
-                sp.add_argument(_flag_name(opt), dest=opt.name, type=str,
-                                choices=opt.choices, default=None, help=extra_help)
-            else:
-                sp.add_argument(_flag_name(opt), dest=opt.name, type=str,
-                                default=None, help=extra_help)
+            kind = {"action": "store_true"} if opt.type is bool else {"choices": opt.choices}
+            sp.add_argument(_flag_name(opt), dest=opt.name, default=None, help=extra_help, **kind)
     ns = parser.parse_args(list(argv))
     if ns.subcommand is None:
         parser.print_help(sys.stderr)
@@ -782,7 +775,7 @@ def _run_mc_study(config: RunConfig) -> None:
         "degenerate_count",
     ]
     rows = []
-    for row in result.rows:
+    for row in result.rows.values():
         m = row.metrics
         rows.append([
             row.estimator, row.regime_id, m.bias, m.variance, m.mse,

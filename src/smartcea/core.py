@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "STAGE1_SUPPORT",
     "STAGE2_SUPPORT",
     "check_count",
+    "check_regime_ids",
     "EstimationFailure",
     "InvalidRecord",
     "Dataset",
@@ -50,6 +51,16 @@ def check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+
+
+def check_regime_ids(regimes: Iterable[RegimeSpec]) -> None:
+    """``ValueError`` if two different regimes share an id; a regime given
+    twice is one regime."""
+    by_id: dict[int, RegimeSpec] = {}
+    for regime in regimes:
+        first = by_id.setdefault(regime.id, regime)
+        if first != regime:
+            raise ValueError(f"regime id {regime.id} names two regimes: {first} and {regime}")
 
 
 class EstimationFailure(Exception):

@@ -137,11 +137,13 @@ def icer(
     """Ratio of incremental cost to incremental effect, by the delta method.
 
     Raises :class:`DegenerateDenominator` when the effect difference is
-    numerically zero.  ``reliable`` is True when both components have
-    coefficient of variation below ``cv_threshold``; when it is False the
-    delta-method interval should not be reported and the bootstrap used
-    instead.
+    numerically zero, and ``ValueError`` unless ``cv_threshold`` is
+    positive.  ``reliable`` is True when both components have coefficient
+    of variation below ``cv_threshold``; when it is False the delta-method
+    interval should not be reported and the bootstrap used instead.
     """
+    if not cv_threshold > 0.0:
+        raise ValueError("cv_threshold must be positive")
     value, ic = delta_method_ic(rd_cost, rd_eff)
     cv_cost = math.inf if rd_cost.psi == 0.0 else rd_cost.se / abs(rd_cost.psi)
     cv_eff = rd_eff.se / abs(rd_eff.psi)

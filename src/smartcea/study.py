@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, check_count
+from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec
+from .core import check_count, check_regime_ids
 from .dgp import (
     TARGET_ICER,
     TRUTH_MC_DRAWS,
@@ -100,7 +101,7 @@ class StudyConfig:
                 raise ValueError(f"unknown estimator {est!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.cv_threshold <= 0.0:
+        if not self.cv_threshold > 0.0:
             raise ValueError("cv_threshold must be positive")
 
 
@@ -146,14 +147,8 @@ class StudyResult:
     config: StudyConfig
     truth: TruthTable
     truth_icers: dict[int, float]
-    rows: tuple[StudyRow, ...]
+    rows: dict[tuple[str, int], StudyRow]
     draws: dict[tuple[str, int], RepDraws]
-
-    def row(self, estimator: str, regime_id: int) -> StudyRow:
-        for r in self.rows:
-            if r.estimator == estimator and r.regime_id == regime_id:
-                return r
-        raise KeyError((estimator, regime_id))
 
 
 def _variance_ratio(num: np.ndarray, den: np.ndarray, aligned: np.ndarray) -> float | None:
@@ -184,8 +179,10 @@ def regime_means(
     :class:`ZeroSupport` or :class:`RankDeficient` that says so, and its
     later outcomes are not estimated.  Any other estimation failure is
     raised again as the same class, its message prefixed with the regime
-    and outcome it came from.  Keys follow the order of ``regimes``.
+    and outcome it came from.  Keys follow the order of ``regimes``;
+    ``ValueError`` if two of them share an id (``core.check_regime_ids``).
     """
+    check_regime_ids(regimes)
     out: dict[int, list[EstimateWithIC] | EstimationFailure] = {}
     for regime in regimes:
         means = []
@@ -220,8 +217,10 @@ def icer_table(
     to the failure that leaves it so: the regime's own :class:`ZeroSupport`
     or :class:`RankDeficient`, the reference's (same class, its message
     prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
-    of a zero effect difference.  Keys follow the order of ``regimes``.
+    of a zero effect difference.  Keys follow the order of ``regimes``;
+    ``ValueError`` if a regime or ``reference`` shares its id with another.
     """
+    check_regime_ids([reference, *regimes])
     ref = regime_means(dataset, [reference], estimator, g)[reference.id]
     others = [r for r in regimes if r.id != reference.id]
     if isinstance(ref, EstimationFailure):
@@ -336,7 +335,7 @@ def run_study(
     # (cells, fields, reps), NaN outside the kept reps.
     masked = np.where(kept[..., None], values[..., :-1], np.nan).transpose(1, 2, 0)
 
-    rows: list[StudyRow] = []
+    rows: dict[tuple[str, int], StudyRow] = {}
     draws: dict[tuple[str, int], RepDraws] = {}
     for c, (est, rid) in enumerate(cells):
         d = RepDraws(
@@ -364,7 +363,7 @@ def run_study(
             ratio = _variance_ratio(masked[c, 0], masked[ipw, 0], k & kept[:, ipw])
             if ratio is not None:
                 metrics = replace(metrics, rel_var_vs_ipw=ratio)
-        rows.append(StudyRow(est, rid, metrics, n_used, config.reps - n_used))
+        rows[(est, rid)] = StudyRow(est, rid, metrics, n_used, config.reps - n_used)
     return StudyResult(
-        config=config, truth=truth, truth_icers=truth_icers, rows=tuple(rows), draws=draws
+        config=config, truth=truth, truth_icers=truth_icers, rows=rows, draws=draws
     )

@@ -11,24 +11,29 @@ the two directories with ``diff -r``.
 With --update, writes the part of the set that ``test_output_set.py`` pins
 (``PINNED``) into a temporary directory and replaces ``tests/expected/``
 with it: each file whole, except the files with one row per trial record,
-which are kept as a summary in ``summaries.json``.  Run it after a declared
-output change, and name the files that moved.
+which are kept as a summary in ``summaries.json``.  It also writes
+``help.txt``, the program's and every subcommand's ``--help`` text
+(``help_texts``).  Run it after a declared output change, and name the
+files that moved.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from smartcea.cli import main  # noqa: E402
+from smartcea.cli import SUBCOMMANDS, main  # noqa: E402
 
 TRIAL = "trial.csv"
 
@@ -65,6 +70,7 @@ PINNED = tuple(argv for argv in RUNS if argv[0] not in ("truth", "bootstrap"))
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
 SUMMARIES = "summaries.json"
+HELP = "help.txt"
 
 
 def write_output_set(outdir: str, runs=RUNS) -> None:
@@ -79,6 +85,26 @@ def write_output_set(outdir: str, runs=RUNS) -> None:
                 raise RuntimeError(f"{' '.join(argv)}: exit code {code}")
     finally:
         os.chdir(cwd)
+
+
+def help_texts() -> str:
+    """``smartcea --help`` and ``smartcea <subcommand> --help`` for each
+    subcommand, each after a ``$`` line naming the call.
+
+    argparse wraps help to the terminal width, which it reads from
+    ``COLUMNS``, so the texts are made at ``COLUMNS=80`` whatever the
+    terminal.  Their layout also depends on the Python version's argparse.
+    """
+    texts = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in ([], *([name] for name in SUBCOMMANDS)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([*argv, "--help"])
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} --help: exit code {code}")
+            texts.append(f"$ smartcea {' '.join([*argv, '--help'])}\n{out.getvalue()}")
+    return "\n".join(texts)
 
 
 def output_files(outdir: str | Path) -> list[str]:
@@ -119,6 +145,7 @@ def update_expected() -> None:
             else:
                 shutil.copyfile(Path(tmp, name), EXPECTED / name)
         (EXPECTED / SUMMARIES).write_text(json.dumps(summaries, indent=1) + "\n")
+    (EXPECTED / HELP).write_text(help_texts(), encoding="utf-8")
 
 
 if __name__ == "__main__":

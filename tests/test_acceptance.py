@@ -6,14 +6,15 @@ simulation study, estimator equivalences on a fully discrete test bed, the
 targeting and delta-method identities, the frontier construction, and
 byte-level reproducibility of the command line.
 
-The benchmark table (``TARGET_*`` in dgp) is a finite Monte Carlo
-evaluation, not a table of exact values, so the truth-table clauses compare
-against it at its own precision.  Regimes 1/3 and 5/7 have equal true effects
-(test_dgp proves it draw for draw), yet the table prints gaps of 0.0017 and
-0.0032: its regimes were drawn independently.  Its effect column's deviations
-from the frozen 20-million-draw oracle in test_dgp imply about 1.2e5 draws per
-regime, and at ``TARGET_MC_DRAWS`` = 1e5 every cost entry lies within 1.0
-table standard error of that oracle.  ``benchmark_mismatches`` therefore
+The benchmark table (``TARGET_*`` in oracles, its ICER column in dgp) is a
+finite Monte Carlo evaluation, not a table of exact values, so the
+truth-table clauses compare against it at its own precision.  Regimes 1/3
+and 5/7 have equal true effects (test_dgp proves it draw for draw), yet the
+table prints gaps of 0.0017 and 0.0032: its regimes were drawn
+independently.  Its effect column's deviations from the frozen
+20-million-draw oracle in test_dgp imply about 1.2e5 draws per regime, and
+at ``TARGET_MC_DRAWS`` = 1e5 every cost entry lies within 1.0 table
+standard error of that oracle.  ``benchmark_mismatches`` therefore
 requires:
 
 - each mean within 4 standard errors of the difference (the table's error at
@@ -52,15 +53,11 @@ from smartcea.cli import main
 from smartcea.core import EstimateWithIC
 from smartcea.dgp import (
     C_CONSTANTS,
-    TARGET_EC,
-    TARGET_EY,
     TARGET_ICER,
-    TARGET_ROUNDING,
     Y_CONSTANTS,
     DgpConfig,
     embedded_regimes,
     simulate_smart,
-    target_se,
     true_values,
 )
 from smartcea.estimate import RegimeMeanRequest, estimate_g, regime_mean
@@ -70,9 +67,13 @@ from smartcea.study import StudyConfig, run_study
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 from oracles import (
     CELL_INDEX_MAP,
+    TARGET_EC,
+    TARGET_EY,
+    TARGET_ROUNDING,
     brute_frontier,
     icer_variance_decomposition,
     relative_variance,
+    target_se,
 )
 
 WELL_BEHAVED = (2, 4, 6, 8)
@@ -257,7 +258,7 @@ def test_icer_arithmetic_anchors():
 def test_study_bias_variance_coverage(desk_study):
     result, _ = desk_study
     for est, rid in itertools.product(("ipw", "tmle"), WELL_BEHAVED):
-        m = result.row(est, rid).metrics
+        m = result.rows[(est, rid)].metrics
         label = f"{est} regime {rid}"
         assert abs(m.bias) < 0.01, label
         assert m.variance < 0.004, label
@@ -268,10 +269,10 @@ def test_study_bias_variance_coverage(desk_study):
 def test_study_flags_unstable_contrasts(desk_study):
     result, _ = desk_study
     for est, rid in itertools.product(("ipw", "tmle"), UNSTABLE):
-        m = result.row(est, rid).metrics
+        m = result.rows[(est, rid)].metrics
         assert max(m.avg_cv_cost, m.avg_cv_eff) > 2.0, f"{est} regime {rid}"
     for est in ("ipw", "tmle"):
-        assert result.row(est, 3).metrics.coverage_pct < 90.0
+        assert result.rows[(est, 3)].metrics.coverage_pct < 90.0
 
 
 def test_study_runtime(desk_study):

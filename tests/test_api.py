@@ -1,16 +1,24 @@
 """Public API: every exported name resolves, every public name is exported,
-and the package runs without scipy."""
+every exported name has a use in the library, and the package runs without
+scipy."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import smartcea
+
+# Exported names that no library code loads, each with the reason it stays.
+UNUSED_EXPORTS = {
+    "rng.PURPOSE_CALIBRATE": "reserves stream tag 4 for the calibration search in the tests",
+}
 
 
 def test_every_exported_name_resolves():
@@ -33,6 +41,30 @@ def test_every_public_name_is_exported():
     ]
     unexported = sorted(set(bound) - set(smartcea.__all__))
     assert not unexported, f"bound in smartcea but not in __all__: {unexported}"
+
+
+def test_every_exported_name_is_loaded_by_library_code():
+    # A name that only the tests read belongs with them, in tests/oracles.py.
+    paths = sorted(Path(smartcea.__file__).parent.glob("*.py"))
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    modules = {
+        path.stem: smartcea if path.stem == "__init__"
+        else importlib.import_module(f"smartcea.{path.stem}")
+        for path in paths
+    }
+    unused = sorted(
+        f"{stem}.{name}"
+        for stem, module in modules.items()
+        for name in module.__all__
+        if name not in loaded
+    )
+    assert unused == sorted(UNUSED_EXPORTS)
 
 
 def test_every_domain_exception_is_an_estimation_failure():

@@ -12,13 +12,10 @@ from smartcea import dgp
 from smartcea.core import RegimeSpec
 from smartcea.dgp import (
     C_CONSTANTS,
-    TARGET_EY,
-    TARGET_ROUNDING,
     Y_CONSTANTS,
     DgpConfig,
     embedded_regimes,
     simulate_smart,
-    target_se,
     true_values,
 )
 from smartcea.glm import expit, logit
@@ -36,10 +33,13 @@ from discrete_bed import (
 )
 from oracles import (
     CELL_INDEX_MAP,
+    TARGET_EY,
+    TARGET_ROUNDING,
     NoConsistentIndexing,
     calibrate_regime_indexing,
     per_regime_true_values,
     reference_simulate_smart,
+    target_se,
 )
 
 # Independently computed high-precision Monte Carlo values (2e7 common-
@@ -255,6 +255,14 @@ def test_truth_rejects_unknown_reference_before_drawing(monkeypatch):
         true_values(DgpConfig(), mc_draws=10_000, reference_id=42)
     with pytest.raises(ValueError, match="reference regime 42"):
         discrete_true_values(bed, mc_draws=10_000, reference_id=42)
+
+
+def test_truth_refuses_two_regimes_with_one_id_before_drawing(monkeypatch):
+    # Both regimes 2 used to be evaluated, and icer_for(2) returned the first.
+    monkeypatch.setattr(dgp, "philox_stream", _no_draws)
+    regimes = [embedded_regimes()[0], RegimeSpec(2, 1, 1, 3), RegimeSpec(2, 0, 2, 4)]
+    with pytest.raises(ValueError, match="regime id 2 names two regimes"):
+        true_values(DgpConfig(), regimes=regimes, mc_draws=10_000)
 
 
 def test_calibration_recovers_default_indexing():

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from smartcea.core import Dataset, RegimeSpec, consistency_mask
-from smartcea.dgp import (
-    TARGET_EC,
-    TARGET_EY,
-    DgpConfig,
-    embedded_regimes,
-    simulate_smart,
-)
+from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.estimate import (
     G_TRUNCATION,
     RegimeMeanRequest,
@@ -26,6 +20,7 @@ from smartcea.estimate import (
 from smartcea.glm import SeparationDetected, expit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
+from oracles import TARGET_EC, TARGET_EY
 
 
 def _request(regime, outcome, estimator, g, saturated=False):

@@ -143,6 +143,12 @@ def test_icer_reliability_flag_tracks_component_cvs():
     assert not strict.reliable
 
 
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+def test_icer_refuses_a_reliability_bound_that_is_not_positive(bound):
+    with pytest.raises(ValueError, match="cv_threshold must be positive"):
+        icer(_estimate(3.0, 0.5), _estimate(25.0, 2.0), cv_threshold=bound)
+
+
 def test_variance_decomposition_matches_direct_variance(trial, g_known):
     for rid in (2, 4, 6):
         est_c, ref_c = _regime_pair(trial, g_known, "c", rid)

@@ -8,6 +8,8 @@ exact bytes are not portable, because numpy's SIMD ``exp``/``log`` may
 differ by one ulp between CPUs.  The trials and the influence-curve files
 are compared by row count and per-column sums.  After a declared output
 change, ``python tests/output_set.py --update`` rewrites the expected files.
+
+``help.txt`` pins every ``--help`` text byte for byte (``help_texts``).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import re
 
 from output_set import (
     EXPECTED,
+    HELP,
     PINNED,
     SUMMARIES,
+    help_texts,
     output_files,
     summarized,
     summary,
@@ -71,7 +75,9 @@ def _summary_mismatch(name: str, got: dict, want: dict) -> str | None:
 def test_output_set_matches_expected(tmp_path):
     write_output_set(str(tmp_path), PINNED)
     summaries = json.loads((EXPECTED / SUMMARIES).read_text())
-    expected = sorted([*summaries, *(n for n in output_files(EXPECTED) if n != SUMMARIES)])
+    expected = sorted(
+        [*summaries, *(n for n in output_files(EXPECTED) if n not in (SUMMARIES, HELP))]
+    )
     assert output_files(tmp_path) == expected
 
     mismatches = []
@@ -82,3 +88,7 @@ def test_output_set_matches_expected(tmp_path):
             got, want = ((root / name).read_text(encoding="utf-8") for root in (tmp_path, EXPECTED))
             mismatches.append(_text_mismatch(name, got, want))
     assert [m for m in mismatches if m] == []
+
+
+def test_help_texts_match_expected():
+    assert help_texts() == (EXPECTED / HELP).read_text(encoding="utf-8")

@@ -112,11 +112,11 @@ def test_stub_estimator_returning_truth_scores_perfectly(monkeypatch):
     )
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     for rid in (2, 4, 6, 8):
-        metrics = result.row("ipw", rid).metrics
+        metrics = result.rows[("ipw", rid)].metrics
         assert abs(metrics.bias) < 1e-12
         assert metrics.variance < 1e-24
         assert metrics.coverage_pct == 100.0
-        assert result.row("ipw", rid).n_used == 10
+        assert result.rows[("ipw", rid)].n_used == 10
 
 
 def test_study_is_deterministic():
@@ -125,7 +125,7 @@ def test_study_is_deterministic():
     b = run_study(config, truth=TRUTH)
     for key in a.draws:
         assert np.array_equal(a.draws[key].icer, b.draws[key].icer, equal_nan=True)
-    for row_a, row_b in zip(a.rows, b.rows):
+    for row_a, row_b in zip(a.rows.values(), b.rows.values()):
         assert row_a == row_b
 
 
@@ -167,7 +167,7 @@ def test_mse_identity_and_metric_definitions():
     config = StudyConfig(reps=40, n=400, seed=3, estimators=("ipw",))
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     for rid in (2, 4, 6, 8):
-        row = result.row("ipw", rid)
+        row = result.rows[("ipw", rid)]
         m = row.metrics
         assert m.mse == pytest.approx(m.bias**2 + m.variance, abs=1e-10)
         draws = result.draws[("ipw", rid)]
@@ -191,8 +191,8 @@ def test_wider_alpha_narrows_intervals():
     w80 = run_study(loose, truth=TRUTH, retain_degenerate=True)
     for rid in (2, 4, 6, 8):
         assert (
-            w80.row("ipw", rid).metrics.mean_ci_width
-            < w95.row("ipw", rid).metrics.mean_ci_width
+            w80.rows[("ipw", rid)].metrics.mean_ci_width
+            < w95.rows[("ipw", rid)].metrics.mean_ci_width
         )
 
 
@@ -200,12 +200,12 @@ def test_degenerate_exclusion_policy():
     config = StudyConfig(reps=20, n=250, seed=21)
     kept_all = run_study(config, truth=TRUTH, retain_degenerate=True)
     default = run_study(config, truth=TRUTH, retain_degenerate=False)
-    for row in default.rows:
+    for row in default.rows.values():
         assert row.n_used + row.degenerate_count == config.reps
     # Regime 3's effect difference is pure noise, so unreliable reps are
     # common; the default policy must exclude at least some of them.
-    r3_default = default.row("tmle", 3)
-    r3_kept = kept_all.row("tmle", 3)
+    r3_default = default.rows[("tmle", 3)]
+    r3_kept = kept_all.rows[("tmle", 3)]
     assert r3_default.n_used < r3_kept.n_used
     assert r3_default.degenerate_count > r3_kept.degenerate_count
 
@@ -237,8 +237,8 @@ def test_rel_var_attached_to_tmle_rows():
     config = StudyConfig(reps=12, n=400, seed=13)
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     for rid in (2, 4, 6, 8):
-        tmle_row = result.row("tmle", rid)
-        ipw_row = result.row("ipw", rid)
+        tmle_row = result.rows[("tmle", rid)]
+        ipw_row = result.rows[("ipw", rid)]
         assert ipw_row.metrics.rel_var_vs_ipw is None
         tm = result.draws[("tmle", rid)].icer
         iw = result.draws[("ipw", rid)].icer
@@ -260,9 +260,9 @@ def test_row_lookup_raises_for_unknown_cell():
     config = StudyConfig(reps=2, n=100, seed=1, estimators=("ipw",))
     result = run_study(config, truth=TRUTH, retain_degenerate=True)
     with pytest.raises(KeyError):
-        result.row("tmle", 2)
+        result.rows[("tmle", 2)]
     with pytest.raises(KeyError):
-        result.row("ipw", 1)
+        result.rows[("ipw", 1)]
 
 
 @pytest.fixture()
@@ -309,6 +309,38 @@ def test_icer_table_only_estimates_the_regimes_it_is_given(counted_means):
     assert list(table) == [4, 2]
     assert {rid for rid, _ in counted_means} == {1, 2, 4}
     assert len(counted_means) == 6
+
+
+def test_regime_means_refuses_two_regimes_with_one_id(counted_means):
+    # Keyed by id, the second regime 2 used to replace the first without a word.
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    g = estimate_g(data, "known")
+    with pytest.raises(ValueError, match="regime id 2 names two regimes"):
+        study.regime_means(data, [RegimeSpec(2, 1, 1, 3), RegimeSpec(2, 0, 2, 4)], "ipw", g)
+    assert counted_means == []
+
+
+def test_icer_table_refuses_a_regime_that_shares_the_reference_id(counted_means):
+    # The reference may be listed among the regimes, but no other regime 1.
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+    listed = [regimes[0], RegimeSpec(1, 1, 2, 4), regimes[1]]
+    with pytest.raises(ValueError, match="regime id 1 names two regimes"):
+        icer_table(data, listed, regimes[0], "ipw", estimate_g(data, "known"))
+    assert counted_means == []
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+def test_reliability_bound_must_be_positive(bound):
+    # A NaN bound passed StudyConfig, and icer_table flagged every ICER
+    # unreliable under any of these bounds.
+    with pytest.raises(ValueError, match="cv_threshold must be positive"):
+        StudyConfig(cv_threshold=bound)
+    data = simulate_smart(DgpConfig(n=400, seed=4))
+    regimes = embedded_regimes()
+    g = estimate_g(data, "known")
+    with pytest.raises(ValueError, match="cv_threshold must be positive"):
+        icer_table(data, regimes, regimes[0], "ipw", g, cv_threshold=bound)
 
 
 def test_icer_table_marks_regimes_without_support_undefined():
@@ -397,7 +429,7 @@ def test_rank_deficient_treatment_model_fails_only_its_repetition(monkeypatch, f
     for rid in range(2, 9):
         assert result.draws[("tmle", rid)].failed.tolist() == [False, True, False]
         assert not result.draws[("ipw", rid)].failed.any()
-        assert result.row("tmle", rid).n_used == 2
+        assert result.rows[("tmle", rid)].n_used == 2
 
 
 def test_study_repetition_runs_each_estimator_once(counted_means):
