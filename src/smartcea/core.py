@@ -54,8 +54,7 @@ def check_count(name: str, value: int, minimum: int) -> None:
 
 
 def check_regime_ids(regimes: Iterable[RegimeSpec]) -> None:
-    """``ValueError`` if two different regimes share an id; a regime given
-    twice is one regime."""
+    """``ValueError`` if two different regimes share an id; a repeat is one regime."""
     by_id: dict[int, RegimeSpec] = {}
     for regime in regimes:
         first = by_id.setdefault(regime.id, regime)

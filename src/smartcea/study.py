@@ -217,10 +217,12 @@ def icer_table(
     to the failure that leaves it so: the regime's own :class:`ZeroSupport`
     or :class:`RankDeficient`, the reference's (same class, its message
     prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
-    of a zero effect difference.  Keys follow the order of ``regimes``;
-    ``ValueError`` if a regime or ``reference`` shares its id with another.
+    of a zero effect difference.  Keys follow the order of ``regimes``.
+    ``ValueError``, before any fit, on a shared id or a ``cv_threshold`` <= 0.
     """
     check_regime_ids([reference, *regimes])
+    if not cv_threshold > 0.0:
+        raise ValueError("cv_threshold must be positive")
     ref = regime_means(dataset, [reference], estimator, g)[reference.id]
     others = [r for r in regimes if r.id != reference.id]
     if isinstance(ref, EstimationFailure):
@@ -294,13 +296,12 @@ def run_study(
     ``truth`` defaults to a fresh :func:`~smartcea.dgp.true_values` table at
     :data:`TRUTH_MC_DRAWS` draws under the study's master seed; a given one
     must hold every embedded regime against regime 1, or ``ValueError`` is
-    raised before any repetition.  Each
-    repetition runs every estimator once through :func:`icer_table`.
-    ``retain_degenerate`` keeps unreliable-but-defined reps in the moments.
-    ``threads`` caps process-level parallelism across reps; results are
-    identical for any thread count because each rep is self-contained.
-    ``progress(rep)`` is called as each repetition's result arrives, in
-    repetition order.
+    raised before any repetition.  Each repetition runs every estimator once
+    through :func:`icer_table`.  ``retain_degenerate`` keeps
+    unreliable-but-defined reps in the moments.  ``threads`` caps
+    process-level parallelism across reps; results are identical for any
+    thread count because each rep is self-contained.  ``progress(rep)`` is
+    called as each repetition's result arrives, in repetition order.
     """
     check_count("threads", threads, 1)
     if truth is None:

@@ -13,8 +13,9 @@ With --update, writes the part of the set that ``test_output_set.py`` pins
 with it: each file whole, except the files with one row per trial record,
 which are kept as a summary in ``summaries.json``.  It also writes
 ``help.txt``, the program's and every subcommand's ``--help`` text
-(``help_texts``).  Run it after a declared output change, and name the
-files that moved.
+(``help_texts``), after a first line naming the Python version whose
+argparse laid them out (``help_header``).  Run it after a declared output
+change, and name the files that moved.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def help_texts() -> str:
     return "\n".join(texts)
 
 
+def help_header() -> str:
+    """First line of ``help.txt``: the Python version that made the texts."""
+    return f"# --help texts of Python {sys.version_info[0]}.{sys.version_info[1]} argparse, COLUMNS=80\n"
+
+
 def output_files(outdir: str | Path) -> list[str]:
     """Every file under ``outdir``, as sorted '/'-separated relative paths."""
     root = Path(outdir)
@@ -145,7 +151,7 @@ def update_expected() -> None:
             else:
                 shutil.copyfile(Path(tmp, name), EXPECTED / name)
         (EXPECTED / SUMMARIES).write_text(json.dumps(summaries, indent=1) + "\n")
-    (EXPECTED / HELP).write_text(help_texts(), encoding="utf-8")
+    (EXPECTED / HELP).write_text(help_header() + help_texts(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ differ by one ulp between CPUs.  The trials and the influence-curve files
 are compared by row count and per-column sums.  After a declared output
 change, ``python tests/output_set.py --update`` rewrites the expected files.
 
-``help.txt`` pins every ``--help`` text byte for byte (``help_texts``).
+``help.txt`` pins every ``--help`` text byte for byte (``help_texts``).  Its
+first line names the Python version that made it: argparse's layout may
+change between versions, and a failure on another version says so.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from output_set import (
     HELP,
     PINNED,
     SUMMARIES,
+    help_header,
     help_texts,
     output_files,
     summarized,
@@ -91,4 +94,7 @@ def test_output_set_matches_expected(tmp_path):
 
 
 def test_help_texts_match_expected():
-    assert help_texts() == (EXPECTED / HELP).read_text(encoding="utf-8")
+    header, expected = (EXPECTED / HELP).read_text(encoding="utf-8").split("\n", 1)
+    assert help_texts() == expected, (
+        f"help.txt: {header[2:]}; this run: {help_header()[2:-1]}"
+    )

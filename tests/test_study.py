@@ -139,7 +139,7 @@ def test_results_independent_of_thread_count():
         assert np.array_equal(
             serial.draws[key].icer, parallel.draws[key].icer, equal_nan=True
         )
-    assert serial.rows == parallel.rows
+    assert list(serial.rows.items()) == list(parallel.rows.items())
 
 
 def test_estimators_see_the_same_datasets_within_a_rep(monkeypatch):
@@ -333,14 +333,16 @@ def test_icer_table_refuses_a_regime_that_shares_the_reference_id(counted_means)
 @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
 def test_reliability_bound_must_be_positive(bound):
     # A NaN bound passed StudyConfig, and icer_table flagged every ICER
-    # unreliable under any of these bounds.
+    # unreliable under any of these bounds.  icer_table refuses the bound
+    # before any fit, so also on the n = 8 trial, where no ratio is defined.
     with pytest.raises(ValueError, match="cv_threshold must be positive"):
         StudyConfig(cv_threshold=bound)
-    data = simulate_smart(DgpConfig(n=400, seed=4))
     regimes = embedded_regimes()
-    g = estimate_g(data, "known")
-    with pytest.raises(ValueError, match="cv_threshold must be positive"):
-        icer_table(data, regimes, regimes[0], "ipw", g, cv_threshold=bound)
+    for n, seed in ((400, 4), (8, 3)):
+        data = simulate_smart(DgpConfig(n=n, seed=seed))
+        g = estimate_g(data, "known")
+        with pytest.raises(ValueError, match="cv_threshold must be positive"):
+            icer_table(data, regimes, regimes[0], "ipw", g, cv_threshold=bound)
 
 
 def test_icer_table_marks_regimes_without_support_undefined():
