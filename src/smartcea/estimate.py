@@ -171,9 +171,7 @@ def _cumulative_weights(
     mask = consistency_mask(dataset, regime)
     if not mask.any():
         raise ZeroSupport(f"no records consistent with regime {regime.id}")
-    w = np.zeros(dataset.n)
-    w[mask] = 1.0 / (g.p_a1[mask] * g.p_a2[mask])
-    return mask, w
+    return mask, np.where(mask, 1.0 / (g.p_a1 * g.p_a2), 0.0)
 
 
 def ipw_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
@@ -217,8 +215,7 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     regime = request.regime
     mask, h2 = _cumulative_weights(dataset, regime, request.g)
     stage1_mask = dataset.a1 == regime.d1
-    h1 = np.zeros(dataset.n)
-    h1[stage1_mask] = 1.0 / request.g.p_a1[stage1_mask]
+    h1 = np.where(stage1_mask, 1.0 / request.g.p_a1, 0.0)
 
     z_raw = dataset.outcome(request.outcome)
     lo = float(z_raw.min())

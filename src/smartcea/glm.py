@@ -11,10 +11,19 @@ after validation, and the iterations run on them alone.  A Newton step is
 halved only when it lowers the log-likelihood by more than its rounding
 error (``LL_RTOL`` times its magnitude), so a step whose gain is below
 rounding is taken instead of being halved to nothing.
+
+A fit without an offset starts at the intercept-only MLE, as R's ``glm``
+starts from the data rather than from zero: the coefficient of the design's
+all-ones column is the logit of the weighted mean response on the weighted
+rows.  An intercept-only fit therefore returns at once, with
+``iterations == 0``.  A fit with an offset, a design with no column that is
+1 on every weighted row (a saturated coding, as a rule) or a response whose
+weighted mean is 0 or 1 starts at zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +141,14 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     log-likelihood ll by more than its rounding error, i.e. while the
     candidate's ll < ll - 1e-12 |ll|; after ten halvings the reduced step
     is accepted as-is and the score criterion decides convergence.
+
+    Without an offset, the iterations start at the intercept-only MLE: if
+    some column is 1 on every weighted row and the weighted mean response
+    zbar = sum(w z) / sum(w) over those rows lies strictly inside (0, 1),
+    that column's coefficient starts at logit(zbar) and the others at 0.
+    The start's score may already be below 1e-8, as it is for an
+    intercept-only design, and the fit then returns with iterations == 0.
+    Every other fit, and every fit with an offset, starts at beta = 0.
     """
     X = _as_matrix(design)
     n, p = X.shape
@@ -152,11 +169,12 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         raise ValueError("weights must be nonnegative")
     if not np.isfinite(w.max()):
         raise ValueError("weights must be finite")
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=np.float64)
-    if off.shape != (n,):
-        raise ValueError("offset length does not match design")
-    if not np.isfinite(off).all():
-        raise ValueError("offset must be finite")
+    off = None if offset is None else np.asarray(offset, dtype=np.float64)
+    if off is not None:
+        if off.shape != (n,):
+            raise ValueError("offset length does not match design")
+        if not np.isfinite(off).all():
+            raise ValueError("offset must be finite")
     if not np.isfinite(X).all():
         raise ValueError("design must be finite")
 
@@ -165,7 +183,9 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     if m == 0:
         raise ValueError("weights must not be all zero")
     if m < n:
-        X, z, w, off = X.take(rows, axis=0), z.take(rows), w.take(rows), off.take(rows)
+        X, z, w = X.take(rows, axis=0), z.take(rows), w.take(rows)
+        if off is not None:
+            off = off.take(rows)
     if p == 1:
         x = X[:, 0]
         if not x.any():
@@ -174,23 +194,34 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     elif np.linalg.matrix_rank(X) < p:
         raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
     XT = X.T
-    z_hi = z > 0.5
-    z_lo = z < 0.5
+    ridge = RIDGE * np.eye(p)
 
     def state(eta):
         # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
         # e = exp(-|eta|); softplus(eta) = max(eta, 0) + log1p(e), and the
         # max(eta, 0) - z eta term cancels exactly on saturated rows.
-        e = np.exp(-np.abs(eta))
+        abs_eta = np.abs(eta)
+        e = np.exp(-abs_eta)
         up = eta >= 0.0
         mu = np.where(up, 1.0, e)
         mu /= 1.0 + e
         loss = np.where(up, eta, 0.0) - z * eta + np.log1p(e)
-        return mu, -float(w @ loss)
+        return abs_eta, mu, -float(w @ loss)
 
     beta = np.zeros(p)
-    eta = off
-    mu, ll = state(eta)
+    if off is None:
+        # The intercept-only MLE (see Notes).  zbar is a sum of w * z, not
+        # w @ z: for a response of all ones it then adds the very terms of
+        # w.sum(), so it is exactly 1 and the fit starts at zero, as for a
+        # response of all zeros.
+        ones = np.flatnonzero((X == 1.0).all(axis=0))
+        zbar = float((w * z).sum() / w.sum())
+        if ones.size and 0.0 < zbar < 1.0:
+            beta[ones[0]] = math.log(zbar) - math.log1p(-zbar)
+        eta = X @ beta
+    else:
+        eta = off
+    _, mu, ll = state(eta)
     score = XT @ (w * (z - mu))
     max_abs_score = float(np.abs(score).max())
     converged = max_abs_score < SCORE_TOL
@@ -203,7 +234,7 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
             step = score / (wfisher @ xx + RIDGE)
         else:
             hess = (XT * wfisher) @ X
-            hess.flat[:: p + 1] += RIDGE
+            hess += ridge
             try:
                 step = np.linalg.solve(hess, score)
             except np.linalg.LinAlgError as err:
@@ -212,8 +243,8 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         floor = ll - LL_RTOL * abs(ll)
         for _ in range(MAX_HALVINGS + 1):
             cand = beta + step
-            cand_eta = X @ cand + off
-            cand_mu, cand_ll = state(cand_eta)
+            cand_eta = X @ cand if off is None else X @ cand + off
+            abs_eta, cand_mu, cand_ll = state(cand_eta)
             if not cand_ll < floor:  # a NaN likelihood ends the search too
                 break
             step = 0.5 * step
@@ -226,9 +257,9 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         # lies at infinity, so report separation instead of convergence.
         # Saturation needs |eta| > logit(1 - 1e-8) = 18.42 on every row,
         # so the rows are examined only once min |eta| passes 18.
-        min_abs_eta = float(np.abs(eta).min())
+        min_abs_eta = float(abs_eta.min())
         if min_abs_eta > 18.0 and (
-            (z_hi & (mu > 1.0 - 1e-8)) | (z_lo & (mu < 1e-8))
+            ((z > 0.5) & (mu > 1.0 - 1e-8)) | ((z < 0.5) & (mu < 1e-8))
         ).all():
             raise SeparationDetected(
                 f"fitted probabilities saturated at the response boundary on "
