@@ -45,7 +45,6 @@ from .estimate import (
 from .glm import RankDeficient, SeparationDetected
 from .inference import (
     BootstrapResult,
-    ContrastResult,
     DegenerateDenominator,
     IcerResult,
     TooManyDegenerate,
@@ -68,7 +67,6 @@ from .study import (
 __all__ = [
     "__version__",
     "BootstrapResult",
-    "ContrastResult",
     "Dataset",
     "DegenerateDenominator",
     "DgpConfig",

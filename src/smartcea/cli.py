@@ -47,7 +47,7 @@ from .dgp import (
     true_values,
 )
 from .estimate import DEFAULT_G_MODES, estimate_g
-from .inference import CV_THRESHOLD, IcerResult, bootstrap_ci, contrast
+from .inference import CV_THRESHOLD, IcerResult, bootstrap_ci, contrast, wald_ci
 from .study import StudyConfig, icer_table, regime_means, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
@@ -170,7 +170,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "frontier": (
         "efficient frontier from an icer-table output",
         (
-            Option("in_", str, None, "icer-table CSV to read", required=True),
+            Option("in", str, None, "icer-table CSV to read", required=True),
             Option("drop_unreliable", bool, False, "drop flagged points before the hull"),
             Option("out_points", str, None, "plane points CSV path", required=True),
             Option("out_frontier", str, None, "frontier vertices CSV path", required=True),
@@ -179,7 +179,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "plot": (
         "cost-effectiveness plane SVG from an icer-table output",
         (
-            Option("in_", str, None, "icer-table CSV to read", required=True),
+            Option("in", str, None, "icer-table CSV to read", required=True),
             Option("drop_unreliable", bool, False, "drop flagged points before the frontier"),
             Option("no_frontier", bool, False, "points only, no frontier polyline"),
             Option("width", int, 640, "SVG width in px", "> 80", lambda v: v > 80),
@@ -253,7 +253,7 @@ class RunConfig:
 
 
 def _flag_name(opt: Option) -> str:
-    return "--" + opt.name.rstrip("_").replace("_", "-")
+    return "--" + opt.name.replace("_", "-")
 
 
 def _coerce(opt: Option, raw: str):
@@ -656,12 +656,13 @@ def _run_contrast(config: RunConfig) -> None:
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
     results = _icer_results(dataset, regimes, s, s["i"], s["j"])
-    res = contrast(results[s["i"]], results[s["j"]], alpha=s["alpha"])
+    icer_i, icer_j = results[s["i"]], results[s["j"]]
+    diff = contrast(icer_i, icer_j)
     write_csv(
         s["out"], config,
         ["i", "j", "icer_i", "icer_j", "diff", "se", "ci_lower", "ci_upper"],
-        [[s["i"], s["j"], res.component_icers[0], res.component_icers[1],
-          res.diff, res.se, res.ci[0], res.ci[1]]],
+        [[s["i"], s["j"], icer_i.icer, icer_j.icer,
+          diff.psi, diff.se, *wald_ci(diff, s["alpha"])]],
     )
 
 
@@ -702,7 +703,7 @@ def _read_icer_table(path: str) -> list[PlanePoint]:
 
 def _run_frontier(config: RunConfig) -> None:
     s = config.settings
-    points = _read_icer_table(s["in_"])
+    points = _read_icer_table(s["in"])
     if s["drop_unreliable"]:
         points = [p for p in points if p.reliable]
         if not points:
@@ -723,15 +724,16 @@ def _run_frontier(config: RunConfig) -> None:
 
 def _run_plot(config: RunConfig) -> None:
     s = config.settings
-    points = _read_icer_table(s["in_"])
+    points = _read_icer_table(s["in"])
     hull_points = [p for p in points if p.reliable] if s["drop_unreliable"] else points
     frontier: Frontier | None = None
     if not s["no_frontier"]:
         try:
             frontier = efficient_frontier(hull_points)
         except EmptyFrontier:
-            print("note: no frontier (no regime beats the reference); points only",
-                  file=sys.stderr)
+            reason = ("all points dropped as unreliable" if not hull_points
+                      else "no regime beats the reference")
+            print(f"note: no frontier ({reason}); points only", file=sys.stderr)
     svg = render_plane_svg(
         points, frontier=frontier, width=s["width"], height=s["height"]
     )
@@ -775,13 +777,12 @@ def _run_mc_study(config: RunConfig) -> None:
         "degenerate_count",
     ]
     rows = []
-    for row in result.rows.values():
-        m = row.metrics
+    for (estimator, rid), m in result.rows.items():
         rows.append([
-            row.estimator, row.regime_id, m.bias, m.variance, m.mse,
+            estimator, rid, m.bias, m.variance, m.mse,
             m.mean_ci_width, m.coverage_pct, m.avg_cv_cost, m.avg_cv_eff,
             "" if m.rel_var_vs_ipw is None else m.rel_var_vs_ipw,
-            row.degenerate_count,
+            s["reps"] - m.n_used,
         ])
     write_csv(s["out"], config, header, rows)
     _write_truth(s["out"] + ".truth.csv", config, result.truth)

@@ -32,7 +32,6 @@ __all__ = [
     "delta_method_ic",
     "IcerResult",
     "icer",
-    "ContrastResult",
     "contrast",
     "BootstrapResult",
     "bootstrap_ci",
@@ -78,18 +77,15 @@ def risk_difference(
     )
 
 
-def wald_ci(psi: float, ic: np.ndarray, alpha: float = 0.05) -> tuple[float, float]:
+def wald_ci(estimate: EstimateWithIC, alpha: float = 0.05) -> tuple[float, float]:
     """Normal-theory interval from the influence-curve standard error."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    se = EstimateWithIC(psi=psi, ic=np.asarray(ic, dtype=np.float64)).se
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    return psi - z * se, psi + z * se
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * estimate.se
+    return estimate.psi - half, estimate.psi + half
 
 
-def delta_method_ic(
-    rd_cost: EstimateWithIC, rd_eff: EstimateWithIC
-) -> tuple[float, np.ndarray]:
+def delta_method_ic(rd_cost: EstimateWithIC, rd_eff: EstimateWithIC) -> EstimateWithIC:
     """ICER point value and influence curve for the ratio of two differences.
 
     ic = rd_cost.ic / psi_e - (psi_c / psi_e^2) * rd_eff.ic.  Raises
@@ -103,9 +99,10 @@ def delta_method_ic(
         raise DegenerateDenominator(
             f"|effect difference| = {abs(rd_eff.psi):.3g} below {MIN_DENOMINATOR:.0e}"
         )
-    value = rd_cost.psi / rd_eff.psi
-    ic = rd_cost.ic / rd_eff.psi - (rd_cost.psi / rd_eff.psi**2) * rd_eff.ic
-    return value, ic
+    return EstimateWithIC(
+        psi=rd_cost.psi / rd_eff.psi,
+        ic=rd_cost.ic / rd_eff.psi - (rd_cost.psi / rd_eff.psi**2) * rd_eff.ic,
+    )
 
 
 @dataclass(frozen=True)
@@ -144,36 +141,23 @@ def icer(
     """
     if not cv_threshold > 0.0:
         raise ValueError("cv_threshold must be positive")
-    value, ic = delta_method_ic(rd_cost, rd_eff)
+    ratio = delta_method_ic(rd_cost, rd_eff)
     cv_cost = math.inf if rd_cost.psi == 0.0 else rd_cost.se / abs(rd_cost.psi)
     cv_eff = rd_eff.se / abs(rd_eff.psi)
     return IcerResult(
-        icer=value,
+        icer=ratio.psi,
         rd_cost=rd_cost,
         rd_eff=rd_eff,
-        ic_icer=ic,
-        se=EstimateWithIC(psi=value, ic=ic).se,
-        ci=wald_ci(value, ic, alpha),
+        ic_icer=ratio.ic,
+        se=ratio.se,
+        ci=wald_ci(ratio, alpha),
         cv_cost=cv_cost,
         cv_eff=cv_eff,
         reliable=bool(cv_cost < cv_threshold and cv_eff < cv_threshold),
     )
 
 
-@dataclass(frozen=True)
-class ContrastResult:
-    """Difference of two ICERs against the same reference regime."""
-
-    diff: float
-    ic: np.ndarray
-    se: float
-    ci: tuple[float, float]
-    component_icers: tuple[float, float]
-
-
-def contrast(
-    icer_i: IcerResult, icer_j: IcerResult, alpha: float = 0.05
-) -> ContrastResult:
+def contrast(icer_i: IcerResult, icer_j: IcerResult) -> EstimateWithIC:
     """ICER_i - ICER_j with a record-by-record differenced influence curve.
 
     Both results must come from the same dataset (aligned records) so the
@@ -181,15 +165,7 @@ def contrast(
     """
     if icer_i.ic_icer.shape[0] != icer_j.ic_icer.shape[0]:
         raise ValueError("ICERs use different records")
-    diff = icer_i.icer - icer_j.icer
-    ic = icer_i.ic_icer - icer_j.ic_icer
-    return ContrastResult(
-        diff=diff,
-        ic=ic,
-        se=EstimateWithIC(psi=diff, ic=ic).se,
-        ci=wald_ci(diff, ic, alpha),
-        component_icers=(icer_i.icer, icer_j.icer),
-    )
+    return EstimateWithIC(psi=icer_i.icer - icer_j.icer, ic=icer_i.ic_icer - icer_j.ic_icer)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +58,6 @@ from .inference import (
 __all__ = [
     "StudyConfig",
     "StudyMetrics",
-    "StudyRow",
     "StudyResult",
     "run_study",
     "regime_means",
@@ -107,7 +106,8 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyMetrics:
-    """Sampling-performance summary for one (estimator, regime) cell."""
+    """Sampling-performance summary for one (estimator, regime) cell, over
+    the ``n_used`` repetitions kept for it (NaN moments when there are none)."""
 
     bias: float
     variance: float
@@ -116,16 +116,8 @@ class StudyMetrics:
     coverage_pct: float
     avg_cv_cost: float
     avg_cv_eff: float
-    rel_var_vs_ipw: float | None = None
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    estimator: str
-    regime_id: int
-    metrics: StudyMetrics
     n_used: int
-    degenerate_count: int
+    rel_var_vs_ipw: float | None = None
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ class StudyResult:
     config: StudyConfig
     truth: TruthTable
     truth_icers: dict[int, float]
-    rows: dict[tuple[str, int], StudyRow]
+    rows: dict[tuple[str, int], StudyMetrics]
     draws: dict[tuple[str, int], RepDraws]
 
 
@@ -218,11 +210,14 @@ def icer_table(
     or :class:`RankDeficient`, the reference's (same class, its message
     prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
     of a zero effect difference.  Keys follow the order of ``regimes``.
-    ``ValueError``, before any fit, on a shared id or a ``cv_threshold`` <= 0.
+    ``ValueError``, before any fit, on a shared id, a ``cv_threshold`` <= 0
+    or an ``alpha`` outside (0, 1).
     """
     check_regime_ids([reference, *regimes])
     if not cv_threshold > 0.0:
         raise ValueError("cv_threshold must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     ref = regime_means(dataset, [reference], estimator, g)[reference.id]
     others = [r for r in regimes if r.id != reference.id]
     if isinstance(ref, EstimationFailure):
@@ -336,7 +331,7 @@ def run_study(
     # (cells, fields, reps), NaN outside the kept reps.
     masked = np.where(kept[..., None], values[..., :-1], np.nan).transpose(1, 2, 0)
 
-    rows: dict[tuple[str, int], StudyRow] = {}
+    rows: dict[tuple[str, int], StudyMetrics] = {}
     draws: dict[tuple[str, int], RepDraws] = {}
     for c, (est, rid) in enumerate(cells):
         d = RepDraws(
@@ -346,8 +341,12 @@ def run_study(
         k = kept[:, c]
         n_used = int(k.sum())
         t = truth_icers[rid]
+        ratio = None
+        if est == "tmle" and "ipw" in config.estimators:
+            ipw = cells.index(("ipw", rid))
+            ratio = _variance_ratio(masked[c, 0], masked[ipw, 0], k & kept[:, ipw])
         if n_used == 0 or not math.isfinite(t):
-            metrics = StudyMetrics(*(math.nan,) * 7)
+            metrics = StudyMetrics(*(math.nan,) * 7, n_used=n_used, rel_var_vs_ipw=ratio)
         else:
             vals, lo, hi = d.icer[k], d.ci_lower[k], d.ci_upper[k]
             metrics = StudyMetrics(
@@ -358,13 +357,10 @@ def run_study(
                 coverage_pct=100.0 * float(((lo <= t) & (t <= hi)).mean()),
                 avg_cv_cost=float(np.mean(d.cv_cost[k])),
                 avg_cv_eff=float(np.mean(d.cv_eff[k])),
+                n_used=n_used,
+                rel_var_vs_ipw=ratio,
             )
-        if est == "tmle" and "ipw" in config.estimators:
-            ipw = cells.index(("ipw", rid))
-            ratio = _variance_ratio(masked[c, 0], masked[ipw, 0], k & kept[:, ipw])
-            if ratio is not None:
-                metrics = replace(metrics, rel_var_vs_ipw=ratio)
-        rows[(est, rid)] = StudyRow(est, rid, metrics, n_used, config.reps - n_used)
+        rows[(est, rid)] = metrics
     return StudyResult(
         config=config, truth=truth, truth_icers=truth_icers, rows=rows, draws=draws
     )

@@ -258,7 +258,7 @@ def test_icer_arithmetic_anchors():
 def test_study_bias_variance_coverage(desk_study):
     result, _ = desk_study
     for est, rid in itertools.product(("ipw", "tmle"), WELL_BEHAVED):
-        m = result.rows[(est, rid)].metrics
+        m = result.rows[(est, rid)]
         label = f"{est} regime {rid}"
         assert abs(m.bias) < 0.01, label
         assert m.variance < 0.004, label
@@ -269,10 +269,10 @@ def test_study_bias_variance_coverage(desk_study):
 def test_study_flags_unstable_contrasts(desk_study):
     result, _ = desk_study
     for est, rid in itertools.product(("ipw", "tmle"), UNSTABLE):
-        m = result.rows[(est, rid)].metrics
+        m = result.rows[(est, rid)]
         assert max(m.avg_cv_cost, m.avg_cv_eff) > 2.0, f"{est} regime {rid}"
     for est in ("ipw", "tmle"):
-        assert result.rows[(est, 3)].metrics.coverage_pct < 90.0
+        assert result.rows[(est, 3)].coverage_pct < 90.0
 
 
 def test_study_runtime(desk_study):
@@ -356,13 +356,13 @@ def test_delta_method_matches_finite_differences():
         cost = EstimateWithIC(psi=psi_c, ic=ic_c)
         eff = EstimateWithIC(psi=psi_e, ic=ic_e)
 
-        value, ic = delta_method_ic(cost, eff)
-        assert value == psi_c / psi_e
+        ratio = delta_method_ic(cost, eff)
+        assert ratio.psi == psi_c / psi_e
         for i in range(3):
             plus = (psi_c + h * ic_c[i]) / (psi_e + h * ic_e[i])
             minus = (psi_c - h * ic_c[i]) / (psi_e - h * ic_e[i])
             fd = (plus - minus) / (2.0 * h)
-            assert abs(ic[i] - fd) <= 1e-6 * max(abs(fd), 1e-12)
+            assert abs(ratio.ic[i] - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
         result = icer(cost, eff)
         dec = icer_variance_decomposition(result)

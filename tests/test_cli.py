@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smartcea import dgp, estimate, study
-from smartcea.cli import CliError, ingest_dataset, main, read_regime_file
+from smartcea.cli import SUBCOMMANDS, CliError, _flag_name, ingest_dataset, main, read_regime_file
 from smartcea.core import consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 
@@ -295,6 +295,13 @@ def test_config_file_merges_with_flag_precedence(tmp_path, capsys):
     assert len(rows) == 50
 
 
+def test_every_config_key_is_its_flag_name():
+    # A config key is the flag without "--", dashes read as underscores.
+    for name, (_, options) in SUBCOMMANDS.items():
+        for opt in options:
+            assert _flag_name(opt)[2:].replace("-", "_") == opt.name, (name, opt.name)
+
+
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_bytes("n = 50\nseed = 3\n".encode("utf-8-sig"))
@@ -415,6 +422,75 @@ def test_frontier_and_plot_pipeline(tmp_path, data_csv):
     first = svg_path.read_bytes()
     assert main(["plot", "--in", str(table), "--out", str(svg_path)]) == 0
     assert svg_path.read_bytes() == first
+
+
+PLANE_HEADER = "regime,icer,ci_lower,ci_upper,rd_cost,rd_eff,cv_cost,cv_eff,reliable\n"
+
+
+def _plane_table(path, reliable):
+    """An icer-table file of three regimes right of the origin, flagged as given."""
+    rows = ((2, 5.0, 10.0), (3, 6.0, 3.0), (4, 8.0, 20.0))
+    path.write_text(PLANE_HEADER + "".join(
+        f"{rid},{cost / eff},nan,nan,{cost},{eff},1.0,1.0,{str(flag).lower()}\n"
+        for (rid, cost, eff), flag in zip(rows, reliable)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+def test_config_file_sets_the_input_table(tmp_path, subcommand):
+    table = _plane_table(tmp_path / "icers.csv", (True, True, True))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"in = {table}\n")
+    out = tmp_path / "out.txt"
+    outputs = {
+        "frontier": ["--out-points", str(out), "--out-frontier", str(tmp_path / "f.csv")],
+        "plot": ["--out", str(out)],
+    }[subcommand]
+    assert main([subcommand, "--config", str(cfg), *outputs]) == 0
+    assert f" in={table} " in out.read_text().splitlines()[2]
+
+
+def test_frontier_drop_unreliable_keeps_only_reliable_rows(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    outputs = ["--out-points", str(points), "--out-frontier", str(tmp_path / "f.csv")]
+    table = _plane_table(tmp_path / "icers.csv", (True, False, True))
+    assert main(["frontier", "--in", str(table), "--drop-unreliable", *outputs]) == 0
+    _, rows = _rows(points)
+    assert [(r["regime"], r["reliable"]) for r in rows] == [("2", "true"), ("4", "true")]
+
+    table = _plane_table(tmp_path / "icers.csv", (False, False, False))
+    code, _, err = run_cli(
+        "frontier", "--in", str(table), "--drop-unreliable", *outputs, capsys=capsys
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        'error kind=CliError subcommand=frontier message="all points dropped as unreliable"'
+    )
+
+
+def test_plot_names_dropped_points_as_the_reason_for_no_frontier(tmp_path, capsys):
+    table = _plane_table(tmp_path / "icers.csv", (False, False, False))
+    svg = tmp_path / "plane.svg"
+    code, _, err = run_cli(
+        "plot", "--in", str(table), "--drop-unreliable", "--out", str(svg), capsys=capsys
+    )
+    assert code == 0
+    assert err.splitlines() == [
+        "note: no frontier (all points dropped as unreliable); points only"
+    ]
+    assert "<polyline" not in svg.read_text()
+    assert svg.read_text().count("<circle") == 3
+
+
+def test_plot_no_frontier_draws_no_polyline(tmp_path):
+    table = _plane_table(tmp_path / "icers.csv", (True, True, True))
+    svg = tmp_path / "plane.svg"
+    assert main(["plot", "--in", str(table), "--out", str(svg)]) == 0
+    assert "<polyline" in svg.read_text()
+    assert main(["plot", "--in", str(table), "--no-frontier", "--out", str(svg)]) == 0
+    assert "<polyline" not in svg.read_text()
+    assert svg.read_text().count("<circle") == 3
 
 
 def test_plot_header_comments_stay_well_formed_xml(tmp_path, data_csv):

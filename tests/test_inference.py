@@ -73,15 +73,15 @@ def test_risk_difference_rejects_mismatched_records():
 def test_wald_interval_anchor():
     # 0.23 with standard error 0.2194 gives (-0.20, 0.66) at two decimals.
     est = _estimate(0.23, 0.2194, n=500, seed=9)
-    lo, hi = wald_ci(est.psi, est.ic)
+    lo, hi = wald_ci(est)
     assert round(lo, 2) == -0.20
     assert round(hi, 2) == 0.66
 
 
 def test_wald_interval_alpha_monotone():
     est = _estimate(1.0, 0.3, seed=2)
-    lo95, hi95 = wald_ci(est.psi, est.ic, alpha=0.05)
-    lo80, hi80 = wald_ci(est.psi, est.ic, alpha=0.20)
+    lo95, hi95 = wald_ci(est, alpha=0.05)
+    lo80, hi80 = wald_ci(est, alpha=0.20)
     assert lo95 < lo80 < hi80 < hi95
 
 
@@ -102,15 +102,15 @@ def test_delta_method_ic_matches_finite_differences():
         rd_eff = EstimateWithIC(
             psi=float(rng.normal(20.0, 5.0)), ic=rng.normal(size=n)
         )
-        value, ic = delta_method_ic(rd_cost, rd_eff)
-        assert value == pytest.approx(rd_cost.psi / rd_eff.psi)
+        ratio = delta_method_ic(rd_cost, rd_eff)
+        assert ratio.psi == pytest.approx(rd_cost.psi / rd_eff.psi)
         # Central finite differences of f(c, e) = c / e in both arguments.
         h = 1e-6
         dc = ((rd_cost.psi + h) / rd_eff.psi - (rd_cost.psi - h) / rd_eff.psi) / (2 * h)
         de = (rd_cost.psi / (rd_eff.psi + h) - rd_cost.psi / (rd_eff.psi - h)) / (2 * h)
         expected = dc * rd_cost.ic + de * rd_eff.ic
         scale = np.max(np.abs(expected)) + 1e-12
-        assert np.max(np.abs(ic - expected)) / scale < 1e-6
+        assert np.max(np.abs(ratio.ic - expected)) / scale < 1e-6
 
 
 def test_delta_method_degenerate_denominator():
@@ -123,8 +123,7 @@ def test_delta_method_degenerate_denominator():
 def test_zero_cost_difference_is_a_zero_icer():
     rd_cost = _estimate(0.0, 0.1)
     rd_eff = _estimate(10.0, 1.0)
-    value, _ = delta_method_ic(rd_cost, rd_eff)
-    assert value == 0.0
+    assert delta_method_ic(rd_cost, rd_eff).psi == 0.0
     res = icer(rd_cost, rd_eff)
     assert res.icer == 0.0
     assert res.cv_cost == np.inf
@@ -194,8 +193,8 @@ def test_contrast_published_arithmetic():
     soc = _icer_result(0.23, 1.0, se_c=0.02, se_e=0.01, seed=21)
     high = _icer_result(9.21, 1.0, se_c=0.02, se_e=0.01, seed=23)
     higher = _icer_result(11.74, 1.0, se_c=0.02, se_e=0.01, seed=25)
-    assert contrast(high, soc).diff == pytest.approx(8.98, abs=1e-12)
-    assert contrast(higher, soc).diff == pytest.approx(11.51, abs=1e-12)
+    assert contrast(high, soc).psi == pytest.approx(8.98, abs=1e-12)
+    assert contrast(higher, soc).psi == pytest.approx(11.51, abs=1e-12)
 
 
 def test_contrast_differences_record_aligned_ics(trial, g_known):
@@ -210,11 +209,10 @@ def test_contrast_differences_record_aligned_ics(trial, g_known):
         risk_difference(est_c4, ref_c, 1.0), risk_difference(est_y4, ref_y, PER_HUNDRED)
     )
     con = contrast(res_2, res_4)
-    assert con.diff == pytest.approx(res_2.icer - res_4.icer)
+    assert con.psi == pytest.approx(res_2.icer - res_4.icer)
     assert np.allclose(con.ic, res_2.ic_icer - res_4.ic_icer)
-    assert con.component_icers == (res_2.icer, res_4.icer)
     auto = contrast(res_2, res_2)
-    assert auto.diff == 0.0
+    assert auto.psi == 0.0
     assert auto.se == 0.0
 
 
