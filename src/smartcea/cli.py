@@ -371,7 +371,8 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        # + 0.0 turns a negative zero into 0.0.
+        return repr(float(value) + 0.0)
     return str(value)
 
 
@@ -621,7 +622,6 @@ def _icer_results(
     results = icer_table(
         dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
         settings["estimator"], estimate_g(dataset, _g_mode(settings)),
-        cv_threshold=settings.get("cv_threshold", CV_THRESHOLD), alpha=settings["alpha"],
     )
     for rid in ids:
         if isinstance(results[rid], EstimationFailure):
@@ -642,8 +642,9 @@ def _run_icer_table(config: RunConfig) -> None:
     rows = []
     for rid, res in _icer_results(dataset, regimes, s).items():
         if isinstance(res, IcerResult):
-            rows.append([rid, res.icer, res.ci[0], res.ci[1], res.rd_cost.psi,
-                         res.rd_eff.psi, res.cv_cost, res.cv_eff, res.reliable])
+            rows.append([rid, res.icer.psi, *wald_ci(res.icer, s["alpha"]),
+                         res.rd_cost.psi, res.rd_eff.psi, res.cv_cost, res.cv_eff,
+                         res.is_reliable(s["cv_threshold"])])
         else:
             print(f"note: regime {rid} ICER undefined ({type(res).__name__}: {res}); "
                   "row written as nan", file=sys.stderr)
@@ -661,7 +662,7 @@ def _run_contrast(config: RunConfig) -> None:
     write_csv(
         s["out"], config,
         ["i", "j", "icer_i", "icer_j", "diff", "se", "ci_lower", "ci_upper"],
-        [[s["i"], s["j"], icer_i.icer, icer_j.icer,
+        [[s["i"], s["j"], icer_i.icer.psi, icer_j.icer.psi,
           diff.psi, diff.se, *wald_ci(diff, s["alpha"])]],
     )
 
@@ -797,8 +798,8 @@ def _run_bootstrap(config: RunConfig) -> None:
     def statistic(resampled: Dataset) -> float:
         results = _icer_results(resampled, regimes, s, *ids)
         if s["j"] is None:
-            return results[s["i"]].icer
-        return results[s["i"]].icer - results[s["j"]].icer
+            return results[s["i"]].icer.psi
+        return results[s["i"]].icer.psi - results[s["j"]].icer.psi
 
     point = statistic(dataset)
     boot = bootstrap_ci(
@@ -813,7 +814,7 @@ def _run_bootstrap(config: RunConfig) -> None:
         s["out"], config,
         ["statistic", "estimate", "ci_lower", "ci_upper", "alpha",
          "n_replicates", "n_degenerate"],
-        [[name, point, boot.lower, boot.upper, boot.alpha,
+        [[name, point, boot.lower, boot.upper, s["alpha"],
           boot.n_replicates, boot.n_degenerate]],
     )
 

@@ -278,7 +278,9 @@ class EstimateWithIC:
     """A point estimate with its estimated influence curve.
 
     The influence curve has one entry per analysis record; its empirical
-    variance over n yields the standard error.
+    variance over n yields the standard error.  A curve whose squares
+    overflow (costs near the float limit) is scaled by its largest |entry|
+    first, so its standard error stays finite.
     """
 
     psi: float
@@ -295,4 +297,9 @@ class EstimateWithIC:
     def se(self) -> float:
         if self.n < 2:
             return float("nan")
-        return float(np.sqrt(np.var(self.ic, ddof=1) / self.n))
+        with np.errstate(over="ignore"):
+            var = np.var(self.ic, ddof=1)
+        if np.isfinite(var):
+            return float(np.sqrt(var / self.n))
+        scale = np.max(np.abs(self.ic))
+        return float(scale * np.sqrt(np.var(self.ic / scale, ddof=1) / self.n))

@@ -4,8 +4,9 @@ All point estimators in this package carry influence curves, so contrasts
 are formed by differencing influence curves record by record and ratios by
 the delta method.  The delta-method ICER standard error is only trustworthy
 when neither component is noisy relative to its size, so every ICER carries
-a reliability flag driven by the components' coefficients of variation; the
-nonparametric bootstrap is the fallback when the flag is down.
+the components' coefficients of variation, which a reporter judges against
+a reliability bound; the nonparametric bootstrap is the fallback when they
+fail it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ MIN_DENOMINATOR = 1e-12
 MAX_DEGENERATE_SHARE = 0.1
 
 
-# An ICER is reliable when both components' coefficients of variation are below this.
+# The study's and the CLI's default bound for IcerResult.is_reliable.
 CV_THRESHOLD = 2.0
 
 
@@ -107,72 +108,58 @@ def delta_method_ic(rd_cost: EstimateWithIC, rd_eff: EstimateWithIC) -> Estimate
 
 @dataclass(frozen=True)
 class IcerResult:
-    """Incremental cost-effectiveness ratio with delta-method uncertainty.
+    """Incremental cost-effectiveness ratio with its components.
 
-    ``cv_cost`` and ``cv_eff`` are the components' coefficients of variation
-    (standard error over absolute point value); ``reliable`` is their joint
-    verdict against the threshold the result was built with.
+    ``icer`` is the delta-method ratio with its influence curve, so
+    :func:`wald_ci` gives its interval at any level.  ``cv_cost`` and
+    ``cv_eff`` are the components' coefficients of variation (standard
+    error over absolute point value), which :meth:`is_reliable` judges.
     """
 
-    icer: float
+    icer: EstimateWithIC
     rd_cost: EstimateWithIC
     rd_eff: EstimateWithIC
-    ic_icer: np.ndarray
-    se: float
-    ci: tuple[float, float]
     cv_cost: float
     cv_eff: float
-    reliable: bool
+
+    def is_reliable(self, cv_threshold: float) -> bool:
+        """True when both components' coefficients of variation lie below
+        ``cv_threshold``; when False the delta-method interval should not
+        be reported and the bootstrap used instead.  ``ValueError`` unless
+        ``cv_threshold`` is positive."""
+        if not cv_threshold > 0.0:
+            raise ValueError("cv_threshold must be positive")
+        return bool(self.cv_cost < cv_threshold and self.cv_eff < cv_threshold)
 
 
-def icer(
-    rd_cost: EstimateWithIC,
-    rd_eff: EstimateWithIC,
-    cv_threshold: float = CV_THRESHOLD,
-    alpha: float = 0.05,
-) -> IcerResult:
+def icer(rd_cost: EstimateWithIC, rd_eff: EstimateWithIC) -> IcerResult:
     """Ratio of incremental cost to incremental effect, by the delta method.
 
     Raises :class:`DegenerateDenominator` when the effect difference is
-    numerically zero, and ``ValueError`` unless ``cv_threshold`` is
-    positive.  ``reliable`` is True when both components have coefficient
-    of variation below ``cv_threshold``; when it is False the delta-method
-    interval should not be reported and the bootstrap used instead.
+    numerically zero.
     """
-    if not cv_threshold > 0.0:
-        raise ValueError("cv_threshold must be positive")
-    ratio = delta_method_ic(rd_cost, rd_eff)
-    cv_cost = math.inf if rd_cost.psi == 0.0 else rd_cost.se / abs(rd_cost.psi)
-    cv_eff = rd_eff.se / abs(rd_eff.psi)
     return IcerResult(
-        icer=ratio.psi,
+        icer=delta_method_ic(rd_cost, rd_eff),
         rd_cost=rd_cost,
         rd_eff=rd_eff,
-        ic_icer=ratio.ic,
-        se=ratio.se,
-        ci=wald_ci(ratio, alpha),
-        cv_cost=cv_cost,
-        cv_eff=cv_eff,
-        reliable=bool(cv_cost < cv_threshold and cv_eff < cv_threshold),
+        cv_cost=math.inf if rd_cost.psi == 0.0 else rd_cost.se / abs(rd_cost.psi),
+        cv_eff=rd_eff.se / abs(rd_eff.psi),
     )
 
 
 def contrast(icer_i: IcerResult, icer_j: IcerResult) -> EstimateWithIC:
-    """ICER_i - ICER_j with a record-by-record differenced influence curve.
+    """ICER_i - ICER_j by :func:`risk_difference` of the two ratios.
 
     Both results must come from the same dataset (aligned records) so the
     difference curve carries their covariance.
     """
-    if icer_i.ic_icer.shape[0] != icer_j.ic_icer.shape[0]:
-        raise ValueError("ICERs use different records")
-    return EstimateWithIC(psi=icer_i.icer - icer_j.icer, ic=icer_i.ic_icer - icer_j.ic_icer)
+    return risk_difference(icer_i.icer, icer_j.icer, 1.0)
 
 
 @dataclass(frozen=True)
 class BootstrapResult:
     lower: float
     upper: float
-    alpha: float
     n_replicates: int
     n_degenerate: int
     estimates: np.ndarray
@@ -220,7 +207,6 @@ def bootstrap_ci(
     return BootstrapResult(
         lower=float(lo),
         upper=float(hi),
-        alpha=alpha,
         n_replicates=n_replicates,
         n_degenerate=n_degenerate,
         estimates=draws,

@@ -53,6 +53,7 @@ from .inference import (
     IcerResult,
     icer,
     risk_difference,
+    wald_ci,
 )
 
 __all__ = [
@@ -136,7 +137,6 @@ class RepDraws:
 
 @dataclass(frozen=True)
 class StudyResult:
-    config: StudyConfig
     truth: TruthTable
     truth_icers: dict[int, float]
     rows: dict[tuple[str, int], StudyMetrics]
@@ -199,8 +199,6 @@ def icer_table(
     reference: RegimeSpec,
     estimator: str,
     g: GModel,
-    cv_threshold: float = CV_THRESHOLD,
-    alpha: float = 0.05,
 ) -> dict[int, IcerResult | EstimationFailure]:
     """ICER of each non-reference regime in ``regimes`` against ``reference``.
 
@@ -210,14 +208,9 @@ def icer_table(
     or :class:`RankDeficient`, the reference's (same class, its message
     prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
     of a zero effect difference.  Keys follow the order of ``regimes``.
-    ``ValueError``, before any fit, on a shared id, a ``cv_threshold`` <= 0
-    or an ``alpha`` outside (0, 1).
+    ``ValueError``, before any fit, on a shared id.
     """
     check_regime_ids([reference, *regimes])
-    if not cv_threshold > 0.0:
-        raise ValueError("cv_threshold must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     ref = regime_means(dataset, [reference], estimator, g)[reference.id]
     others = [r for r in regimes if r.id != reference.id]
     if isinstance(ref, EstimationFailure):
@@ -231,7 +224,7 @@ def icer_table(
         rd_eff = risk_difference(est[0], ref[0], PER_HUNDRED)
         rd_cost = risk_difference(est[1], ref[1], 1.0)
         try:
-            out[rid] = icer(rd_cost, rd_eff, cv_threshold=cv_threshold, alpha=alpha)
+            out[rid] = icer(rd_cost, rd_eff)
         except DegenerateDenominator as err:
             out[rid] = err
     return out
@@ -252,16 +245,16 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
         except EstimationFailure:
             results = {}
         else:
-            results = icer_table(
-                dataset, _REGIMES, _REGIMES[0], est, g,
-                cv_threshold=config.cv_threshold, alpha=config.alpha,
-            )
+            results = icer_table(dataset, _REGIMES, _REGIMES[0], est, g)
         for regime in _REGIMES[1:]:
             res = results.get(regime.id)
-            rows.append(
-                [res.icer, res.se, *res.ci, res.cv_cost, res.cv_eff, res.reliable]
-                if isinstance(res, IcerResult) else [math.nan] * (len(_FIELDS) + 1)
-            )
+            if isinstance(res, IcerResult):
+                rows.append([
+                    res.icer.psi, res.icer.se, *wald_ci(res.icer, config.alpha),
+                    res.cv_cost, res.cv_eff, res.is_reliable(config.cv_threshold),
+                ])
+            else:
+                rows.append([math.nan] * (len(_FIELDS) + 1))
     return np.array(rows, dtype=np.float64).reshape(-1, len(_FIELDS) + 1)
 
 
@@ -361,6 +354,4 @@ def run_study(
                 rel_var_vs_ipw=ratio,
             )
         rows[(est, rid)] = metrics
-    return StudyResult(
-        config=config, truth=truth, truth_icers=truth_icers, rows=rows, draws=draws
-    )
+    return StudyResult(truth=truth, truth_icers=truth_icers, rows=rows, draws=draws)

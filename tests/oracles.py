@@ -734,7 +734,7 @@ def icer_variance_decomposition(result: IcerResult) -> IcerVarianceDecomposition
     rd_cost = result.rd_cost
     rd_eff = result.rd_eff
     n = rd_cost.n
-    direct = float(np.var(result.ic_icer, ddof=1)) / n
+    direct = float(np.var(result.icer.ic, ddof=1)) / n
     term_b = (rd_eff.se / abs(rd_eff.psi)) ** 2
     if rd_cost.psi == 0.0:
         return IcerVarianceDecomposition(
@@ -747,7 +747,7 @@ def icer_variance_decomposition(result: IcerResult) -> IcerVarianceDecomposition
     term_a = (rd_cost.se / abs(rd_cost.psi)) ** 2
     cov = float(np.cov(rd_cost.ic, rd_eff.ic, ddof=1)[0, 1])
     cov_term = 2.0 * cov / (n * rd_eff.psi * rd_cost.psi)
-    var_total = result.icer**2 * (term_a + term_b - cov_term)
+    var_total = result.icer.psi**2 * (term_a + term_b - cov_term)
     return IcerVarianceDecomposition(
         term_a=term_a, term_b=term_b, cov_term=cov_term, var_total=var_total
     )

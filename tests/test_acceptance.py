@@ -251,8 +251,8 @@ def test_icer_arithmetic_anchors():
     def fixed(psi):
         return EstimateWithIC(psi=psi, ic=np.array([0.5, -0.5, 0.0]))
 
-    assert abs(icer(fixed(3.1094), fixed(25.8660)).icer - 0.1202) < 5e-5
-    assert abs(icer(fixed(2.2906), fixed(0.1650)).icer - 13.8825) < 1e-4
+    assert abs(icer(fixed(3.1094), fixed(25.8660)).icer.psi - 0.1202) < 5e-5
+    assert abs(icer(fixed(2.2906), fixed(0.1650)).icer.psi - 13.8825) < 1e-4
 
 
 def test_study_bias_variance_coverage(desk_study):
@@ -366,7 +366,7 @@ def test_delta_method_matches_finite_differences():
 
         result = icer(cost, eff)
         dec = icer_variance_decomposition(result)
-        direct = float(np.var(result.ic_icer, ddof=1)) / 3.0
+        direct = float(np.var(result.icer.ic, ddof=1)) / 3.0
         assert abs(dec.var_total - direct) <= 1e-10 * direct
 
 

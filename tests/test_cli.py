@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -898,3 +899,54 @@ def test_help_lists_defaults(capsys):
     assert "--n" in out
     assert "default: 1809" in out
     assert "--seed" in out
+
+
+def _with_costs(tmp_path, data_csv, cost):
+    """The trial with each cost c replaced by the text ``cost(c)``."""
+    lines = [ln for ln in data_csv.read_text().splitlines() if not ln.startswith("#")]
+    col = lines[0].split(",").index("c")
+    rows = []
+    for ln in lines[1:]:
+        fields = ln.split(",")
+        fields[col] = cost(float(fields[col]))
+        rows.append(",".join(fields))
+    path = tmp_path / "costs.csv"
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate"],
+        ["icer-table", "--estimator", "ipw"],
+        ["icer-table"],
+        ["contrast", "--i", "2", "--j", "4"],
+        ["bootstrap", "--i", "2", "--estimator", "ipw", "--replicates", "100", "--seed", "1"],
+    ],
+)
+def test_costs_near_the_float_limit_give_finite_intervals(tmp_path, data_csv, argv):
+    # The squares of these costs' influence curves overflow; numpy used to
+    # warn, and icer-table wrote infinite intervals and coefficients of variation.
+    data = _with_costs(tmp_path, data_csv, lambda c: repr(c * 1e299))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--data", str(data), "--out", str(out)]) == 0
+    _, rows = _rows(out)
+    for row in rows:
+        for key, value in row.items():
+            if key not in ("outcome", "statistic", "reliable"):
+                assert np.isfinite(float(value)), (key, value)
+
+
+def test_a_zero_icer_is_written_without_a_sign(tmp_path, data_csv):
+    # With every cost 0, a regime with a negative effect difference has an
+    # ICER of -0.0, which used to be written as such.
+    data = _with_costs(tmp_path, data_csv, lambda c: "0.0")
+    table = tmp_path / "icers.csv"
+    assert main(["icer-table", "--data", str(data), "--estimator", "ipw", "--out", str(table)]) == 0
+    _, rows = _rows(table)
+    assert any(float(r["rd_eff"]) < 0.0 for r in rows)
+    for row in rows:
+        assert (row["icer"], row["ci_lower"], row["ci_upper"], row["rd_cost"]) == ("0.0",) * 4

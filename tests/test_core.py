@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,17 @@ def test_estimate_with_ic_se_matches_definition():
     est = EstimateWithIC(psi=0.3, ic=ic)
     assert est.n == 5
     assert np.isclose(est.se, np.sqrt(np.var(ic, ddof=1) / 5))
+
+
+def test_estimate_with_ic_se_survives_an_overflowing_square():
+    # Costs near 1e300 are valid records, but the squares of their influence
+    # curve overflow; the standard error is that of the curve over its scale.
+    rng = np.random.default_rng(4)
+    ic = rng.normal(size=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        se = EstimateWithIC(psi=0.0, ic=ic * 1e299).se
+    assert np.isfinite(se)
+    assert se == pytest.approx(EstimateWithIC(psi=0.0, ic=ic).se * 1e299, rel=1e-12)
+    # A curve whose squares fit keeps the plain formula's bits.
+    assert EstimateWithIC(psi=0.0, ic=ic).se == float(np.sqrt(np.var(ic, ddof=1) / 400))

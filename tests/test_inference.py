@@ -12,6 +12,7 @@ from smartcea.dgp import embedded_regimes
 from smartcea.estimate import FluctuationDiverged, RegimeMeanRequest, regime_mean
 from smartcea.glm import RankDeficient, SeparationDetected
 from smartcea.inference import (
+    CV_THRESHOLD,
     PER_HUNDRED,
     DegenerateDenominator,
     TooManyDegenerate,
@@ -85,11 +86,17 @@ def test_wald_interval_alpha_monotone():
     assert lo95 < lo80 < hi80 < hi95
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, float("nan")])
+def test_wald_interval_refuses_an_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        wald_ci(_estimate(1.0, 0.3, seed=2), alpha=alpha)
+
+
 def test_published_icer_arithmetic_anchors():
     res_a = _icer_result(3.1094, 25.8660)
-    assert abs(res_a.icer - 0.1202) < 5e-5
+    assert abs(res_a.icer.psi - 0.1202) < 5e-5
     res_b = _icer_result(2.2906, 0.1650)
-    assert abs(res_b.icer - 13.8825) < 1e-4
+    assert abs(res_b.icer.psi - 13.8825) < 1e-4
 
 
 def test_delta_method_ic_matches_finite_differences():
@@ -125,27 +132,28 @@ def test_zero_cost_difference_is_a_zero_icer():
     rd_eff = _estimate(10.0, 1.0)
     assert delta_method_ic(rd_cost, rd_eff).psi == 0.0
     res = icer(rd_cost, rd_eff)
-    assert res.icer == 0.0
+    assert res.icer.psi == 0.0
     assert res.cv_cost == np.inf
-    assert not res.reliable
+    assert not res.is_reliable(CV_THRESHOLD)
 
 
 def test_icer_reliability_flag_tracks_component_cvs():
     res = _icer_result(3.0, 25.0, se_c=0.5, se_e=2.0)
     assert res.cv_cost == pytest.approx(0.5 / 3.0)
     assert res.cv_eff == pytest.approx(2.0 / 25.0)
-    assert res.reliable
+    assert res.is_reliable(CV_THRESHOLD)
     noisy = _icer_result(3.0, 1.0, se_c=0.5, se_e=2.5)
     assert noisy.cv_eff > 2.0
-    assert not noisy.reliable
-    strict = icer(_estimate(3.0, 0.5), _estimate(25.0, 2.0), cv_threshold=0.05)
-    assert not strict.reliable
+    assert not noisy.is_reliable(CV_THRESHOLD)
+    strict = icer(_estimate(3.0, 0.5), _estimate(25.0, 2.0))
+    assert not strict.is_reliable(0.05)
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
 def test_icer_refuses_a_reliability_bound_that_is_not_positive(bound):
+    res = icer(_estimate(3.0, 0.5), _estimate(25.0, 2.0))
     with pytest.raises(ValueError, match="cv_threshold must be positive"):
-        icer(_estimate(3.0, 0.5), _estimate(25.0, 2.0), cv_threshold=bound)
+        res.is_reliable(bound)
 
 
 def test_variance_decomposition_matches_direct_variance(trial, g_known):
@@ -157,13 +165,13 @@ def test_variance_decomposition_matches_direct_variance(trial, g_known):
             risk_difference(est_y, ref_y, PER_HUNDRED),
         )
         dec = icer_variance_decomposition(res)
-        n = res.ic_icer.shape[0]
-        direct = float(np.var(res.ic_icer, ddof=1) / n)
+        n = res.icer.n
+        direct = float(np.var(res.icer.ic, ddof=1) / n)
         assert abs(dec.var_total - direct) / direct < 1e-10
         assert dec.cov_defined
         assert dec.term_a == pytest.approx(res.cv_cost**2)
         assert dec.term_b == pytest.approx(res.cv_eff**2)
-        assert res.se == pytest.approx(np.sqrt(direct))
+        assert res.icer.se == pytest.approx(np.sqrt(direct))
 
 
 def test_variance_decomposition_zero_cost_falls_back_to_direct():
@@ -171,8 +179,8 @@ def test_variance_decomposition_zero_cost_falls_back_to_direct():
     dec = icer_variance_decomposition(res)
     assert not dec.cov_defined
     assert dec.term_a == np.inf
-    n = res.ic_icer.shape[0]
-    assert dec.var_total == pytest.approx(float(np.var(res.ic_icer, ddof=1) / n))
+    n = res.icer.n
+    assert dec.var_total == pytest.approx(float(np.var(res.icer.ic, ddof=1) / n))
 
 
 def test_icer_currency_unit_homogeneity():
@@ -182,10 +190,11 @@ def test_icer_currency_unit_homogeneity():
     k = 1_000.0
     scaled_cost = EstimateWithIC(psi=base_cost.psi * k, ic=base_cost.ic * k)
     res_milli = icer(scaled_cost, eff)
-    assert res_milli.icer == pytest.approx(res_usd.icer * k)
-    assert res_milli.se == pytest.approx(res_usd.se * k)
-    assert res_milli.ci[0] == pytest.approx(res_usd.ci[0] * k)
-    assert res_milli.ci[1] == pytest.approx(res_usd.ci[1] * k)
+    assert res_milli.icer.psi == pytest.approx(res_usd.icer.psi * k)
+    assert res_milli.icer.se == pytest.approx(res_usd.icer.se * k)
+    ci_milli, ci_usd = wald_ci(res_milli.icer), wald_ci(res_usd.icer)
+    assert ci_milli[0] == pytest.approx(ci_usd[0] * k)
+    assert ci_milli[1] == pytest.approx(ci_usd[1] * k)
     assert res_milli.cv_cost == pytest.approx(res_usd.cv_cost)
 
 
@@ -195,6 +204,12 @@ def test_contrast_published_arithmetic():
     higher = _icer_result(11.74, 1.0, se_c=0.02, se_e=0.01, seed=25)
     assert contrast(high, soc).psi == pytest.approx(8.98, abs=1e-12)
     assert contrast(higher, soc).psi == pytest.approx(11.51, abs=1e-12)
+
+
+def test_contrast_refuses_icers_on_different_records():
+    other = icer(_estimate(1.0, 0.5, n=201), _estimate(2.0, 1.0, n=201, seed=2))
+    with pytest.raises(ValueError, match="estimates come from different numbers of records"):
+        contrast(_icer_result(1.0, 2.0), other)
 
 
 def test_contrast_differences_record_aligned_ics(trial, g_known):
@@ -209,8 +224,8 @@ def test_contrast_differences_record_aligned_ics(trial, g_known):
         risk_difference(est_c4, ref_c, 1.0), risk_difference(est_y4, ref_y, PER_HUNDRED)
     )
     con = contrast(res_2, res_4)
-    assert con.psi == pytest.approx(res_2.icer - res_4.icer)
-    assert np.allclose(con.ic, res_2.ic_icer - res_4.ic_icer)
+    assert con.psi == pytest.approx(res_2.icer.psi - res_4.icer.psi)
+    assert np.allclose(con.ic, res_2.icer.ic - res_4.icer.ic)
     auto = contrast(res_2, res_2)
     assert auto.psi == 0.0
     assert auto.se == 0.0
@@ -249,11 +264,11 @@ def test_bootstrap_agrees_with_wald_on_regime_2(trial, g_known):
         rd_e = risk_difference(mean(regs[2], "y"), mean(regs[1], "y"), PER_HUNDRED)
         return icer(rd_c, rd_e)
 
-    wald = analyze(trial)
-    boot = bootstrap_ci(trial, lambda d: analyze(d).icer, n_replicates=500, seed=29)
-    lo = max(wald.ci[0], boot.lower)
-    hi = min(wald.ci[1], boot.upper)
-    union = max(wald.ci[1], boot.upper) - min(wald.ci[0], boot.lower)
+    wald = wald_ci(analyze(trial).icer)
+    boot = bootstrap_ci(trial, lambda d: analyze(d).icer.psi, n_replicates=500, seed=29)
+    lo = max(wald[0], boot.lower)
+    hi = min(wald[1], boot.upper)
+    union = max(wald[1], boot.upper) - min(wald[0], boot.lower)
     jaccard = max(0.0, hi - lo) / union
     assert jaccard > 0.5
 

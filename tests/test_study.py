@@ -17,11 +17,13 @@ from smartcea.estimate import (
 )
 from smartcea.glm import RankDeficient, SeparationDetected
 from smartcea.inference import (
+    CV_THRESHOLD,
     PER_HUNDRED,
     DegenerateDenominator,
     IcerResult,
     icer,
     risk_difference,
+    wald_ci,
 )
 from smartcea.study import (
     StudyConfig,
@@ -51,7 +53,7 @@ def _stub_icer_table(icer_for):
     """A stand-in for ``study.icer_table`` with ``icer_for(dataset, regime,
     estimator)`` as every non-reference regime's ICER."""
 
-    def table(dataset, regimes, reference, estimator, g, cv_threshold, alpha):
+    def table(dataset, regimes, reference, estimator, g):
         return {
             r.id: _result_with_icer(icer_for(dataset, r, estimator))
             for r in regimes
@@ -70,6 +72,8 @@ def test_config_validation():
         StudyConfig(estimators=("ipw", "mle"))
     with pytest.raises(ValueError):
         StudyConfig(alpha=1.5)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        StudyConfig(alpha=float("nan"))
     with pytest.raises(ValueError):
         StudyConfig(cv_threshold=0.0)
 
@@ -296,9 +300,11 @@ def test_icer_table_estimates_each_mean_once(counted_means):
             risk_difference(mean(regime, "y"), mean(regimes[0], "y"), PER_HUNDRED),
         )
         got = table[regime.id]
-        assert got.icer == expected.icer
-        assert np.array_equal(got.ic_icer, expected.ic_icer)
-        assert (got.ci, got.reliable) == (expected.ci, expected.reliable)
+        assert got.icer.psi == expected.icer.psi
+        assert np.array_equal(got.icer.ic, expected.icer.ic)
+        assert (wald_ci(got.icer), got.is_reliable(CV_THRESHOLD)) == (
+            wald_ci(expected.icer), expected.is_reliable(CV_THRESHOLD)
+        )
 
 
 def test_icer_table_only_estimates_the_regimes_it_is_given(counted_means):
@@ -332,31 +338,10 @@ def test_icer_table_refuses_a_regime_that_shares_the_reference_id(counted_means)
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
 def test_reliability_bound_must_be_positive(bound):
-    # A NaN bound passed StudyConfig, and icer_table flagged every ICER
-    # unreliable under any of these bounds.  icer_table refuses the bound
-    # before any fit, so also on the n = 8 trial, where no ratio is defined.
+    # A NaN bound passed StudyConfig, and the study flagged every ICER
+    # unreliable under any of these bounds.
     with pytest.raises(ValueError, match="cv_threshold must be positive"):
         StudyConfig(cv_threshold=bound)
-    regimes = embedded_regimes()
-    for n, seed in ((400, 4), (8, 3)):
-        data = simulate_smart(DgpConfig(n=n, seed=seed))
-        g = estimate_g(data, "known")
-        with pytest.raises(ValueError, match="cv_threshold must be positive"):
-            icer_table(data, regimes, regimes[0], "ipw", g, cv_threshold=bound)
-
-
-@pytest.mark.parametrize("alpha", [7.0, 0.0, 1.0, float("nan")])
-def test_icer_table_refuses_a_bad_alpha_before_any_fit(counted_means, alpha):
-    # A twin of the reference forms no interval, so only a check made up
-    # front catches a bad alpha there; with defined regimes, it must also
-    # come before the first mean is estimated.
-    data = simulate_smart(DgpConfig(n=300, seed=4))
-    g = estimate_g(data, "known")
-    regimes = embedded_regimes()
-    for listed in ([RegimeSpec(9, 0, 1, 3)], regimes):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            icer_table(data, listed, regimes[0], "ipw", g, alpha=alpha)
-    assert counted_means == []
 
 
 def test_icer_table_marks_regimes_without_support_undefined():
