@@ -309,8 +309,14 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
     )
     parser.add_argument("--version", action="version", version=f"smartcea {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    # The top-level parser takes no option with a value, so argparse runs the
+    # subparser named by the first argument without a leading "-"; only that
+    # one needs its options.
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_text, options) in SUBCOMMANDS.items():
         sp = subparsers.add_parser(name, help=help_text, description=help_text)
+        if name != chosen:
+            continue
         sp.add_argument("--config", default=None, help="flat key = value settings file")
         for opt in options:
             extra_help = f"{opt.help}" + (f" (default: {opt.default})" if opt.default is not None else "")

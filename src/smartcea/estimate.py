@@ -192,12 +192,18 @@ def ipw_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     return EstimateWithIC(psi=psi, ic=w * (z - psi) / w.mean())
 
 
-def _fluctuate(z: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Intercept-only logistic update of q toward z along weighted residuals."""
+def _fluctuate(
+    z: np.ndarray, q: np.ndarray, weights: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Intercept-only logistic update of q toward z along weighted residuals.
+
+    The fit reads only ``rows``, the rows of q with positive weight, on
+    which ``z`` and ``weights`` are given; the update covers every row of q.
+    """
     offset = logit(np.clip(q, 1e-10, 1.0 - 1e-10))
-    ones = np.ones((z.shape[0], 1))
+    ones = np.ones((rows.size, 1))
     try:
-        fit = fit_logistic(ones, z, weights=weights, offset=offset)
+        fit = fit_logistic(ones, z, weights=weights, offset=offset[rows])
     except SeparationDetected as err:
         raise FluctuationDiverged(str(err)) from None
     return expit(offset + fit.coefficients[0])
@@ -211,31 +217,43 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     plus the centered stage-1 prediction, on the original outcome scale.
     A constant outcome column short-circuits to that constant with a zero
     influence curve.
+
+    Stage 2 reads only the records whose first treatment is the regime's
+    (a1 = d1), where the stage-1 weights are positive: its initial fit runs
+    on the regime-consistent records among them, and its prediction and
+    fluctuation cover them all.  Stage 1 fits on those records too, but
+    predicts and fluctuates on every record, since psi is the mean of the
+    fluctuated stage-1 prediction over all of them.  The two weighted
+    residual terms of the influence curve vanish off the stage-1 records.
     """
     regime = request.regime
     mask, h2 = _cumulative_weights(dataset, regime, request.g)
-    stage1_mask = dataset.a1 == regime.d1
-    h1 = np.where(stage1_mask, 1.0 / request.g.p_a1, 0.0)
 
     z_raw = dataset.outcome(request.outcome)
     lo = float(z_raw.min())
     hi = float(z_raw.max())
     if hi == lo:
         return EstimateWithIC(psi=lo, ic=np.zeros(dataset.n))
-    z = (z_raw - lo) / (hi - lo)
 
-    X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)
-    fit2 = fit_logistic(X2[mask], z[mask])
-    q2 = predict(fit2, X2)
-    q2_star = _fluctuate(z, q2, h2)
+    s1 = np.flatnonzero(dataset.a1 == regime.d1)
+    z = (z_raw[s1] - lo) / (hi - lo)
+    h1 = 1.0 / request.g.p_a1[s1]
+    h2 = h2[s1]
+    consistent = np.flatnonzero(mask[s1])
+
+    # The saturated coding's strata are those of all records, so a stratum
+    # with no consistent record leaves a zero column and the fit refuses it.
+    X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)[s1]
+    fit2 = fit_logistic(X2[consistent], z[consistent])
+    q2_star = _fluctuate(z[consistent], predict(fit2, X2), h2[consistent], consistent)
 
     X1 = _design((dataset.x1,), request.saturated)
-    fit1 = fit_logistic(X1[stage1_mask], q2_star[stage1_mask])
-    q1 = predict(fit1, X1)
-    q1_star = _fluctuate(q2_star, q1, h1)
+    fit1 = fit_logistic(X1[s1], q2_star)
+    q1_star = _fluctuate(q2_star, predict(fit1, X1), h1, s1)
 
     psi_scaled = float(q1_star.mean())
-    ic_scaled = h2 * (z - q2_star) + h1 * (q2_star - q1_star) + (q1_star - psi_scaled)
+    ic_scaled = q1_star - psi_scaled
+    ic_scaled[s1] += h2 * (z - q2_star) + h1 * (q2_star - q1_star[s1])
     return EstimateWithIC(psi=lo + (hi - lo) * psi_scaled, ic=(hi - lo) * ic_scaled)
 
 

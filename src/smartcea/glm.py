@@ -14,8 +14,8 @@ rounding is taken instead of being halved to nothing.
 
 A fit without an offset starts at the intercept-only MLE, as R's ``glm``
 starts from the data rather than from zero: the coefficient of the design's
-all-ones column is the logit of the weighted mean response on the weighted
-rows.  An intercept-only fit therefore returns at once, with
+first all-ones column is the logit of the weighted mean response on the
+weighted rows.  An intercept-only fit therefore returns at once, with
 ``iterations == 0``.  A fit with an offset, a design with no column that is
 1 on every weighted row (a saturated coding, as a rule) or a response whose
 weighted mean is 0 or 1 starts at zero.
@@ -124,7 +124,8 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     RankDeficient
         If the ridged normal equations (ridge 1e-10 on the diagonal) are
         still singular, or the weighted design has rank below p (as it
-        always has with fewer weighted rows than columns).
+        always has with fewer weighted rows than columns), by
+        ``np.linalg.matrix_rank``'s rule.
     SeparationDetected
         If every weighted fitted probability saturates at its response's
         boundary (degenerate likelihood, MLE at infinity), or the score
@@ -145,7 +146,8 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     Without an offset, the iterations start at the intercept-only MLE: if
     some column is 1 on every weighted row and the weighted mean response
     zbar = sum(w z) / sum(w) over those rows lies strictly inside (0, 1),
-    that column's coefficient starts at logit(zbar) and the others at 0.
+    the first such column's coefficient starts at logit(zbar) and the
+    others at 0.
     The start's score may already be below 1e-8, as it is for an
     intercept-only design, and the fit then returns with iterations == 0.
     Every other fit, and every fit with an offset, starts at beta = 0.
@@ -191,10 +193,12 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         if not x.any():
             raise RankDeficient(f"design has rank < 1 on the {m} weighted rows")
         xx = x * x
-    elif np.linalg.matrix_rank(X) < p:
-        raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
+    else:
+        # np.linalg.matrix_rank's rule on the singular values, from one SVD.
+        s = np.linalg.svd(X, compute_uv=False)
+        if np.count_nonzero(s > s.max() * max(m, p) * np.finfo(np.float64).eps) < p:
+            raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
     XT = X.T
-    ridge = RIDGE * np.eye(p)
 
     def state(eta):
         # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
@@ -205,7 +209,9 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         up = eta >= 0.0
         mu = np.where(up, 1.0, e)
         mu /= 1.0 + e
-        loss = np.where(up, eta, 0.0) - z * eta + np.log1p(e)
+        loss = np.where(up, eta, 0.0)
+        loss -= z * eta
+        loss += np.log1p(e, out=e)
         return abs_eta, mu, -float(w @ loss)
 
     beta = np.zeros(p)
@@ -214,10 +220,12 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         # w @ z: for a response of all ones it then adds the very terms of
         # w.sum(), so it is exactly 1 and the fit starts at zero, as for a
         # response of all zeros.
-        ones = np.flatnonzero((X == 1.0).all(axis=0))
         zbar = float((w * z).sum() / w.sum())
-        if ones.size and 0.0 < zbar < 1.0:
-            beta[ones[0]] = math.log(zbar) - math.log1p(-zbar)
+        if 0.0 < zbar < 1.0:
+            for j in range(p):
+                if (X[:, j] == 1.0).all():
+                    beta[j] = math.log(zbar) - math.log1p(-zbar)
+                    break
         eta = X @ beta
     else:
         eta = off
@@ -234,7 +242,7 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
             step = score / (wfisher @ xx + RIDGE)
         else:
             hess = (XT * wfisher) @ X
-            hess += ridge
+            hess.flat[:: p + 1] += RIDGE
             try:
                 step = np.linalg.solve(hess, score)
             except np.linalg.LinAlgError as err:

@@ -34,6 +34,13 @@ on any decrease of that likelihood, rounding included.  The library kernel
 must agree with it to within what the score tolerance pins down, and must
 fail in the same way.
 
+``reference_tmle_mean`` is ``smartcea.estimate.tmle_mean`` as it was before
+each stage read only the rows its result reads: every stage runs over all n
+records, and ``reference_fluctuate`` hands ``fit_logistic`` every row with
+its weight, zero included, for the kernel to gather.  The library must agree
+with it bit for bit, in psi and in every influence-curve entry, and fail
+with the same class and message.
+
 ``relative_variance`` is the paired TMLE/IPW variance ratio per regime, in
 both orientations, with the checks that both estimators kept the same
 repetitions.  ``smartcea.study.run_study`` reports the same ratio as
@@ -63,13 +70,19 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
 from smartcea.cli import CliError
-from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
+from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, EstimateWithIC, RegimeSpec
 from smartcea.dgp import (
     DgpConfig,
     _cell_index,
     _finish_truth,
     embedded_regimes,
     true_values,
+)
+from smartcea.estimate import (
+    FluctuationDiverged,
+    RegimeMeanRequest,
+    _cumulative_weights,
+    _design,
 )
 from smartcea.glm import (
     ETA_DIVERGED,
@@ -83,7 +96,9 @@ from smartcea.glm import (
     SeparationDetected,
     _as_matrix,
     expit,
+    fit_logistic,
     logit,
+    predict,
 )
 from smartcea.inference import IcerResult
 from smartcea.rng import (
@@ -562,6 +577,53 @@ def reference_fit_logistic(design, response, weights=None, offset=None) -> GlmFi
         iterations=it,
         max_abs_score=max_abs_score,
     )
+
+
+def reference_fluctuate(z: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Intercept-only logistic update of q toward z along weighted residuals."""
+    offset = logit(np.clip(q, 1e-10, 1.0 - 1e-10))
+    ones = np.ones((z.shape[0], 1))
+    try:
+        fit = fit_logistic(ones, z, weights=weights, offset=offset)
+    except SeparationDetected as err:
+        raise FluctuationDiverged(str(err)) from None
+    return expit(offset + fit.coefficients[0])
+
+
+def reference_tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
+    """Targeted minimum-loss estimate of the outcome mean under the regime.
+
+    The influence curve is the standard one for the iterated-regression
+    representation: weighted stage-2 residual plus weighted stage-1 residual
+    plus the centered stage-1 prediction, on the original outcome scale.
+    A constant outcome column short-circuits to that constant with a zero
+    influence curve.
+    """
+    regime = request.regime
+    mask, h2 = _cumulative_weights(dataset, regime, request.g)
+    stage1_mask = dataset.a1 == regime.d1
+    h1 = np.where(stage1_mask, 1.0 / request.g.p_a1, 0.0)
+
+    z_raw = dataset.outcome(request.outcome)
+    lo = float(z_raw.min())
+    hi = float(z_raw.max())
+    if hi == lo:
+        return EstimateWithIC(psi=lo, ic=np.zeros(dataset.n))
+    z = (z_raw - lo) / (hi - lo)
+
+    X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)
+    fit2 = fit_logistic(X2[mask], z[mask])
+    q2 = predict(fit2, X2)
+    q2_star = reference_fluctuate(z, q2, h2)
+
+    X1 = _design((dataset.x1,), request.saturated)
+    fit1 = fit_logistic(X1[stage1_mask], q2_star[stage1_mask])
+    q1 = predict(fit1, X1)
+    q1_star = reference_fluctuate(q2_star, q1, h1)
+
+    psi_scaled = float(q1_star.mean())
+    ic_scaled = h2 * (z - q2_star) + h1 * (q2_star - q1_star) + (q1_star - psi_scaled)
+    return EstimateWithIC(psi=lo + (hi - lo) * psi_scaled, ic=(hi - lo) * ic_scaled)
 
 
 def reference_ingest_dataset(path: str) -> Dataset:

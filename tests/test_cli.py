@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import io
+import re
 import subprocess
 import sys
 import warnings
 import xml.dom.minidom
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcea import dgp, estimate, study
 from smartcea.cli import SUBCOMMANDS, CliError, _flag_name, ingest_dataset, main, read_regime_file
 from smartcea.core import consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
+
+from trials import trials, write_trial
 
 
 def run_cli(*argv, capsys=None):
@@ -232,6 +239,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2
         assert f"{flag[2:]}: must be {domain}, got {value}" in err
         assert not svg.exists()
+
+
+TOP_USAGE = "usage: smartcea [-h] [--version] subcommand ...\n"
+CHOICES = (
+    "(choose from 'simulate', 'truth', 'estimate', 'icer-table', 'contrast', "
+    "'frontier', 'plot', 'mc-study', 'bootstrap')"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus", "--n", "5"], f"argument subcommand: invalid choice: 'bogus' {CHOICES}"),
+        (["simulate", "--bogus", "1", "--seed", "1", "--n", "5"],
+         "unrecognized arguments: --bogus 1"),
+        (["--seed", "1", "simulate", "--n", "5"],
+         f"argument subcommand: invalid choice: '1' {CHOICES}"),
+    ],
+    ids=["unknown-subcommand", "unknown-flag", "flag-before-subcommand"],
+)
+def test_argument_errors_exit_2_with_the_top_level_usage(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "x.csv"), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"{TOP_USAGE}smartcea: error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_runtime_errors_exit_1_with_machine_readable_line(tmp_path, capsys):
@@ -594,7 +626,7 @@ def test_bootstrap_survives_a_separating_replicate(tmp_path, capsys):
 
 
 def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys):
-    def diverge(z, q, weights):
+    def diverge(z, q, weights, rows):
         raise estimate.FluctuationDiverged("forced")
 
     monkeypatch.setattr(estimate, "_fluctuate", diverge)
@@ -950,3 +982,47 @@ def test_a_zero_icer_is_written_without_a_sign(tmp_path, data_csv):
     assert any(float(r["rd_eff"]) < 0.0 for r in rows)
     for row in rows:
         assert (row["icer"], row["ci_lower"], row["ci_upper"], row["rd_cost"]) == ("0.0",) * 4
+
+
+ERROR_LINE = re.compile(r'error kind=\w+ subcommand=(\S+) message="[^"]*"')
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=trials(12, 60),
+    method=st.sampled_from([["--estimator", "tmle"], ["--estimator", "tmle", "--g", "known"],
+                            ["--estimator", "ipw"]]),
+)
+def test_every_run_ends_cleanly_on_fragile_trials(tmp_path_factory, data, method):
+    # Exit 0 with every number finite or a nan its note line explains, or
+    # exit 1 with the machine-readable error line; never a warning.
+    tmp = tmp_path_factory.mktemp("fragile")
+    trial = tmp / "trial.csv"
+    write_trial(trial, data)
+    for argv in (["estimate"], ["icer-table"], ["contrast", "--i", "2", "--j", "4"],
+                 ["bootstrap", "--i", "2", "--replicates", "100", "--seed", "1"]):
+        out = tmp / f"{argv[0]}.csv"
+        with warnings.catch_warnings(), \
+                mock.patch("sys.stderr", new_callable=io.StringIO) as stderr:
+            warnings.simplefilter("error")
+            code = main([*argv, *method, "--data", str(trial), "--out", str(out)])
+        err = stderr.getvalue().splitlines()
+        assert code in (0, 1), (argv, code)
+        if code == 1:
+            match = ERROR_LINE.fullmatch(err[-1])
+            assert match and match[1] == argv[0], err
+            continue
+        noted = {line.split()[2] for line in err if line.startswith("note: regime ")}
+        _, rows = _rows(out)
+        for row in rows:
+            for key, value in row.items():
+                if key in ("outcome", "statistic", "reliable"):
+                    continue
+                # The coefficient of variation of an exact zero cost
+                # difference is infinite by definition, and flags the row.
+                zero_cost = key == "cv_cost" and float(row["rd_cost"]) == 0.0
+                assert np.isfinite(float(value)) or (
+                    value == "nan" and row.get("regime") in noted
+                ) or (value == "inf" and zero_cost and row["reliable"] == "False"), (
+                    argv, key, value, err
+                )

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smartcea.core import Dataset, RegimeSpec, consistency_mask
+from smartcea.core import Dataset, EstimationFailure, RegimeSpec, consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.estimate import (
     G_TRUNCATION,
@@ -20,7 +22,8 @@ from smartcea.estimate import (
 from smartcea.glm import SeparationDetected, expit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
-from oracles import TARGET_EC, TARGET_EY
+from oracles import TARGET_EC, TARGET_EY, reference_tmle_mean
+from trials import trials
 
 
 def _request(regime, outcome, estimator, g, saturated=False):
@@ -262,3 +265,33 @@ def test_large_sample_anchors_regime_2():
     est_c = tmle_mean(data, _request(regime, "c", "tmle", gn))
     assert abs(est_c.psi - oracle_ec_2) < 4.0 * est_c.se
     assert abs(est_c.psi - TARGET_EC[1]) < 0.025 + 4.0 * est_c.se
+
+
+def _tmle_outcome(tmle, data, request):
+    """psi and the influence curve as bytes, or the failure's class and message."""
+    try:
+        est = tmle(data, request)
+    except (EstimationFailure, ValueError) as err:
+        return type(err), str(err)
+    return np.float64(est.psi).tobytes(), est.ic.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=trials(20, 300),
+    g_kind=st.sampled_from(["known", "fitted", "saturated"]),
+    saturated=st.booleans(),
+)
+def test_tmle_equals_the_all_rows_oracle_bit_for_bit(data, g_kind, saturated):
+    # Each stage reads only the rows its result reads; the oracle runs every
+    # stage on all records and must give the same bytes or the same failure.
+    try:
+        g = estimate_g(data, g_kind)
+    except EstimationFailure:
+        g = estimate_g(data, "known")
+    for regime in embedded_regimes():
+        for outcome in ("y", "c"):
+            request = _request(regime, outcome, "tmle", g, saturated=saturated)
+            assert _tmle_outcome(tmle_mean, data, request) == _tmle_outcome(
+                reference_tmle_mean, data, request
+            ), (regime.id, outcome)

@@ -177,6 +177,25 @@ def test_constant_response_raises_separation():
             fit_logistic(design, z, weights=weights)
 
 
+def test_start_is_the_first_all_ones_column(monkeypatch):
+    # x has a zero score at the intercept-only MLE, so a fit that starts
+    # there returns at once with x's coefficient 0 and the start's logit.
+    x = np.tile([1.0, -1.0], 3)
+    z = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    zbar = 4.0 / 6.0
+    start = math.log(zbar) - math.log1p(-zbar)
+    ones = np.ones(6)
+    fit = fit_logistic(_design({"x": x, "intercept": ones}), z)
+    assert fit.iterations == 0
+    assert fit.coefficients.tolist() == [0.0, start]
+    # Two all-ones columns make the design rank-deficient, so the rank check
+    # is passed by stubbing the SVD to see where the start goes.
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.ones(a.shape[1]))
+    fit = fit_logistic(_design({"x": x, "first": ones, "second": ones}), z)
+    assert fit.iterations == 0
+    assert fit.coefficients.tolist() == [0.0, start, 0.0]
+
+
 def test_fit_is_bit_reproducible():
     rng = np.random.default_rng(15)
     x = rng.normal(size=300)
@@ -431,3 +450,53 @@ def test_intercept_only_fit_starts_at_its_mle(problem):
     fit = fit_logistic(X[:, :1], z, weights=w)
     assert fit.converged and fit.iterations == 0
     assert abs(fit.coefficients[0] - float(logit(zbar))) <= 1e-12
+
+
+@st.composite
+def nearly_collinear_designs(draw):
+    """(design, response, weights) with up to 4 columns on up to 12 rows,
+    some weights zero: generic columns, the last one a combination of the
+    others, weighted rows whose rank sits at the rank tolerance, or a last
+    column that is zero on every weighted row."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    if draw(st.booleans()):
+        X[:, 0] = 1.0
+    w = draw(hnp.arrays(
+        np.float64, n, elements=st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.1, 16.0)
+    ))
+    assume(w.any())
+    shape = draw(st.sampled_from(["generic", "combination", "threshold", "zero"]))
+    rows = np.flatnonzero(w > 0.0)
+    if shape == "combination" and p > 1:
+        X[:, -1] = X[:, :-1] @ rng.normal(size=p - 1)
+    elif shape == "threshold":
+        # Weighted rows whose least singular value lies within a factor of
+        # ten of the rank tolerance, the largest being 1.
+        k = min(rows.size, p)
+        u = np.linalg.qr(rng.normal(size=(rows.size, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        s = np.ones(k)
+        s[-1] = 10.0 ** rng.uniform(-1.0, 1.0) * max(rows.size, p) * np.finfo(float).eps
+        X[rows] = (u * s) @ v.T
+    elif shape == "zero":
+        X[rows, -1] = 0.0
+    return X, rng.random(n), w
+
+
+@PROPERTY_SETTINGS
+@given(problem=nearly_collinear_designs())
+def test_rank_deficient_exactly_when_matrix_rank_is_below_p(problem):
+    X, z, w = problem
+    deficient = np.linalg.matrix_rank(X[w > 0.0]) < X.shape[1]
+    try:
+        fit_logistic(X, z, weights=w)
+    except RankDeficient:
+        raised = True
+    except SeparationDetected:
+        raised = False
+    else:
+        raised = False
+    assert raised == deficient
