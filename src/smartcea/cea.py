@@ -80,7 +80,9 @@ def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
 
     Strongly dominated candidates (another candidate is at least as effective
     for no more cost, with at least one strict inequality; exact coordinate
-    ties keep the lower id) are removed first; the rest are swept in effect
+    ties keep the lower id) are removed first, in one sweep by decreasing
+    effect, then cost, then id: a candidate is undominated exactly when it is
+    cheaper than every candidate before it.  The rest are swept in effect
     order through a monotone chain that pops any corner failing strict
     convexity, which also drops collinear interior points.  Extended
     dominance is therefore handled by construction.  Raises
@@ -90,26 +92,14 @@ def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
     if not candidates:
         raise EmptyFrontier("no regime is strictly more effective than the reference")
 
-    undominated = [
-        p
-        for p in candidates
-        if not any(
-            q is not p
-            and q.rd_eff >= p.rd_eff
-            and q.rd_cost <= p.rd_cost
-            and (
-                q.rd_eff > p.rd_eff
-                or q.rd_cost < p.rd_cost
-                or q.regime_id < p.regime_id  # exact ties keep the lower id
-            )
-            for q in candidates
-        )
-    ]
-    undominated.sort(key=lambda p: (p.rd_eff, p.rd_cost, p.regime_id))
+    undominated: list[PlanePoint] = []
+    for p in sorted(candidates, key=lambda p: (-p.rd_eff, p.rd_cost, p.regime_id)):
+        if not undominated or p.rd_cost < undominated[-1].rd_cost:
+            undominated.append(p)
 
     chain: list[tuple[float, float]] = [(0.0, 0.0)]
     chain_ids: list[int | None] = [None]
-    for p in undominated:
+    for p in reversed(undominated):
         v = (p.rd_eff, p.rd_cost)
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], v) <= 0.0:
             chain.pop()
@@ -191,47 +181,38 @@ def render_plane_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+
+    def line(x1: float, y1: float, x2: float, y2: float, stroke: str) -> None:
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}" stroke-width="1"/>'
+        )
+
+    def text(x, y: float, size: int, body, anchor: str = "", rotate: bool = False) -> None:
+        """A text element; an ``x`` given as a string is written as it is."""
+        x = x if isinstance(x, str) else f"{x:.2f}"
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        turn = f' transform="rotate(-90 {x} {y:.2f})"' if rotate else ""
+        parts.append(
+            f'<text x="{x}" y="{y:.2f}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{turn}>{body}</text>'
+        )
+
     # Zero lines split the plane into its four quadrants.
-    parts.append(
-        f'<line x1="{sx(x_lo):.2f}" y1="{sy(0):.2f}" x2="{sx(x_hi):.2f}" y2="{sy(0):.2f}" '
-        'stroke="#999" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{sx(0):.2f}" y1="{sy(y_lo):.2f}" x2="{sx(0):.2f}" y2="{sy(y_hi):.2f}" '
-        'stroke="#999" stroke-width="1"/>'
-    )
+    line(sx(x_lo), sy(0), sx(x_hi), sy(0), "#999")
+    line(sx(0), sy(y_lo), sx(0), sy(y_hi), "#999")
     for t in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{sx(t):.2f}" y1="{height - mb:.2f}" x2="{sx(t):.2f}" '
-            f'y2="{height - mb + 5:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{sx(t):.2f}" y="{height - mb + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
-        )
+        line(sx(t), height - mb, sx(t), height - mb + 5, "black")
+        text(sx(t), height - mb + 18, 11, f"{t:g}", "middle")
     for t in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{ml - 5:.2f}" y1="{sy(t):.2f}" x2="{ml:.2f}" y2="{sy(t):.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8:.2f}" y="{sy(t) + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{t:g}</text>'
-        )
+        line(ml - 5, sy(t), ml, sy(t), "black")
+        text(ml - 8, sy(t) + 4, 11, f"{t:g}", "end")
     parts.append(
         f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" font-size="13" '
-        'text-anchor="middle" font-family="sans-serif">'
-        f"{X_AXIS_LABEL}</text>"
-    )
-    parts.append(
-        f'<text x="14" y="{(mt + height - mb) / 2:.2f}" font-size="13" '
-        'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 14 {(mt + height - mb) / 2:.2f})">{Y_AXIS_LABEL}</text>'
-    )
+    text((ml + width - mr) / 2, height - 10, 13, X_AXIS_LABEL, "middle")
+    text("14", (mt + height - mb) / 2, 13, Y_AXIS_LABEL, "middle", rotate=True)
 
     if frontier is not None and len(frontier.vertices) >= 2:
         chain = " ".join(
@@ -250,9 +231,6 @@ def render_plane_svg(
             f'<circle cx="{sx(p.rd_eff):.2f}" cy="{sy(p.rd_cost):.2f}" '
             f'r="4" fill="{fill}" stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<text x="{sx(p.rd_eff) + 6:.2f}" y="{sy(p.rd_cost) - 6:.2f}" '
-            f'font-size="11" font-family="sans-serif">{p.regime_id}</text>'
-        )
+        text(sx(p.rd_eff) + 6, sy(p.rd_cost) - 6, 11, p.regime_id)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

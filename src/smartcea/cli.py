@@ -648,6 +648,9 @@ def _run_icer_table(config: RunConfig) -> None:
     rows = []
     for rid, res in _icer_results(dataset, regimes, s).items():
         if isinstance(res, IcerResult):
+            if np.isinf(res.cv_cost):
+                print(f"note: regime {rid} cv_cost written as inf (cost difference "
+                      f"{_fmt(res.rd_cost.psi)}); row flagged unreliable", file=sys.stderr)
             rows.append([rid, res.icer.psi, *wald_ci(res.icer, s["alpha"]),
                          res.rd_cost.psi, res.rd_eff.psi, res.cv_cost, res.cv_eff,
                          res.is_reliable(s["cv_threshold"])])
@@ -676,16 +679,22 @@ def _run_contrast(config: RunConfig) -> None:
 def _read_icer_table(path: str) -> list[PlanePoint]:
     """Plane points of an icer-table file.  A row whose icer, rd_eff and
     rd_cost are all NaN is a regime with an undefined ICER: it is left off
-    the plane, with a note on standard error."""
+    the plane, with a note on standard error.  A regime id may appear once."""
     try:
         lines = _content_lines(path)
     except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {path}: {err}") from None
     points = []
     undefined = []
-    for row in csv.DictReader(text for _, text in lines):
+    seen: set[int] = set()
+    reader = csv.DictReader(text for _, text in lines)
+    for row in reader:
         try:
             rid = int(row["regime"])
+            if rid in seen:
+                lineno = lines[reader.line_num - 1][0]
+                raise CliError(f"{path} line {lineno}: duplicate regime id {rid}")
+            seen.add(rid)
             icer, rd_eff, rd_cost = (float(row[k]) for k in ("icer", "rd_eff", "rd_cost"))
             reliable = (row["reliable"] or "").strip().lower()
             if reliable not in ("true", "false"):

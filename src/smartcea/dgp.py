@@ -33,11 +33,13 @@ The tests rerun the search to confirm both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, RegimeSpec, check_count, check_regime_ids
+from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
+from .core import check_count, check_regime_ids
 from .glm import expit, logit
 from .inference import MIN_DENOMINATOR, PER_HUNDRED
 from .rng import (
@@ -116,19 +118,12 @@ def embedded_regimes() -> tuple[RegimeSpec, ...]:
     ``tests/oracles.py``: within each no-lapse option, lapse option varies
     next and the stage-1 arm fastest.
     """
-    triples = (
-        (0, 1, 3),
-        (1, 1, 3),
-        (0, 2, 3),
-        (1, 2, 3),
-        (0, 1, 4),
-        (1, 1, 4),
-        (0, 2, 4),
-        (1, 2, 4),
+    cells = product(
+        sorted(STAGE2_SUPPORT[0]), sorted(STAGE2_SUPPORT[1]), sorted(STAGE1_SUPPORT)
     )
     return tuple(
-        RegimeSpec(id=i + 1, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn)
-        for i, (d1, dl, dn) in enumerate(triples)
+        RegimeSpec(id=i, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn)
+        for i, (dn, dl, d1) in enumerate(cells, start=1)
     )
 
 
@@ -161,19 +156,10 @@ def simulate_smart(config: DgpConfig) -> Dataset:
     base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
     rate_k = np.asarray(config.c_constants, dtype=np.float64)
 
-    cols = {
-        "x1": np.empty(n),
-        "a1": np.empty(n, dtype=np.int64),
-        "l2": np.empty(n, dtype=np.int64),
-        "s2": np.empty(n),
-        "a2": np.empty(n, dtype=np.int64),
-        "y": np.empty(n, dtype=np.int64),
-        "c": np.empty(n),
-    }
+    blocks = []
     for b in range((n + BLOCK - 1) // BLOCK):
         rng = philox_stream(config.seed, PURPOSE_SIMULATE, b)
-        lo = b * BLOCK
-        m = min(n - lo, BLOCK)
+        m = min(n - b * BLOCK, BLOCK)
         # Fixed draw order, each variable a full block on the stream so
         # earlier rows never move (see the docstring).
         x1 = rng.standard_normal(BLOCK)[:m]
@@ -193,14 +179,9 @@ def simulate_smart(config: DgpConfig) -> Dataset:
         y = (u_y < p_y).astype(np.int64)
         rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)
         c = config.cost_scale * e_c / rate
+        blocks.append((x1, a1, l2, s2, a2, y, c))
 
-        sl = slice(lo, lo + m)
-        for name, arr in zip(
-            ("x1", "a1", "l2", "s2", "a2", "y", "c"), (x1, a1, l2, s2, a2, y, c)
-        ):
-            cols[name][sl] = arr
-
-    return Dataset(**cols)
+    return Dataset(*(np.concatenate(col) for col in zip(*blocks)))
 
 
 @dataclass(frozen=True)

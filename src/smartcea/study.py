@@ -55,6 +55,7 @@ from .inference import (
     risk_difference,
     wald_ci,
 )
+from .rng import check_seed
 
 __all__ = [
     "StudyConfig",
@@ -92,6 +93,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         check_count("reps", self.reps, 1)
         check_count("n", self.n, 2)
+        check_seed(self.seed)
         if not self.estimators:
             raise ValueError("at least one estimator required")
         if len(set(self.estimators)) != len(self.estimators):

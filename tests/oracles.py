@@ -55,6 +55,13 @@ to confirm that the pieces add up to the influence-curve variance.
 ``brute_frontier`` is the gift-wrapping construction of the efficient
 frontier that ``smartcea.cea.efficient_frontier``'s monotone chain must
 reproduce, regime for regime.
+
+``reference_efficient_frontier`` is ``smartcea.cea.efficient_frontier`` as
+it was before it found the undominated candidates in one sweep: it tests
+every candidate against every other.  ``reference_render_plane_svg`` is
+``smartcea.cea.render_plane_svg`` as it was before one local writer wrote
+each ``<line>`` and each ``<text>`` element.  The library must produce the
+same frontier and the same SVG text.
 """
 
 from __future__ import annotations
@@ -63,12 +70,21 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
+from smartcea.cea import (
+    X_AXIS_LABEL,
+    Y_AXIS_LABEL,
+    EmptyFrontier,
+    Frontier,
+    PlanePoint,
+    _cross,
+    _ticks,
+)
 from smartcea.cli import CliError
 from smartcea.core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, EstimateWithIC, RegimeSpec
 from smartcea.dgp import (
@@ -864,3 +880,163 @@ def brute_frontier(points, anchor=(0.0, 0.0)):
         chain.append(best)
         cur = (best.rd_eff, best.rd_cost)
     return chain
+
+
+def reference_efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
+    """Lower convex envelope of the strictly-more-effective regimes.
+
+    Strongly dominated candidates (another candidate is at least as effective
+    for no more cost, with at least one strict inequality; exact coordinate
+    ties keep the lower id) are removed first; the rest are swept in effect
+    order through a monotone chain that pops any corner failing strict
+    convexity, which also drops collinear interior points.  Extended
+    dominance is therefore handled by construction.  Raises
+    :class:`EmptyFrontier` when no candidate lies right of the origin.
+    """
+    candidates = [p for p in points if p.rd_eff > 0.0]
+    if not candidates:
+        raise EmptyFrontier("no regime is strictly more effective than the reference")
+
+    undominated = [
+        p
+        for p in candidates
+        if not any(
+            q is not p
+            and q.rd_eff >= p.rd_eff
+            and q.rd_cost <= p.rd_cost
+            and (
+                q.rd_eff > p.rd_eff
+                or q.rd_cost < p.rd_cost
+                or q.regime_id < p.regime_id  # exact ties keep the lower id
+            )
+            for q in candidates
+        )
+    ]
+    undominated.sort(key=lambda p: (p.rd_eff, p.rd_cost, p.regime_id))
+
+    chain: list[tuple[float, float]] = [(0.0, 0.0)]
+    chain_ids: list[int | None] = [None]
+    for p in undominated:
+        v = (p.rd_eff, p.rd_cost)
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], v) <= 0.0:
+            chain.pop()
+            chain_ids.pop()
+        chain.append(v)
+        chain_ids.append(p.regime_id)
+
+    vertices = tuple(chain)
+    slopes = tuple((b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(vertices, vertices[1:]))
+    return Frontier(
+        regime_ids=tuple(rid for rid in chain_ids if rid is not None),
+        vertices=vertices,
+        slopes=slopes,
+    )
+
+
+def reference_render_plane_svg(
+    points: Sequence[PlanePoint],
+    frontier: Frontier | None = None,
+    width: int = 640,
+    height: int = 480,
+) -> str:
+    """Cost-effectiveness plane as a self-contained SVG string.
+
+    Every regime gets a numbered marker (hollow when its reliability flag is
+    down); the frontier, when given, is drawn as a polyline from the anchor.
+    Output is deterministic (fixed float formatting, no timestamps), so the
+    same inputs render byte-identical files.  A size within the fixed margins
+    (80 px wide, 64 px high) leaves no plot area and raises ``ValueError``.
+    """
+    if not points:
+        raise ValueError("nothing to plot")
+    ml, mr, mt, mb = 64, 16, 16, 48
+    if width <= ml + mr or height <= mt + mb:
+        raise ValueError(f"{width} x {height} px leaves no plot area inside the margins")
+    xs = [p.rd_eff for p in points]
+    ys = [p.rd_cost for p in points]
+    if frontier is not None:
+        xs.extend(v[0] for v in frontier.vertices)
+        ys.extend(v[1] for v in frontier.vertices)
+    x_lo, x_hi = min(min(xs), 0.0), max(max(xs), 0.0)
+    y_lo, y_hi = min(min(ys), 0.0), max(max(ys), 0.0)
+    x_pad = 0.08 * (x_hi - x_lo or 1.0)
+    y_pad = 0.08 * (y_hi - y_lo or 1.0)
+    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+
+    def sx(v: float) -> float:
+        return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+
+    def sy(v: float) -> float:
+        return height - mb - (v - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    # Zero lines split the plane into its four quadrants.
+    parts.append(
+        f'<line x1="{sx(x_lo):.2f}" y1="{sy(0):.2f}" x2="{sx(x_hi):.2f}" y2="{sy(0):.2f}" '
+        'stroke="#999" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<line x1="{sx(0):.2f}" y1="{sy(y_lo):.2f}" x2="{sx(0):.2f}" y2="{sy(y_hi):.2f}" '
+        'stroke="#999" stroke-width="1"/>'
+    )
+    for t in _ticks(x_lo, x_hi):
+        parts.append(
+            f'<line x1="{sx(t):.2f}" y1="{height - mb:.2f}" x2="{sx(t):.2f}" '
+            f'y2="{height - mb + 5:.2f}" stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{sx(t):.2f}" y="{height - mb + 18:.2f}" font-size="11" '
+            f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
+        )
+    for t in _ticks(y_lo, y_hi):
+        parts.append(
+            f'<line x1="{ml - 5:.2f}" y1="{sy(t):.2f}" x2="{ml:.2f}" y2="{sy(t):.2f}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 8:.2f}" y="{sy(t) + 4:.2f}" font-size="11" '
+            f'text-anchor="end" font-family="sans-serif">{t:g}</text>'
+        )
+    parts.append(
+        f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
+        'fill="none" stroke="black" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" font-size="13" '
+        'text-anchor="middle" font-family="sans-serif">'
+        f"{X_AXIS_LABEL}</text>"
+    )
+    parts.append(
+        f'<text x="14" y="{(mt + height - mb) / 2:.2f}" font-size="13" '
+        'text-anchor="middle" font-family="sans-serif" '
+        f'transform="rotate(-90 14 {(mt + height - mb) / 2:.2f})">{Y_AXIS_LABEL}</text>'
+    )
+
+    if frontier is not None and len(frontier.vertices) >= 2:
+        chain = " ".join(
+            f"{sx(v[0]):.2f},{sy(v[1]):.2f}" for v in frontier.vertices
+        )
+        parts.append(
+            f'<polyline points="{chain}" fill="none" stroke="#1565c0" '
+            'stroke-width="2"/>'
+        )
+
+    frontier_ids = set(frontier.regime_ids) if frontier is not None else set()
+    for p in sorted(points, key=lambda q: q.regime_id):
+        color = "#1565c0" if p.regime_id in frontier_ids else "#c62828"
+        fill = color if p.reliable else "white"
+        parts.append(
+            f'<circle cx="{sx(p.rd_eff):.2f}" cy="{sy(p.rd_cost):.2f}" '
+            f'r="4" fill="{fill}" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{sx(p.rd_eff) + 6:.2f}" y="{sy(p.rd_cost) - 6:.2f}" '
+            f'font-size="11" font-family="sans-serif">{p.regime_id}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

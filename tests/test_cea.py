@@ -16,7 +16,7 @@ from smartcea.cea import (
     render_plane_svg,
 )
 
-from oracles import brute_frontier
+from oracles import brute_frontier, reference_efficient_frontier, reference_render_plane_svg
 
 
 def _point(rid, eff, cost, reliable=True):
@@ -149,6 +149,37 @@ def test_frontier_is_the_brute_force_lower_hull(points):
     assert frontier.slopes == tuple(
         (b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(corners, corners[1:])
     )
+
+
+# Up to 8 points on a small integer grid with ids from 2 to 5, so that
+# repeated points and repeated ids are both common.
+_REPEATING_POINTS = st.lists(
+    st.builds(
+        _point, st.integers(2, 5), st.integers(-3, 6).map(float),
+        st.integers(-3, 6).map(float), st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_REPEATING_POINTS, st.sampled_from([(640, 480), (81, 65), (1000, 300)]))
+def test_frontier_and_plane_match_the_pairwise_oracles(points, size):
+    # The one-sweep dominance rule keeps the pairwise test's frontier, and the
+    # element writers keep the hand-written SVG text, byte for byte.
+    try:
+        frontier = reference_efficient_frontier(points)
+    except EmptyFrontier:
+        with pytest.raises(EmptyFrontier):
+            efficient_frontier(points)
+        frontier = None
+    else:
+        assert efficient_frontier(points) == frontier
+    for drawn in {frontier, None}:
+        assert render_plane_svg(points, drawn, *size) == reference_render_plane_svg(
+            points, drawn, *size
+        )
 
 
 def test_svg_is_deterministic_with_exact_labels():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from smartcea import dgp, estimate, study
 from smartcea.cli import SUBCOMMANDS, CliError, _flag_name, ingest_dataset, main, read_regime_file
-from smartcea.core import consistency_mask
+from smartcea.core import Dataset, consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 
 from trials import trials, write_trial
@@ -484,6 +484,30 @@ def test_config_file_sets_the_input_table(tmp_path, subcommand):
     assert f" in={table} " in out.read_text().splitlines()[2]
 
 
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+def test_frontier_and_plot_refuse_a_repeated_regime_id(tmp_path, capsys, subcommand):
+    # Two rows for regime 2, at (rd_eff, rd_cost) = (10, 1) and (4, 2): only the
+    # first is a vertex, but both were written with on_frontier=true, by id.
+    table = tmp_path / "icers.csv"
+    table.write_text(
+        "# an icer-table file\n" + PLANE_HEADER
+        + "2,0.1,nan,nan,1.0,10.0,1.0,1.0,true\n"
+        + "2,0.5,nan,nan,2.0,4.0,1.0,1.0,true\n"
+    )
+    out = tmp_path / "out.txt"
+    outputs = {
+        "frontier": ["--out-points", str(out), "--out-frontier", str(tmp_path / "f.csv")],
+        "plot": ["--out", str(out)],
+    }[subcommand]
+    code, _, err = run_cli(subcommand, "--in", str(table), *outputs, capsys=capsys)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f'error kind=CliError subcommand={subcommand} '
+        f'message="{table} line 4: duplicate regime id 2"'
+    )
+    assert not out.exists()
+
+
 def test_frontier_drop_unreliable_keeps_only_reliable_rows(tmp_path, capsys):
     points = tmp_path / "points.csv"
     outputs = ["--out-points", str(points), "--out-frontier", str(tmp_path / "f.csv")]
@@ -877,6 +901,29 @@ def test_icer_table_notes_a_zero_effect_difference(tmp_path, trial_with_twin, ca
     ]
 
 
+def test_icer_table_notes_an_infinite_cost_cv(tmp_path, capsys):
+    # With every cost 0 each cost difference is exactly 0, so each row's
+    # cv_cost is inf by definition; each such row is flagged and noted.
+    d = simulate_smart(DgpConfig(n=300, seed=1))
+    zero_cost = tmp_path / "zero-cost.csv"
+    write_trial(zero_cost, Dataset(d.x1, d.a1, d.l2, d.s2, d.a2, d.y, np.zeros(d.n)))
+    table = tmp_path / "icers.csv"
+    code, _, err = run_cli(
+        "icer-table", "--data", str(zero_cost), "--estimator", "ipw", "--out", str(table),
+        capsys=capsys,
+    )
+    assert code == 0
+    _, rows = _rows(table)
+    assert {(r["rd_cost"], r["cv_cost"], r["reliable"]) for r in rows} == {
+        ("0.0", "inf", "false")
+    }
+    assert [ln for ln in err.splitlines() if ln.startswith("note:")] == [
+        f"note: regime {r['regime']} cv_cost written as inf (cost difference 0.0); "
+        "row flagged unreliable"
+        for r in rows
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1019,10 +1066,10 @@ def test_every_run_ends_cleanly_on_fragile_trials(tmp_path_factory, data, method
                 if key in ("outcome", "statistic", "reliable"):
                     continue
                 # The coefficient of variation of an exact zero cost
-                # difference is infinite by definition, and flags the row.
+                # difference is infinite by definition, flags the row and is
+                # named in a note.
                 zero_cost = key == "cv_cost" and float(row["rd_cost"]) == 0.0
-                assert np.isfinite(float(value)) or (
-                    value == "nan" and row.get("regime") in noted
-                ) or (value == "inf" and zero_cost and row["reliable"] == "False"), (
-                    argv, key, value, err
-                )
+                named = row.get("regime") in noted
+                assert np.isfinite(float(value)) or (value == "nan" and named) or (
+                    value == "inf" and named and zero_cost and row["reliable"] == "false"
+                ), (argv, key, value, err)

@@ -51,14 +51,17 @@ ORACLE_EC_TOL = 0.01
 
 
 def test_embedded_regimes_match_published_numbering():
-    regs = embedded_regimes()
-    assert [r.id for r in regs] == list(range(1, 9))
-    triples = {r.id: (r.d1, r.d2_if_lapse, r.d2_if_no_lapse) for r in regs}
-    assert triples[1] == (0, 1, 3)
-    assert triples[2] == (1, 1, 3)
-    assert triples[3] == (0, 2, 3)
-    assert triples[5] == (0, 1, 4)
-    assert triples[8] == (1, 2, 4)
+    # (id, d1, d2_if_lapse, d2_if_no_lapse) of every regime, in order.
+    assert [(r.id, r.d1, r.d2_if_lapse, r.d2_if_no_lapse) for r in embedded_regimes()] == [
+        (1, 0, 1, 3),
+        (2, 1, 1, 3),
+        (3, 0, 2, 3),
+        (4, 1, 2, 3),
+        (5, 0, 1, 4),
+        (6, 1, 1, 4),
+        (7, 0, 2, 4),
+        (8, 1, 2, 4),
+    ]
 
 
 def test_simulate_is_deterministic():

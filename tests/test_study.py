@@ -76,6 +76,9 @@ def test_config_validation():
         StudyConfig(alpha=float("nan"))
     with pytest.raises(ValueError):
         StudyConfig(cv_threshold=0.0)
+    for seed in (2**70, -1, 1.5):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            StudyConfig(reps=2, n=400, seed=seed)
 
 
 @pytest.mark.parametrize("estimators", [("ipw", "ipw"), ("tmle", "ipw", "tmle")])
