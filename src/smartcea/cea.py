@@ -26,10 +26,17 @@ __all__ = [
     "render_plane_svg",
     "X_AXIS_LABEL",
     "Y_AXIS_LABEL",
+    "MIN_WIDTH",
+    "MIN_HEIGHT",
 ]
 
 X_AXIS_LABEL = "Incremental effectiveness (percentage points)"
 Y_AXIS_LABEL = "Incremental cost ($)"
+
+# The plane's margins in px (left, right, top, bottom), and the smallest SVG
+# size that leaves a plot area inside them.
+_MARGINS = (64, 16, 16, 48)
+MIN_WIDTH, MIN_HEIGHT = _MARGINS[0] + _MARGINS[1] + 1, _MARGINS[2] + _MARGINS[3] + 1
 
 
 class EmptyFrontier(EstimationFailure):
@@ -117,9 +124,7 @@ def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """About five round tick values covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About five round tick values covering [lo, hi], lo < hi."""
     raw = (hi - lo) / 4.0
     mag = 10.0 ** math.floor(math.log10(raw))
     norm = raw / mag
@@ -150,13 +155,14 @@ def render_plane_svg(
     Every regime gets a numbered marker (hollow when its reliability flag is
     down); the frontier, when given, is drawn as a polyline from the anchor.
     Output is deterministic (fixed float formatting, no timestamps), so the
-    same inputs render byte-identical files.  A size within the fixed margins
-    (80 px wide, 64 px high) leaves no plot area and raises ``ValueError``.
+    same inputs render byte-identical files.  ``ValueError`` for a size below
+    ``MIN_WIDTH`` x ``MIN_HEIGHT``, which leaves no plot area inside the
+    margins, and for a plane whose padded span overflows a float.
     """
     if not points:
         raise ValueError("nothing to plot")
-    ml, mr, mt, mb = 64, 16, 16, 48
-    if width <= ml + mr or height <= mt + mb:
+    ml, mr, mt, mb = _MARGINS
+    if width < MIN_WIDTH or height < MIN_HEIGHT:
         raise ValueError(f"{width} x {height} px leaves no plot area inside the margins")
     xs = [p.rd_eff for p in points]
     ys = [p.rd_cost for p in points]
@@ -169,6 +175,8 @@ def render_plane_svg(
     y_pad = 0.08 * (y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
+        raise ValueError("the plane's padded span overflows a float")
 
     def sx(v: float) -> float:
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

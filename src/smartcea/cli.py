@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
+from .cea import MIN_HEIGHT, MIN_WIDTH
 from .cea import (
     EmptyFrontier,
     Frontier,
@@ -37,8 +38,9 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import Dataset, EstimationFailure, InvalidRecord, RegimeSpec
+from .core import Dataset, EstimationFailure, InvalidRecord, RegimeSpec, check_count
 from .dgp import (
+    MIN_MC_DRAWS,
     TRUTH_MC_DRAWS,
     DgpConfig,
     TruthTable,
@@ -46,8 +48,10 @@ from .dgp import (
     simulate_smart,
     true_values,
 )
-from .estimate import DEFAULT_G_MODES, estimate_g
-from .inference import CV_THRESHOLD, IcerResult, bootstrap_ci, contrast, wald_ci
+from .estimate import DEFAULT_G_MODES, check_estimators, estimate_g
+from .inference import CV_THRESHOLD, MIN_REPLICATES, IcerResult, bootstrap_ci, contrast, wald_ci
+from .inference import check_alpha, check_cv_threshold
+from .rng import check_seed
 from .study import StudyConfig, icer_table, regime_means, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
@@ -62,55 +66,45 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class Option:
-    """One subcommand setting: flag (on/off when ``type`` is bool), config key, checks."""
+    """One subcommand setting: flag (on/off when ``type`` is bool), config key and
+    the library's rule for its value, a count's ``minimum`` or a raising ``check``."""
 
     name: str
     type: Callable
     default: object = None
     help: str = ""
-    domain: str = ""
-    check: Callable[[object], bool] | None = None
+    minimum: int | None = None
+    check: Callable[[object], object] | None = None
     required: bool = False
     choices: tuple | None = None
 
 
-def _pos_int(v):
-    return v >= 1
-
-
 def _estimator_names(value: str) -> tuple[str, ...]:
-    return tuple(e.strip() for e in value.split(",") if e.strip())
-
-
-def _estimator_list(value: str) -> bool:
-    names = _estimator_names(value)
-    return bool(names) and len(set(names)) == len(names) and set(names) <= DEFAULT_G_MODES.keys()
+    return check_estimators(tuple(e.strip() for e in value.split(",") if e.strip()))
 
 
 SEED_OPT = Option("seed", int, None, "master seed; required, no wall-clock fallback",
-                  "integer in [0, 2^64)", lambda v: 0 <= v < 2**64, required=True)
-ALPHA_OPT = Option("alpha", float, 0.05, "two-sided error rate for intervals",
-                   "in (0, 1)", lambda v: 0.0 < v < 1.0)
+                  check=check_seed, required=True)
+ALPHA_OPT = Option("alpha", float, 0.05, "two-sided error rate for intervals", check=check_alpha)
 THREADS_OPT = Option("threads", int, None, "parallelism cap (default: available cores)",
-                     ">= 1", _pos_int)
+                     minimum=1)
 ESTIMATOR_OPT = Option("estimator", str, "tmle", "point estimator", choices=tuple(DEFAULT_G_MODES))
 G_OPT = Option("g", str, None, "treatment mechanism: design probabilities or logistic fits "
                "(default pairs known with ipw, fitted with tmle)", choices=("known", "fitted"))
-CV_OPT = Option("cv_threshold", float, CV_THRESHOLD,
-                "component coefficient-of-variation bound for the reliability flag",
-                "> 0", lambda v: v > 0.0)
+CV_OPT = Option("cv_threshold", float, CV_THRESHOLD, check=check_cv_threshold,
+                help="component coefficient-of-variation bound for the reliability flag")
 OUT_OPT = Option("out", str, None, "output CSV path", required=True)
 DATA_OPT = Option("data", str, None, "input dataset CSV", required=True)
 REGIMES_OPT = Option("regimes", str, None,
                      "regime table file (default: the eight benchmark regimes)")
-REFERENCE_OPT = Option("reference", int, 1, "reference regime id", ">= 1", _pos_int)
+REFERENCE_OPT = Option("reference", int, 1, "reference regime id", minimum=1)
 
 
 SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "simulate": (
         "draw one trial from the benchmark generative process",
         (
-            Option("n", int, 1809, "number of records", ">= 1", _pos_int),
+            Option("n", int, 1809, "number of records", minimum=1),
             SEED_OPT,
             replace(OUT_OPT, help="output dataset CSV path"),
         ),
@@ -118,10 +112,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "truth": (
         "Monte-Carlo truth table for the benchmark regimes",
         (
-            Option(
-                "mc_draws", int, TRUTH_MC_DRAWS, "Monte-Carlo draws",
-                ">= 10000", lambda v: v >= 10_000,
-            ),
+            Option("mc_draws", int, TRUTH_MC_DRAWS, "Monte-Carlo draws", minimum=MIN_MC_DRAWS),
             SEED_OPT,
             REGIMES_OPT,
             REFERENCE_OPT,
@@ -158,8 +149,8 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         (
             DATA_OPT,
             REGIMES_OPT,
-            Option("i", int, None, "first regime id", ">= 1", _pos_int, required=True),
-            Option("j", int, None, "second regime id", ">= 1", _pos_int, required=True),
+            Option("i", int, None, "first regime id", minimum=1, required=True),
+            Option("j", int, None, "second regime id", minimum=1, required=True),
             ESTIMATOR_OPT,
             G_OPT,
             REFERENCE_OPT,
@@ -182,23 +173,19 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("in", str, None, "icer-table CSV to read", required=True),
             Option("drop_unreliable", bool, False, "drop flagged points before the frontier"),
             Option("no_frontier", bool, False, "points only, no frontier polyline"),
-            Option("width", int, 640, "SVG width in px", "> 80", lambda v: v > 80),
-            Option("height", int, 480, "SVG height in px", "> 64", lambda v: v > 64),
+            Option("width", int, 640, "SVG width in px", minimum=MIN_WIDTH),
+            Option("height", int, 480, "SVG height in px", minimum=MIN_HEIGHT),
             replace(OUT_OPT, help="output SVG path"),
         ),
     ),
     "mc-study": (
         "repeated-simulation estimator comparison",
         (
-            Option("reps", int, 500, "simulation repetitions", ">= 1", _pos_int),
-            Option("n", int, 1809, "records per repetition", ">= 2", lambda v: v >= 2),
+            Option("reps", int, 500, "simulation repetitions", minimum=1),
+            Option("n", int, 1809, "records per repetition", minimum=2),
             SEED_OPT,
-            Option(
-                "estimators", str, ",".join(DEFAULT_G_MODES),
-                "comma-separated estimators to compare",
-                f"comma-separated subset of {','.join(DEFAULT_G_MODES)}, not empty",
-                _estimator_list,
-            ),
+            Option("estimators", str, ",".join(DEFAULT_G_MODES),
+                   "comma-separated estimators to compare", check=_estimator_names),
             Option("retain_degenerate", bool, False,
                    "keep unreliable-but-defined reps in the moments"),
             CV_OPT,
@@ -212,12 +199,9 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         (
             DATA_OPT,
             REGIMES_OPT,
-            Option("i", int, None, "regime id of interest", ">= 1", _pos_int, required=True),
-            Option("j", int, None, "second regime id (contrast mode)", ">= 1", _pos_int),
-            Option(
-                "replicates", int, 500, "bootstrap replicates",
-                ">= 100", lambda v: v >= 100,
-            ),
+            Option("i", int, None, "regime id of interest", minimum=1, required=True),
+            Option("j", int, None, "second regime id (contrast mode)", minimum=1),
+            Option("replicates", int, 500, "bootstrap replicates", minimum=MIN_REPLICATES),
             SEED_OPT,
             ESTIMATOR_OPT,
             G_OPT,
@@ -361,8 +345,13 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
                 raise UsageError(
                     f"{opt.name}: expected one of {', '.join(map(str, opt.choices))}"
                 )
-            if opt.check is not None and not opt.check(value):
-                raise UsageError(f"{opt.name}: must be {opt.domain}, got {value}")
+            try:
+                if opt.minimum is not None:
+                    check_count(opt.name, value, opt.minimum)
+                if opt.check is not None:
+                    opt.check(value)
+            except ValueError as err:
+                raise UsageError(str(err)) from None
         settings[opt.name] = value
     return RunConfig(ns.subcommand, settings, tuple(overridden))
 
@@ -596,6 +585,9 @@ def _run_estimate(config: RunConfig) -> None:
             rows += [[rid, outcome, float("nan"), float("nan")] + ([""] if ic_dir else [])
                      for outcome in outcomes]
             continue
+        if any(np.isnan(est.se) for est in means):
+            print(f"note: regime {rid} se undefined (n = {dataset.n}); se written as nan",
+                  file=sys.stderr)
         for outcome, est in zip(outcomes, means):
             row = [rid, outcome, est.psi, est.se]
             if ic_dir:

@@ -50,7 +50,7 @@ def check_count(name: str, value: int, minimum: int) -> None:
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
-        raise ValueError(f"{name} must be at least {minimum}")
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
 
 
 def check_regime_ids(regimes: Iterable[RegimeSpec]) -> None:

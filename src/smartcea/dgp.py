@@ -57,6 +57,7 @@ __all__ = [
     "COST_SCALE",
     "TARGET_ICER",
     "TRUTH_MC_DRAWS",
+    "MIN_MC_DRAWS",
     "DgpConfig",
     "embedded_regimes",
     "simulate_smart",
@@ -68,8 +69,9 @@ Y_CONSTANTS = (0.72, 0.74, 0.72, 0.70, 0.71, 0.70, 0.79, 0.80)
 C_CONSTANTS = (2.0, 0.03, 0.035, 0.044, 0.06, 0.05, 0.058, 0.025)
 COST_SCALE = 5.0
 
-# Default Monte-Carlo resolution of a truth table.
+# Default Monte-Carlo resolution of a truth table, and the coarsest accepted.
 TRUTH_MC_DRAWS = 2_000_000
+MIN_MC_DRAWS = 10_000
 
 # Published benchmark ICERs (SOC first); tests/oracles.py holds the table's means.
 TARGET_ICER = (float("nan"), 0.1202, 13.8825, 0.1074, 0.0149, 0.1221, 0.6251, 0.1112)
@@ -282,8 +284,8 @@ def true_values(
     distance term depend only on the stage-1 arm, so each block computes
     them once per arm; a regime adds its two branch constants, picked per
     row by L(2).  Raises ``ValueError`` before any draw for an ``mc_draws``
-    that is not an integer of at least 10,000, two different regimes with
-    one id, or a ``reference_id`` that names no regime.
+    that is not an integer of at least :data:`MIN_MC_DRAWS`, two different
+    regimes with one id, or a ``reference_id`` that names no regime.
 
     Y is counted in logit space: Y = 1{U < expit(eta)} = 1{logit(U) < eta}.
     Each block takes logit(U) once, each arm subtracts its S(2) and
@@ -295,7 +297,7 @@ def true_values(
     buffer.  Every element's expression and every sum's order are those of
     cost_scale * E / (rate + distance), so the cost sums keep their bits.
     """
-    check_count("mc_draws", mc_draws, 10_000)
+    check_count("mc_draws", mc_draws, MIN_MC_DRAWS)
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
     check_regime_ids(regs)
     _check_reference(regs, reference_id)

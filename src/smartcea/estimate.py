@@ -25,7 +25,7 @@ treatment model, and a flag for saturated outcome regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "FluctuationDiverged",
     "DEFAULT_G_MODES",
     "G_TRUNCATION",
+    "check_estimators",
     "GModel",
     "RegimeMeanRequest",
     "estimate_g",
@@ -61,6 +62,19 @@ DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 
 # Fitted treatment probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
 G_TRUNCATION = 0.01
+
+
+def check_estimators(estimators: Sequence[str]) -> tuple[str, ...]:
+    """``estimators`` as a tuple; ``ValueError`` unless it names at least one
+    estimator of :data:`DEFAULT_G_MODES`, none twice."""
+    if not estimators:
+        raise ValueError("at least one estimator required")
+    if len(set(estimators)) != len(estimators):
+        raise ValueError(f"estimators repeat: {estimators}")
+    for est in estimators:
+        if est not in DEFAULT_G_MODES:
+            raise ValueError(f"unknown estimator {est!r}")
+    return tuple(estimators)
 
 
 def _design(columns: tuple[np.ndarray, ...], saturated: bool) -> np.ndarray:
@@ -107,11 +121,7 @@ class RegimeMeanRequest:
     def __post_init__(self) -> None:
         if self.outcome not in ("y", "c"):
             raise ValueError(f"unknown outcome {self.outcome!r}, expected 'y' or 'c'")
-        if self.estimator not in DEFAULT_G_MODES:
-            raise ValueError(
-                f"unknown estimator {self.estimator!r}, "
-                f"expected {' or '.join(map(repr, DEFAULT_G_MODES))}"
-            )
+        check_estimators((self.estimator,))
 
 
 def _received_probs(X: np.ndarray, a: np.ndarray, hi: int, context: str) -> np.ndarray:

@@ -24,10 +24,13 @@ from .rng import PURPOSE_BOOTSTRAP, philox_stream
 __all__ = [
     "PER_HUNDRED",
     "MIN_DENOMINATOR",
+    "MIN_REPLICATES",
     "MAX_DEGENERATE_SHARE",
     "CV_THRESHOLD",
     "DegenerateDenominator",
     "TooManyDegenerate",
+    "check_alpha",
+    "check_cv_threshold",
     "risk_difference",
     "wald_ci",
     "delta_method_ic",
@@ -44,8 +47,9 @@ PER_HUNDRED = 100.0
 # Effect differences smaller than this are treated as exactly zero.
 MIN_DENOMINATOR = 1e-12
 
-# A bootstrap interval is refused when more than this share of replicates
-# is degenerate.
+# A bootstrap takes at least MIN_REPLICATES replicates, and its interval is
+# refused when more than a MAX_DEGENERATE_SHARE of them are degenerate.
+MIN_REPLICATES = 100
 MAX_DEGENERATE_SHARE = 0.1
 
 
@@ -59,6 +63,18 @@ class DegenerateDenominator(EstimationFailure):
 
 class TooManyDegenerate(EstimationFailure):
     """Too large a share of bootstrap replicates had undefined statistics."""
+
+
+def check_alpha(alpha: float) -> None:
+    """``ValueError`` unless the two-sided error rate ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
+def check_cv_threshold(cv_threshold: float) -> None:
+    """``ValueError`` unless the reliability bound ``cv_threshold`` is positive."""
+    if not cv_threshold > 0.0:
+        raise ValueError("cv_threshold must be positive")
 
 
 def risk_difference(
@@ -80,8 +96,7 @@ def risk_difference(
 
 def wald_ci(estimate: EstimateWithIC, alpha: float = 0.05) -> tuple[float, float]:
     """Normal-theory interval from the influence-curve standard error."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * estimate.se
     return estimate.psi - half, estimate.psi + half
 
@@ -127,8 +142,7 @@ class IcerResult:
         ``cv_threshold``; when False the delta-method interval should not
         be reported and the bootstrap used instead.  ``ValueError`` unless
         ``cv_threshold`` is positive."""
-        if not cv_threshold > 0.0:
-            raise ValueError("cv_threshold must be positive")
+        check_cv_threshold(cv_threshold)
         return bool(self.cv_cost < cv_threshold and self.cv_eff < cv_threshold)
 
 
@@ -177,17 +191,16 @@ def bootstrap_ci(
     ``analysis_spec`` maps a resampled dataset to the scalar of interest.
     Replicate b resamples rows with the stream (seed, bootstrap, b), so the
     first replicates are identical whatever ``n_replicates``, an integer of
-    at least 100, is.  Replicates whose statistic raises an
-    :class:`~smartcea.core.EstimationFailure` (a degenerate denominator, a
+    at least :data:`MIN_REPLICATES`, is.  Replicates whose statistic raises
+    an :class:`~smartcea.core.EstimationFailure` (a degenerate denominator, a
     regime with no consistent records, a rank-deficient or separated fit, a
     diverged TMLE fluctuation) are dropped but counted as degenerate; any
     other exception propagates.  If their share exceeds
     :data:`MAX_DEGENERATE_SHARE`, or no replicate is left, the interval is
     refused with :class:`TooManyDegenerate`.
     """
-    check_count("n_replicates", n_replicates, 100)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_count("n_replicates", n_replicates, MIN_REPLICATES)
+    check_alpha(alpha)
     n = dataset.n
     kept = []
     n_degenerate = 0

@@ -42,6 +42,7 @@ from .estimate import (
     GModel,
     RegimeMeanRequest,
     ZeroSupport,
+    check_estimators,
     estimate_g,
     regime_mean,
 )
@@ -51,6 +52,8 @@ from .inference import (
     PER_HUNDRED,
     DegenerateDenominator,
     IcerResult,
+    check_alpha,
+    check_cv_threshold,
     icer,
     risk_difference,
     wald_ci,
@@ -94,17 +97,9 @@ class StudyConfig:
         check_count("reps", self.reps, 1)
         check_count("n", self.n, 2)
         check_seed(self.seed)
-        if not self.estimators:
-            raise ValueError("at least one estimator required")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError(f"estimators repeat: {self.estimators}")
-        for est in self.estimators:
-            if est not in DEFAULT_G_MODES:
-                raise ValueError(f"unknown estimator {est!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not self.cv_threshold > 0.0:
-            raise ValueError("cv_threshold must be positive")
+        check_estimators(self.estimators)
+        check_alpha(self.alpha)
+        check_cv_threshold(self.cv_threshold)
 
 
 @dataclass(frozen=True)
@@ -289,9 +284,10 @@ def run_study(
     raised before any repetition.  Each repetition runs every estimator once
     through :func:`icer_table`.  ``retain_degenerate`` keeps
     unreliable-but-defined reps in the moments.  ``threads`` caps
-    process-level parallelism across reps; results are identical for any
-    thread count because each rep is self-contained.  ``progress(rep)`` is
-    called as each repetition's result arrives, in repetition order.
+    process-level parallelism, at most one worker process per rep; results
+    are identical for any thread count because each rep is self-contained.
+    ``progress(rep)`` is called as each repetition's result arrives, in
+    repetition order.
     """
     check_count("threads", threads, 1)
     if truth is None:
@@ -306,7 +302,8 @@ def run_study(
     truth_icers = _truth_icers(truth)
 
     cells = [(est, r.id) for est in config.estimators for r in _REGIMES[1:]]
-    parallel = ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    workers = min(threads, config.reps)
+    parallel = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     per_rep = []
     with parallel as pool:
         rep_map = map if pool is None else pool.map

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartcea.cea import (
+    MIN_HEIGHT,
+    MIN_WIDTH,
     X_AXIS_LABEL,
     Y_AXIS_LABEL,
     EmptyFrontier,
@@ -204,6 +206,20 @@ def test_svg_refuses_a_size_without_plot_area(width, height):
     # The margins take 64 + 16 px of the width and 16 + 48 px of the height.
     with pytest.raises(ValueError, match="no plot area"):
         render_plane_svg([_point(2, 20.0, 3.0)], width=width, height=height)
+
+
+def test_svg_accepts_the_smallest_size_with_plot_area():
+    svg = render_plane_svg([_point(2, 20.0, 3.0)], width=MIN_WIDTH, height=MIN_HEIGHT)
+    assert f'width="{MIN_WIDTH}" height="{MIN_HEIGHT}"' in svg.splitlines()[0]
+
+
+@pytest.mark.parametrize("costs", [(1e308, -1e308), (1.7e308,), (-1e308, 0.7e308)])
+def test_svg_refuses_a_span_too_wide_for_a_float(costs):
+    # Each padded span overflows to inf, which the tick rounding cannot take;
+    # in the last both padded ends are finite but their distance is not.
+    points = [_point(k + 2, 5.0, cost) for k, cost in enumerate(costs)]
+    with pytest.raises(ValueError, match="the plane's padded span overflows a float"):
+        render_plane_svg(points)
 
 
 def test_svg_without_frontier_has_no_polyline():

@@ -149,6 +149,35 @@ def test_results_independent_of_thread_count():
     assert list(serial.rows.items()) == list(parallel.rows.items())
 
 
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records its size, starts no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("reps, threads, sizes", [(2, 64, [2]), (3, 2, [2]), (1, 64, [])])
+def test_the_pool_has_at_most_one_worker_per_rep(monkeypatch, reps, threads, sizes):
+    # Under the fork start method a pool starts all its workers at the first
+    # submit, so two reps with threads=64 forked 64 processes.
+    seen = []
+    monkeypatch.setattr(
+        study, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(seen, max_workers)
+    )
+    result = run_study(StudyConfig(reps=reps, n=300, seed=9), truth=TRUTH, threads=threads)
+    assert seen == sizes
+    assert all(m.n_used <= reps for m in result.rows.values())
+
+
 def test_estimators_see_the_same_datasets_within_a_rep(monkeypatch):
     seen = []
 

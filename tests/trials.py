@@ -2,7 +2,7 @@
 
 ``trials(min_n, max_n)`` is a ``hypothesis`` strategy for a valid
 ``Dataset`` of ``min_n`` to ``max_n`` records.  Each draw picks one shape
-per part of the record, the first one listed half the time:
+per part of the record (``SHAPES``), the first one listed half the time:
 
 - stage-1 arms: balanced, skewed (one arm about 5% of the records), or one
   arm only;
@@ -13,7 +13,9 @@ per part of the record, the first one listed half the time:
   its median);
 - cost c: exponential, constant, all zero, or log-uniform up to 1e300.
 
-``write_trial(path, dataset)`` writes a trial in the CSV schema that
+``trial(n, seed, **shape)`` builds one such trial outside hypothesis, each
+part in its first shape unless ``shape`` names another, so that a test can
+pin a shape as an explicit example.  ``write_trial(path, dataset)`` writes a trial in the CSV schema that
 ``smartcea.cli.ingest_dataset`` reads, every float in its round-trip
 ``repr``.
 """
@@ -39,6 +41,16 @@ def _binary(rng: np.random.Generator, n: int, share: str) -> np.ndarray:
     return col
 
 
+# Each part's shapes, the healthy one first.
+SHAPES = {
+    "arms": ("both", "skewed", "zero", "one"),
+    "branches": ("both", "skewed", "zero", "one"),
+    "covariate": ("generic", "constant", "collinear"),
+    "effect": ("random", "constant", "separated"),
+    "cost": ("exponential", "constant", "zero", "huge"),
+}
+
+
 def _shape(healthy: str, *fragile: str) -> st.SearchStrategy[str]:
     return st.sampled_from([healthy] * len(fragile) + list(fragile))
 
@@ -48,13 +60,16 @@ def trials(draw, min_n: int, max_n: int) -> Dataset:
     n = draw(st.integers(min_n, max_n))
     # The first, healthy shape of each part comes up half the time, so
     # that a draw is often fragile in one part only.
-    arms = draw(_shape("both", "skewed", "zero", "one"))
-    branches = draw(_shape("both", "skewed", "zero", "one"))
-    covariate = draw(_shape("generic", "constant", "collinear"))
-    effect = draw(_shape("random", "constant", "separated"))
-    cost = draw(_shape("exponential", "constant", "zero", "huge"))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = {part: draw(_shape(*shapes)) for part, shapes in SHAPES.items()}
+    return trial(n, draw(st.integers(0, 2**32 - 1)), **shape)
 
+
+def trial(n: int, seed: int, **shape: str) -> Dataset:
+    assert shape.keys() <= SHAPES.keys(), shape
+    arms, branches, covariate, effect, cost = (
+        shape.get(part, shapes[0]) for part, shapes in SHAPES.items()
+    )
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
     if covariate == "constant":
         x = np.full(n, 0.5)
