@@ -13,6 +13,7 @@ reference) are plotted but can never be on the frontier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,8 @@ __all__ = [
     "render_plane_svg",
     "X_AXIS_LABEL",
     "Y_AXIS_LABEL",
+    "WIDTH",
+    "HEIGHT",
     "MIN_WIDTH",
     "MIN_HEIGHT",
 ]
@@ -33,8 +36,9 @@ __all__ = [
 X_AXIS_LABEL = "Incremental effectiveness (percentage points)"
 Y_AXIS_LABEL = "Incremental cost ($)"
 
-# The plane's margins in px (left, right, top, bottom), and the smallest SVG
-# size that leaves a plot area inside them.
+# The plane's default SVG size in px, its margins (left, right, top, bottom),
+# and the smallest size that leaves a plot area inside them.
+WIDTH, HEIGHT = 640, 480
 _MARGINS = (64, 16, 16, 48)
 MIN_WIDTH, MIN_HEIGHT = _MARGINS[0] + _MARGINS[1] + 1, _MARGINS[2] + _MARGINS[3] + 1
 
@@ -124,7 +128,7 @@ def efficient_frontier(points: Sequence[PlanePoint]) -> Frontier:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """About five round tick values covering [lo, hi], lo < hi."""
+    """About five round tick values covering [lo, hi]; (hi - lo) / 4 is a normal float."""
     raw = (hi - lo) / 4.0
     mag = 10.0 ** math.floor(math.log10(raw))
     norm = raw / mag
@@ -147,8 +151,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
 def render_plane_svg(
     points: Sequence[PlanePoint],
     frontier: Frontier | None = None,
-    width: int = 640,
-    height: int = 480,
+    width: int = WIDTH,
+    height: int = HEIGHT,
 ) -> str:
     """Cost-effectiveness plane as a self-contained SVG string.
 
@@ -157,7 +161,8 @@ def render_plane_svg(
     Output is deterministic (fixed float formatting, no timestamps), so the
     same inputs render byte-identical files.  ``ValueError`` for a size below
     ``MIN_WIDTH`` x ``MIN_HEIGHT``, which leaves no plot area inside the
-    margins, and for a plane whose padded span overflows a float.
+    margins, and for a plane whose padded span overflows a float or whose
+    quarter, the scale of its tick step, is below the smallest normal float.
     """
     if not points:
         raise ValueError("nothing to plot")
@@ -175,8 +180,9 @@ def render_plane_svg(
     y_pad = 0.08 * (y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
-        raise ValueError("the plane's padded span overflows a float")
+    for span in (x_hi - x_lo, y_hi - y_lo):
+        if not sys.float_info.min <= span / 4.0 < math.inf:
+            raise ValueError("the plane's padded span is too wide or too narrow for a float")
 
     def sx(v: float) -> float:
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .cea import MIN_HEIGHT, MIN_WIDTH
+from .cea import HEIGHT, MIN_HEIGHT, MIN_WIDTH, WIDTH
 from .cea import (
     EmptyFrontier,
     Frontier,
@@ -38,9 +38,12 @@ from .cea import (
     efficient_frontier,
     render_plane_svg,
 )
-from .core import Dataset, EstimationFailure, InvalidRecord, RegimeSpec, check_count
+from .core import OUTCOMES, Dataset, EstimationFailure, InvalidRecord, RegimeSpec
+from .core import check_count, check_reference
 from .dgp import (
     MIN_MC_DRAWS,
+    REFERENCE_ID,
+    TRIAL_N,
     TRUTH_MC_DRAWS,
     DgpConfig,
     TruthTable,
@@ -49,10 +52,10 @@ from .dgp import (
     true_values,
 )
 from .estimate import DEFAULT_G_MODES, check_estimators, estimate_g
-from .inference import CV_THRESHOLD, MIN_REPLICATES, IcerResult, bootstrap_ci, contrast, wald_ci
-from .inference import check_alpha, check_cv_threshold
+from .inference import ALPHA, CV_THRESHOLD, MIN_REPLICATES, REPLICATES, IcerResult
+from .inference import bootstrap_ci, check_alpha, check_cv_threshold, contrast, wald_ci
 from .rng import check_seed
-from .study import StudyConfig, icer_table, regime_means, run_study
+from .study import REPS, StudyConfig, icer_table, regime_means, run_study
 
 __all__ = ["main", "RunConfig", "ingest_dataset", "read_regime_file", "UsageError", "CliError"]
 
@@ -85,7 +88,7 @@ def _estimator_names(value: str) -> tuple[str, ...]:
 
 SEED_OPT = Option("seed", int, None, "master seed; required, no wall-clock fallback",
                   check=check_seed, required=True)
-ALPHA_OPT = Option("alpha", float, 0.05, "two-sided error rate for intervals", check=check_alpha)
+ALPHA_OPT = Option("alpha", float, ALPHA, "two-sided error rate for intervals", check=check_alpha)
 THREADS_OPT = Option("threads", int, None, "parallelism cap (default: available cores)",
                      minimum=1)
 ESTIMATOR_OPT = Option("estimator", str, "tmle", "point estimator", choices=tuple(DEFAULT_G_MODES))
@@ -97,14 +100,14 @@ OUT_OPT = Option("out", str, None, "output CSV path", required=True)
 DATA_OPT = Option("data", str, None, "input dataset CSV", required=True)
 REGIMES_OPT = Option("regimes", str, None,
                      "regime table file (default: the eight benchmark regimes)")
-REFERENCE_OPT = Option("reference", int, 1, "reference regime id", minimum=1)
+REFERENCE_OPT = Option("reference", int, REFERENCE_ID, "reference regime id", minimum=1)
 
 
 SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "simulate": (
         "draw one trial from the benchmark generative process",
         (
-            Option("n", int, 1809, "number of records", minimum=1),
+            Option("n", int, TRIAL_N, "number of records", minimum=1),
             SEED_OPT,
             replace(OUT_OPT, help="output dataset CSV path"),
         ),
@@ -126,7 +129,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             REGIMES_OPT,
             ESTIMATOR_OPT,
             G_OPT,
-            Option("outcome", str, "both", "outcome column(s)", choices=("y", "c", "both")),
+            Option("outcome", str, "both", "outcome column(s)", choices=(*OUTCOMES, "both")),
             Option("ic_dir", str, None, "directory for per-estimate influence-curve files"),
             OUT_OPT,
         ),
@@ -173,16 +176,16 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             Option("in", str, None, "icer-table CSV to read", required=True),
             Option("drop_unreliable", bool, False, "drop flagged points before the frontier"),
             Option("no_frontier", bool, False, "points only, no frontier polyline"),
-            Option("width", int, 640, "SVG width in px", minimum=MIN_WIDTH),
-            Option("height", int, 480, "SVG height in px", minimum=MIN_HEIGHT),
+            Option("width", int, WIDTH, "SVG width in px", minimum=MIN_WIDTH),
+            Option("height", int, HEIGHT, "SVG height in px", minimum=MIN_HEIGHT),
             replace(OUT_OPT, help="output SVG path"),
         ),
     ),
     "mc-study": (
         "repeated-simulation estimator comparison",
         (
-            Option("reps", int, 500, "simulation repetitions", minimum=1),
-            Option("n", int, 1809, "records per repetition", minimum=2),
+            Option("reps", int, REPS, "simulation repetitions", minimum=1),
+            Option("n", int, TRIAL_N, "records per repetition", minimum=2),
             SEED_OPT,
             Option("estimators", str, ",".join(DEFAULT_G_MODES),
                    "comma-separated estimators to compare", check=_estimator_names),
@@ -201,7 +204,7 @@ SUBCOMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
             REGIMES_OPT,
             Option("i", int, None, "regime id of interest", minimum=1, required=True),
             Option("j", int, None, "second regime id (contrast mode)", minimum=1),
-            Option("replicates", int, 500, "bootstrap replicates", minimum=MIN_REPLICATES),
+            Option("replicates", int, REPLICATES, "bootstrap replicates", minimum=MIN_REPLICATES),
             SEED_OPT,
             ESTIMATOR_OPT,
             G_OPT,
@@ -569,7 +572,7 @@ def _run_estimate(config: RunConfig) -> None:
     dataset = ingest_dataset(s["data"])
     regimes = _load_regimes(s)
     g = estimate_g(dataset, _g_mode(s))
-    outcomes = ("y", "c") if s["outcome"] == "both" else (s["outcome"],)
+    outcomes = OUTCOMES if s["outcome"] == "both" else (s["outcome"],)
     ic_dir = s.get("ic_dir")
     if ic_dir:
         try:
@@ -604,21 +607,20 @@ def _icer_results(
 ) -> dict[int, IcerResult | EstimationFailure]:
     """ICER against the reference of each regime in ``ids`` (of every other
     regime when none is given), or the failure leaving it undefined, raised
-    for a requested id as its own class prefixed ``regime <id>: ``.  Each id
-    must be in the regime table and differ from the reference and the rest."""
+    for a requested id as its own class prefixed ``regime <id>: ``.  The
+    reference must be in the regime table (``core.check_reference``), and
+    each id too, differing from the reference and the rest."""
     ref = settings["reference"]
-    by_id = {r.id: r for r in regimes}
-    if ref not in by_id:
-        raise CliError(f"reference regime {ref} not in regime table")
+    check_reference(regimes, ref)
     for rid in ids:
-        if rid not in by_id:
+        if rid not in {r.id for r in regimes}:
             raise CliError(f"regime {rid} not in regime table")
         if rid == ref:
             raise CliError("regime of interest equals the reference")
     if len(set(ids)) < len(ids):
         raise CliError("regimes of interest must differ")
     results = icer_table(
-        dataset, [r for r in regimes if r.id in ids] if ids else regimes, by_id[ref],
+        dataset, [r for r in regimes if r.id in (ref, *ids)] if ids else regimes, ref,
         settings["estimator"], estimate_g(dataset, _g_mode(settings)),
     )
     for rid in ids:
@@ -806,7 +808,7 @@ def _run_bootstrap(config: RunConfig) -> None:
         results = _icer_results(resampled, regimes, s, *ids)
         if s["j"] is None:
             return results[s["i"]].icer.psi
-        return results[s["i"]].icer.psi - results[s["j"]].icer.psi
+        return contrast(results[s["i"]], results[s["j"]]).psi
 
     point = statistic(dataset)
     boot = bootstrap_ci(

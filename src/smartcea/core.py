@@ -27,8 +27,11 @@ import numpy as np
 __all__ = [
     "STAGE1_SUPPORT",
     "STAGE2_SUPPORT",
+    "OUTCOMES",
     "check_count",
+    "check_outcome",
     "check_regime_ids",
+    "check_reference",
     "EstimationFailure",
     "InvalidRecord",
     "Dataset",
@@ -40,6 +43,9 @@ __all__ = [
 
 STAGE1_SUPPORT = frozenset({0, 1})
 STAGE2_SUPPORT = {0: frozenset({3, 4}), 1: frozenset({1, 2})}
+
+# The outcome tags: 'y' for effectiveness, 'c' for cost.
+OUTCOMES = ("y", "c")
 
 
 def check_count(name: str, value: int, minimum: int) -> None:
@@ -53,6 +59,13 @@ def check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {count}")
 
 
+def check_outcome(name: str) -> None:
+    """``ValueError`` unless ``name`` is one of :data:`OUTCOMES`."""
+    if name not in OUTCOMES:
+        expected = " or ".join(map(repr, OUTCOMES))
+        raise ValueError(f"unknown outcome {name!r}, expected {expected}")
+
+
 def check_regime_ids(regimes: Iterable[RegimeSpec]) -> None:
     """``ValueError`` if two different regimes share an id; a repeat is one regime."""
     by_id: dict[int, RegimeSpec] = {}
@@ -60,6 +73,17 @@ def check_regime_ids(regimes: Iterable[RegimeSpec]) -> None:
         first = by_id.setdefault(regime.id, regime)
         if first != regime:
             raise ValueError(f"regime id {regime.id} names two regimes: {first} and {regime}")
+
+
+def check_reference(regimes: Sequence[RegimeSpec], reference_id: int) -> RegimeSpec:
+    """The first regime of ``regimes`` with id ``reference_id``; ``ValueError``
+    if none has it."""
+    for regime in regimes:
+        if regime.id == reference_id:
+            return regime
+    raise ValueError(
+        f"reference regime {reference_id} is not among the regimes {[r.id for r in regimes]}"
+    )
 
 
 class EstimationFailure(Exception):
@@ -255,12 +279,9 @@ class Dataset:
         return subset
 
     def outcome(self, name: str) -> np.ndarray:
-        """Outcome column by tag: 'y' (effectiveness) or 'c' (cost)."""
-        if name == "y":
-            return self.y.astype(np.float64)
-        if name == "c":
-            return self.c
-        raise ValueError(f"unknown outcome {name!r}, expected 'y' or 'c'")
+        """Outcome column by tag, one of :data:`OUTCOMES`."""
+        check_outcome(name)
+        return self.y.astype(np.float64) if name == "y" else self.c
 
 
 def consistency_mask(dataset: Dataset, regime: RegimeSpec) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, Dataset, RegimeSpec
-from .core import check_count, check_regime_ids
+from .core import check_count, check_reference, check_regime_ids
 from .glm import expit, logit
 from .inference import MIN_DENOMINATOR, PER_HUNDRED
 from .rng import (
@@ -55,6 +55,8 @@ __all__ = [
     "Y_CONSTANTS",
     "C_CONSTANTS",
     "COST_SCALE",
+    "TRIAL_N",
+    "REFERENCE_ID",
     "TARGET_ICER",
     "TRUTH_MC_DRAWS",
     "MIN_MC_DRAWS",
@@ -68,6 +70,10 @@ __all__ = [
 Y_CONSTANTS = (0.72, 0.74, 0.72, 0.70, 0.71, 0.70, 0.79, 0.80)
 C_CONSTANTS = (2.0, 0.03, 0.035, 0.044, 0.06, 0.05, 0.058, 0.025)
 COST_SCALE = 5.0
+
+# Records in one benchmark trial, and the id of its standard-of-care regime.
+TRIAL_N = 1809
+REFERENCE_ID = 1
 
 # Default Monte-Carlo resolution of a truth table, and the coarsest accepted.
 TRUTH_MC_DRAWS = 2_000_000
@@ -92,7 +98,7 @@ class DgpConfig:
     1 (``core.check_count``) and ``seed`` one in [0, 2^64) (``check_seed``).
     """
 
-    n: int = 1809
+    n: int = TRIAL_N
     seed: int = 0
     y_constants: tuple[float, ...] = Y_CONSTANTS
     c_constants: tuple[float, ...] = C_CONSTANTS
@@ -206,7 +212,7 @@ class TruthTable:
     mc_draws: int
     mc_se_ey: np.ndarray
     mc_se_ec: np.ndarray
-    reference_id: int = 1
+    reference_id: int
 
     def icer_for(self, regime_id: int) -> float:
         for i, reg in enumerate(self.regimes):
@@ -224,7 +230,7 @@ def _finish_truth(
     se_y = np.sqrt(ey * (1.0 - ey) / n)
     se_c = np.sqrt(np.maximum(sum_c2 / n - ec**2, 0.0) / n)
 
-    ref_pos = next(i for i, r in enumerate(regs) if r.id == reference_id)
+    ref_pos = regs.index(check_reference(regs, reference_id))
     rd_eff = PER_HUNDRED * (ey - ey[ref_pos])
     rd_cost = ec - ec[ref_pos]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,14 +249,6 @@ def _finish_truth(
         mc_se_ec=se_c,
         reference_id=reference_id,
     )
-
-
-def _check_reference(regs: Sequence[RegimeSpec], reference_id: int) -> None:
-    if not any(r.id == reference_id for r in regs):
-        raise ValueError(
-            f"reference regime {reference_id} is not among the regimes "
-            f"{[r.id for r in regs]}"
-        )
 
 
 def _regimes_by_arm(
@@ -272,7 +270,7 @@ def true_values(
     regimes: Sequence[RegimeSpec] | None = None,
     mc_draws: int = TRUTH_MC_DRAWS,
     seed: int = 0,
-    reference_id: int = 1,
+    reference_id: int = REFERENCE_ID,
 ) -> TruthTable:
     """Evaluate every regime's true mean effect and cost by simulation.
 
@@ -300,7 +298,7 @@ def true_values(
     check_count("mc_draws", mc_draws, MIN_MC_DRAWS)
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
     check_regime_ids(regs)
-    _check_reference(regs, reference_id)
+    check_reference(regs, reference_id)
     arms = _regimes_by_arm(config, regs)
 
     sum_y = np.zeros(len(regs))

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import STAGE1_SUPPORT, STAGE2_SUPPORT
+from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, check_outcome
 from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, consistency_mask
 from .glm import SeparationDetected, expit, fit_logistic, logit, predict
 
@@ -106,9 +106,9 @@ class GModel:
 class RegimeMeanRequest:
     """One estimation task: which regime, which outcome, how.
 
-    ``outcome`` is 'y' (effectiveness) or 'c' (cost); ``estimator`` is 'ipw'
-    or 'tmle'; ``g`` supplies the treatment mechanism; ``saturated`` codes
-    the iterated outcome regressions with one indicator per stratum of their
+    ``outcome`` is one of ``core.OUTCOMES``; ``estimator`` is 'ipw' or
+    'tmle'; ``g`` supplies the treatment mechanism; ``saturated`` codes the
+    iterated outcome regressions with one indicator per stratum of their
     adjustment columns instead of main terms (TMLE only).
     """
 
@@ -119,8 +119,7 @@ class RegimeMeanRequest:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        if self.outcome not in ("y", "c"):
-            raise ValueError(f"unknown outcome {self.outcome!r}, expected 'y' or 'c'")
+        check_outcome(self.outcome)
         check_estimators((self.estimator,))
 
 

@@ -24,6 +24,8 @@ from .rng import PURPOSE_BOOTSTRAP, philox_stream
 __all__ = [
     "PER_HUNDRED",
     "MIN_DENOMINATOR",
+    "ALPHA",
+    "REPLICATES",
     "MIN_REPLICATES",
     "MAX_DEGENERATE_SHARE",
     "CV_THRESHOLD",
@@ -47,8 +49,11 @@ PER_HUNDRED = 100.0
 # Effect differences smaller than this are treated as exactly zero.
 MIN_DENOMINATOR = 1e-12
 
-# A bootstrap takes at least MIN_REPLICATES replicates, and its interval is
-# refused when more than a MAX_DEGENERATE_SHARE of them are degenerate.
+# The default two-sided error rate of an interval and number of bootstrap
+# replicates.  A bootstrap takes at least MIN_REPLICATES replicates, and its
+# interval is refused when more than a MAX_DEGENERATE_SHARE of them are degenerate.
+ALPHA = 0.05
+REPLICATES = 500
 MIN_REPLICATES = 100
 MAX_DEGENERATE_SHARE = 0.1
 
@@ -94,7 +99,7 @@ def risk_difference(
     )
 
 
-def wald_ci(estimate: EstimateWithIC, alpha: float = 0.05) -> tuple[float, float]:
+def wald_ci(estimate: EstimateWithIC, alpha: float = ALPHA) -> tuple[float, float]:
     """Normal-theory interval from the influence-curve standard error."""
     check_alpha(alpha)
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * estimate.se
@@ -182,9 +187,9 @@ class BootstrapResult:
 def bootstrap_ci(
     dataset: Dataset,
     analysis_spec: Callable[[Dataset], float],
-    n_replicates: int = 500,
+    n_replicates: int = REPLICATES,
     seed: int = 0,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
 ) -> BootstrapResult:
     """Percentile bootstrap over records.
 

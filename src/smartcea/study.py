@@ -27,9 +27,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec
-from .core import check_count, check_regime_ids
+from .core import OUTCOMES, check_count, check_reference, check_regime_ids
 from .dgp import (
+    REFERENCE_ID,
     TARGET_ICER,
+    TRIAL_N,
     TRUTH_MC_DRAWS,
     DgpConfig,
     TruthTable,
@@ -48,6 +50,7 @@ from .estimate import (
 )
 from .glm import RankDeficient
 from .inference import (
+    ALPHA,
     CV_THRESHOLD,
     PER_HUNDRED,
     DegenerateDenominator,
@@ -61,6 +64,7 @@ from .inference import (
 from .rng import check_seed
 
 __all__ = [
+    "REPS",
     "StudyConfig",
     "StudyMetrics",
     "StudyResult",
@@ -69,8 +73,11 @@ __all__ = [
     "icer_table",
 ]
 
-# The study scores every embedded regime against the first, standard of care.
+# The study's default number of repetitions.  It scores every embedded
+# regime against the reference, standard of care.
+REPS = 500
 _REGIMES = embedded_regimes()
+_SCORED = tuple(r for r in _REGIMES if r.id != REFERENCE_ID)
 
 # Per-cell record of one repetition, in column order; a repetition's array
 # adds a 1/0 reliability flag as its last column.
@@ -82,15 +89,15 @@ class StudyConfig:
     """Design of one simulation study.
 
     The study scores the eight regimes of :func:`~smartcea.dgp.embedded_regimes`
-    against regime 1, standard of care.  Each estimator uses its treatment
-    model from :data:`DEFAULT_G_MODES`.
+    against regime :data:`~smartcea.dgp.REFERENCE_ID`, standard of care.
+    Each estimator uses its treatment model from :data:`DEFAULT_G_MODES`.
     """
 
-    reps: int = 500
-    n: int = 1809
+    reps: int = REPS
+    n: int = TRIAL_N
     seed: int = 0
     estimators: tuple[str, ...] = tuple(DEFAULT_G_MODES)
-    alpha: float = 0.05
+    alpha: float = ALPHA
     cv_threshold: float = CV_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -159,7 +166,7 @@ def regime_means(
     regimes: Sequence[RegimeSpec],
     estimator: str,
     g: GModel,
-    outcomes: Sequence[str] = ("y", "c"),
+    outcomes: Sequence[str] = OUTCOMES,
 ) -> dict[int, list[EstimateWithIC] | EstimationFailure]:
     """Each regime's means of ``outcomes``, in that order, keyed by regime id.
 
@@ -193,25 +200,28 @@ def regime_means(
 def icer_table(
     dataset: Dataset,
     regimes: Sequence[RegimeSpec],
-    reference: RegimeSpec,
+    reference_id: int,
     estimator: str,
     g: GModel,
 ) -> dict[int, IcerResult | EstimationFailure]:
-    """ICER of each non-reference regime in ``regimes`` against ``reference``.
+    """ICER of each other regime in ``regimes`` against the one with ``reference_id``.
 
     Every (regime, outcome) mean is estimated once by :func:`regime_means`,
-    for the reference and the given regimes only.  An undefined ratio maps
-    to the failure that leaves it so: the regime's own :class:`ZeroSupport`
-    or :class:`RankDeficient`, the reference's (same class, its message
+    for the given regimes only.  An undefined ratio maps to the failure that
+    leaves it so: the regime's own :class:`ZeroSupport` or
+    :class:`RankDeficient`, the reference's (same class, its message
     prefixed ``reference regime <id>: ``), or the :class:`DegenerateDenominator`
     of a zero effect difference.  Keys follow the order of ``regimes``.
-    ``ValueError``, before any fit, on a shared id.
+    ``ValueError``, before any fit, on a shared id
+    (``core.check_regime_ids``) or a reference not among ``regimes``
+    (``core.check_reference``).
     """
-    check_regime_ids([reference, *regimes])
-    ref = regime_means(dataset, [reference], estimator, g)[reference.id]
-    others = [r for r in regimes if r.id != reference.id]
+    check_regime_ids(regimes)
+    reference = check_reference(regimes, reference_id)
+    ref = regime_means(dataset, [reference], estimator, g)[reference_id]
+    others = [r for r in regimes if r.id != reference_id]
     if isinstance(ref, EstimationFailure):
-        failure = type(ref)(f"reference regime {reference.id}: {ref}")
+        failure = type(ref)(f"reference regime {reference_id}: {ref}")
         return {r.id: failure for r in others}
     out: dict[int, IcerResult | EstimationFailure] = {}
     for rid, est in regime_means(dataset, others, estimator, g).items():
@@ -242,8 +252,8 @@ def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
         except EstimationFailure:
             results = {}
         else:
-            results = icer_table(dataset, _REGIMES, _REGIMES[0], est, g)
-        for regime in _REGIMES[1:]:
+            results = icer_table(dataset, _REGIMES, REFERENCE_ID, est, g)
+        for regime in _SCORED:
             res = results.get(regime.id)
             if isinstance(res, IcerResult):
                 rows.append([
@@ -263,7 +273,7 @@ def _truth_icers(truth: TruthTable) -> dict[int, float]:
     so the cell stays comparable instead of vanishing.
     """
     out: dict[int, float] = {}
-    for regime in _REGIMES[1:]:
+    for regime in _SCORED:
         value = truth.icer_for(regime.id)
         out[regime.id] = value if math.isfinite(value) else float(TARGET_ICER[regime.id - 1])
     return out
@@ -280,9 +290,9 @@ def run_study(
 
     ``truth`` defaults to a fresh :func:`~smartcea.dgp.true_values` table at
     :data:`TRUTH_MC_DRAWS` draws under the study's master seed; a given one
-    must hold every embedded regime against regime 1, or ``ValueError`` is
-    raised before any repetition.  Each repetition runs every estimator once
-    through :func:`icer_table`.  ``retain_degenerate`` keeps
+    must hold every embedded regime against :data:`REFERENCE_ID`, or
+    ``ValueError`` is raised before any repetition.  Each repetition runs
+    every estimator once through :func:`icer_table`.  ``retain_degenerate`` keeps
     unreliable-but-defined reps in the moments.  ``threads`` caps
     process-level parallelism, at most one worker process per rep; results
     are identical for any thread count because each rep is self-contained.
@@ -294,14 +304,14 @@ def run_study(
         truth = true_values(
             DgpConfig(n=config.n, seed=config.seed), mc_draws=TRUTH_MC_DRAWS, seed=config.seed
         )
-    if truth.reference_id != _REGIMES[0].id or not set(_REGIMES) <= set(truth.regimes):
+    if truth.reference_id != REFERENCE_ID or not set(_REGIMES) <= set(truth.regimes):
         raise ValueError(
             f"truth table (reference {truth.reference_id}) does not hold the study's "
-            f"regimes {[r.id for r in _REGIMES]} against reference {_REGIMES[0].id}"
+            f"regimes {[r.id for r in _REGIMES]} against reference {REFERENCE_ID}"
         )
     truth_icers = _truth_icers(truth)
 
-    cells = [(est, r.id) for est in config.estimators for r in _REGIMES[1:]]
+    cells = [(est, r.id) for est in config.estimators for r in _SCORED]
     workers = min(threads, config.reps)
     parallel = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     per_rep = []

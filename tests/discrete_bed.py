@@ -14,8 +14,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from smartcea.core import Dataset, RegimeSpec
-from smartcea.dgp import TruthTable, _check_reference, _finish_truth, embedded_regimes
+from smartcea.core import Dataset, RegimeSpec, check_reference
+from smartcea.dgp import TruthTable, _finish_truth, embedded_regimes
 
 
 COST_SUPPORT = (0.0, 1.0, 2.0)
@@ -149,7 +149,7 @@ def discrete_true_values(
     if mc_draws < 10_000:
         raise ValueError("mc_draws must be at least 10000")
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
-    _check_reference(regs, reference_id)
+    check_reference(regs, reference_id)
     rng = np.random.default_rng(seed)
     u_x1 = rng.random(mc_draws)
     u_l2 = rng.random(mc_draws)

@@ -218,7 +218,7 @@ def test_svg_refuses_a_span_too_wide_for_a_float(costs):
     # Each padded span overflows to inf, which the tick rounding cannot take;
     # in the last both padded ends are finite but their distance is not.
     points = [_point(k + 2, 5.0, cost) for k, cost in enumerate(costs)]
-    with pytest.raises(ValueError, match="the plane's padded span overflows a float"):
+    with pytest.raises(ValueError, match="the plane's padded span is too wide or too narrow"):
         render_plane_svg(points)
 
 

@@ -762,7 +762,23 @@ def test_plot_of_a_span_too_wide_for_a_float_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.splitlines()[-1] == (
         'error kind=ValueError subcommand=plot '
-        'message="the plane\'s padded span overflows a float"'
+        'message="the plane\'s padded span is too wide or too narrow for a float"'
+    )
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("extent", [5e-324, 2e-323])
+def test_plot_of_a_span_too_narrow_for_its_ticks_exits_1(tmp_path, capsys, extent):
+    # The quarter span, the scale of the tick step, was 0 at 5e-324, and its
+    # power of ten was 0 at 2e-323: math.log10 and the step's division failed.
+    table = tmp_path / "icers.csv"
+    table.write_text(PLANE_HEADER + f"2,1.0,nan,nan,{extent!r},{extent!r},1.0,1.0,true\n")
+    svg = tmp_path / "plane.svg"
+    code, _, err = run_cli("plot", "--in", str(table), "--out", str(svg), capsys=capsys)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        'error kind=ValueError subcommand=plot '
+        'message="the plane\'s padded span is too wide or too narrow for a float"'
     )
     assert not svg.exists()
 
@@ -893,20 +909,33 @@ def test_fluctuation_divergence_exits_1(tmp_path, data_csv, monkeypatch, capsys)
     )
 
 
-def test_truth_rejects_unknown_reference_before_drawing(tmp_path, monkeypatch, capsys):
-    def no_draws(*args):
-        raise AssertionError("drew before checking the reference")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("truth", "--seed", "1", "--mc-draws", "10000"),
+        ("icer-table", "--data", "DATA"),
+        ("contrast", "--data", "DATA", "--i", "2", "--j", "4"),
+        ("bootstrap", "--data", "DATA", "--i", "3", "--seed", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unknown_reference_exits_1_before_any_draw_or_fit(
+    tmp_path, data_csv, monkeypatch, capsys, argv
+):
+    # truth raised ValueError, the other three CliError, each in its own words.
+    def no_work(*args):
+        raise AssertionError("drew or fitted before checking the reference")
 
-    monkeypatch.setattr(dgp, "philox_stream", no_draws)
-    out = tmp_path / "t.csv"
-    code, _, err = run_cli(
-        "truth", "--seed", "1", "--mc-draws", "10000", "--reference", "42",
-        "--out", str(out), capsys=capsys,
-    )
+    monkeypatch.setattr(dgp, "philox_stream", no_work)
+    monkeypatch.setattr(estimate, "fit_logistic", no_work)
+    out = tmp_path / "out.csv"
+    argv = [str(data_csv) if arg == "DATA" else arg for arg in argv]
+    code, _, err = run_cli(*argv, "--reference", "9", "--out", str(out), capsys=capsys)
     assert code == 1
-    line = [ln for ln in err.splitlines() if ln.startswith("error ")][-1]
-    assert line.startswith("error kind=ValueError subcommand=truth")
-    assert "reference regime 42" in line
+    assert err.splitlines()[-1] == (
+        f'error kind=ValueError subcommand={argv[0]} '
+        'message="reference regime 9 is not among the regimes [1, 2, 3, 4, 5, 6, 7, 8]"'
+    )
     assert not out.exists()
 
 
@@ -937,7 +966,6 @@ def test_bootstrap_estimates_only_the_regimes_it_reads(
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (("icer-table", "--reference", "9"), "reference regime 9 not in regime table"),
         (("contrast", "--i", "9", "--j", "2"), "regime 9 not in regime table"),
         (("contrast", "--i", "1", "--j", "2"), "regime of interest equals the reference"),
         (("bootstrap", "--i", "9", "--seed", "5"), "regime 9 not in regime table"),
@@ -947,7 +975,7 @@ def test_bootstrap_estimates_only_the_regimes_it_reads(
         (("contrast", "--i", "2", "--j", "2"), "regimes of interest must differ"),
         (("bootstrap", "--i", "2", "--j", "2", "--seed", "5"), "regimes of interest must differ"),
     ],
-    ids=["icer-table-ref9", "contrast-i9", "contrast-i1", "bootstrap-i9", "bootstrap-i1",
+    ids=["contrast-i9", "contrast-i1", "bootstrap-i9", "bootstrap-i1",
          "bootstrap-j1", "contrast-i2-j2", "bootstrap-i2-j2"],
 )
 def test_regime_id_errors_exit_1_with_one_wording(tmp_path, data_csv, capsys, argv, message):

@@ -12,6 +12,7 @@ from smartcea.core import Dataset, EstimationFailure, RegimeSpec, consistency_ma
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.estimate import (
     G_TRUNCATION,
+    GModel,
     RegimeMeanRequest,
     ZeroSupport,
     estimate_g,
@@ -149,6 +150,30 @@ def test_ipw_solves_weighted_estimating_equation(trial, g_known, regimes):
     z = trial.outcome("y")
     assert abs(float(np.sum(w * (z - est.psi)))) < 1e-8
     assert est.psi == pytest.approx(float((w * z).sum() / w.sum()))
+
+
+@pytest.mark.parametrize("g_kind", ["known", "fitted"])
+def test_ipw_influence_curve_is_the_derivative_of_the_hajek_mean(
+    trial, g_known, g_fitted, regimes, g_kind
+):
+    # Weighting one consistent record i by (1 + eps), g otherwise held fixed,
+    # moves psi by eps * IC_i / n to first order.  An IC without its
+    # 1 / mean(w) scale misses by that factor.
+    g = {"known": g_known, "fitted": g_fitted}[g_kind]
+    regime = regimes[1]
+    i = int(np.flatnonzero(consistency_mask(trial, regime))[0])
+
+    def ipw(p_a1):
+        return ipw_mean(trial, _request(regime, "y", "ipw", GModel(p_a1=p_a1, p_a2=g.p_a2)))
+
+    def reweighted_psi(eps):
+        p_a1 = g.p_a1.copy()
+        p_a1[i] /= 1.0 + eps
+        return ipw(p_a1).psi
+
+    eps = 1e-4
+    slope = (reweighted_psi(eps) - reweighted_psi(-eps)) / (2.0 * eps)
+    assert slope == pytest.approx(ipw(g.p_a1).ic[i] / trial.n, rel=1e-6)
 
 
 def test_ipw_weights_average_to_one():

@@ -245,6 +245,24 @@ def test_bootstrap_is_deterministic_and_prefix_stable(trial):
     assert not np.array_equal(different.estimates, a.estimates)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.2])
+def test_bootstrap_interval_is_the_quantile_pair_of_its_kept_estimates(trial, alpha):
+    # Every 25th replicate is degenerate and dropped; the interval is the
+    # alpha/2 and 1 - alpha/2 quantiles of the rest.
+    calls = []
+
+    def statistic(resampled):
+        calls.append(None)
+        if len(calls) % 25 == 0:
+            raise DegenerateDenominator("forced")
+        return float(resampled.outcome("c").mean())
+
+    result = bootstrap_ci(trial, statistic, n_replicates=100, seed=13, alpha=alpha)
+    assert (result.n_degenerate, result.estimates.size) == (4, 96)
+    lower, upper = np.quantile(result.estimates, [alpha / 2.0, 1.0 - alpha / 2.0])
+    assert (result.lower, result.upper) == (lower, upper)
+
+
 def test_bootstrap_requires_enough_replicates(trial):
     with pytest.raises(ValueError):
         bootstrap_ci(trial, lambda d: 0.0, n_replicates=99, seed=1)

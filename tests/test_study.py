@@ -53,11 +53,11 @@ def _stub_icer_table(icer_for):
     """A stand-in for ``study.icer_table`` with ``icer_for(dataset, regime,
     estimator)`` as every non-reference regime's ICER."""
 
-    def table(dataset, regimes, reference, estimator, g):
+    def table(dataset, regimes, reference_id, estimator, g):
         return {
             r.id: _result_with_icer(icer_for(dataset, r, estimator))
             for r in regimes
-            if r.id != reference.id
+            if r.id != reference_id
         }
 
     return table
@@ -318,7 +318,7 @@ def test_icer_table_estimates_each_mean_once(counted_means):
     data = simulate_smart(DgpConfig(n=600, seed=4))
     g = estimate_g(data, "fitted")
     regimes = embedded_regimes()
-    table = icer_table(data, regimes, regimes[0], "tmle", g)
+    table = icer_table(data, regimes, 1, "tmle", g)
     assert len(counted_means) == 16
     assert len(set(counted_means)) == 16
     assert list(table) == [2, 3, 4, 5, 6, 7, 8]
@@ -343,7 +343,7 @@ def test_icer_table_only_estimates_the_regimes_it_is_given(counted_means):
     data = simulate_smart(DgpConfig(n=400, seed=4))
     g = estimate_g(data, "known")
     regimes = embedded_regimes()
-    table = icer_table(data, (regimes[3], regimes[1]), regimes[0], "ipw", g)
+    table = icer_table(data, (regimes[3], regimes[0], regimes[1]), 1, "ipw", g)
     assert list(table) == [4, 2]
     assert {rid for rid, _ in counted_means} == {1, 2, 4}
     assert len(counted_means) == 6
@@ -364,7 +364,7 @@ def test_icer_table_refuses_a_regime_that_shares_the_reference_id(counted_means)
     regimes = embedded_regimes()
     listed = [regimes[0], RegimeSpec(1, 1, 2, 4), regimes[1]]
     with pytest.raises(ValueError, match="regime id 1 names two regimes"):
-        icer_table(data, listed, regimes[0], "ipw", estimate_g(data, "known"))
+        icer_table(data, listed, 1, "ipw", estimate_g(data, "known"))
     assert counted_means == []
 
 
@@ -383,7 +383,7 @@ def test_icer_table_marks_regimes_without_support_undefined():
     def table_without(regime):
         trimmed = data.take(np.flatnonzero(~consistency_mask(data, regime)))
         g = estimate_g(trimmed, "known")
-        return icer_table(trimmed, regimes, regimes[0], "ipw", g)
+        return icer_table(trimmed, regimes, 1, "ipw", g)
 
     without_8 = table_without(regimes[7])
     assert isinstance(without_8[8], ZeroSupport)
@@ -404,7 +404,7 @@ def test_icer_table_undefines_a_regime_with_too_few_records_for_its_design():
     keep = np.concatenate([np.flatnonzero(~follows_8), np.flatnonzero(follows_8)[:2]])
     trimmed = data.take(np.sort(keep))
     assert consistency_mask(trimmed, regimes[7]).sum() == 2
-    table = icer_table(trimmed, regimes, regimes[0], "tmle", estimate_g(trimmed, "known"))
+    table = icer_table(trimmed, regimes, 1, "tmle", estimate_g(trimmed, "known"))
     assert isinstance(table[8], RankDeficient)
     assert all(isinstance(table[rid], IcerResult) for rid in range(2, 8))
 
@@ -425,9 +425,9 @@ def test_icer_table_undefines_only_rank_deficient_regimes(monkeypatch, failure):
     g = estimate_g(data, "known")
     if failure is not RankDeficient:
         with pytest.raises(failure, match="regime 4, outcome y"):
-            icer_table(data, regimes, regimes[0], "ipw", g)
+            icer_table(data, regimes, 1, "ipw", g)
         return
-    table = icer_table(data, regimes, regimes[0], "ipw", g)
+    table = icer_table(data, regimes, 1, "ipw", g)
     assert isinstance(table[4], RankDeficient)
     assert str(table[4]) == "forced"
     assert all(isinstance(table[rid], IcerResult) for rid in (2, 3, 5, 6, 7, 8))
@@ -439,7 +439,7 @@ def test_icer_table_maps_a_twin_of_the_reference_to_its_zero_denominator():
     data = simulate_smart(DgpConfig(n=400, seed=4))
     regimes = embedded_regimes()
     twin = RegimeSpec(9, 0, 1, 3)
-    table = icer_table(data, (*regimes, twin), regimes[0], "ipw", estimate_g(data, "known"))
+    table = icer_table(data, (*regimes, twin), 1, "ipw", estimate_g(data, "known"))
     assert isinstance(table[9], DegenerateDenominator)
     assert all(isinstance(table[rid], IcerResult) for rid in range(2, 9))
 
