@@ -32,6 +32,7 @@ The tests rerun the search to confirm both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -96,6 +97,7 @@ class DgpConfig:
     cell with ``_cell_index`` k, the assignment that the calibration search
     in ``tests/oracles.py`` recovers.  ``n`` must be an integer of at least
     1 (``core.check_count``) and ``seed`` one in [0, 2^64) (``check_seed``).
+    The cost rates and ``cost_scale`` must be positive and finite.
     """
 
     n: int = TRIAL_N
@@ -111,10 +113,10 @@ class DgpConfig:
             raise ValueError("y_constants and c_constants must each have 8 entries")
         if any(not 0.0 < p < 1.0 for p in self.y_constants):
             raise ValueError("y_constants must lie strictly inside (0, 1)")
-        if any(r <= 0.0 for r in self.c_constants):
-            raise ValueError("c_constants must be positive")
-        if self.cost_scale <= 0.0:
-            raise ValueError("cost_scale must be positive")
+        if not all(0.0 < r < math.inf for r in self.c_constants):
+            raise ValueError("c_constants must be positive and finite")
+        if not 0.0 < self.cost_scale < math.inf:
+            raise ValueError("cost_scale must be positive and finite")
 
 
 def embedded_regimes() -> tuple[RegimeSpec, ...]:
@@ -251,17 +253,15 @@ def _finish_truth(
     )
 
 
-def _regimes_by_arm(
-    config: DgpConfig, regs: Sequence[RegimeSpec]
-) -> dict[int, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Map each stage-1 arm d1 to its regimes' (position, logits, rates), where
-    each pair holds the regime's (lapse, no-lapse) branch constants."""
-    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
-    rate_k = np.asarray(config.c_constants, dtype=np.float64)
-    arms: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+def _cells_by_arm(
+    regs: Sequence[RegimeSpec],
+) -> dict[int, list[tuple[int, int, int]]]:
+    """Map each stage-1 arm d1 to its regimes' (position, lapse cell,
+    no-lapse cell), the cells as ``_cell_index`` numbers them."""
+    arms: dict[int, list[tuple[int, int, int]]] = {}
     for i, reg in enumerate(regs):
-        k = [int(_cell_index(reg.d1, l2, reg.d2(l2))) for l2 in (1, 0)]
-        arms.setdefault(reg.d1, []).append((i, base_logit[k], rate_k[k]))
+        k_lapse, k_no_lapse = (int(_cell_index(reg.d1, l2, reg.d2(l2))) for l2 in (1, 0))
+        arms.setdefault(reg.d1, []).append((i, k_lapse, k_no_lapse))
     return arms
 
 
@@ -278,69 +278,107 @@ def true_values(
     A(2) = d2(L(2)) inside the structural equations.  All regimes share one
     set of exogenous draws per block, so regimes whose branch constants
     coincide produce identical outcomes draw for draw, and contrasts carry
-    no spurious Monte Carlo disagreement.  L(2), S(2) and the cost rate's
-    distance term depend only on the stage-1 arm, so each block computes
-    them once per arm; a regime adds its two branch constants, picked per
-    row by L(2).  Raises ``ValueError`` before any draw for an ``mc_draws``
-    that is not an integer of at least :data:`MIN_MC_DRAWS`, two different
-    regimes with one id, or a ``reference_id`` that names no regime.
+    no spurious Monte Carlo disagreement.  Raises ``ValueError`` before any
+    draw for an ``mc_draws`` that is not an integer of at least
+    :data:`MIN_MC_DRAWS`, two different regimes with one id, or a
+    ``reference_id`` that names no regime.
+
+    A block draws its variables as ``simulate_smart`` does, so a short last
+    block skips the uniforms and exponentials it does not read.  Each block
+    computes the curvature term and logit(U) once.  L(2), S(2) and the cost
+    rate's distance term depend only on the stage-1 arm, so each arm
+    computes its lapse mask and its complement, S(2), the distance and the
+    Y threshold once, into work buffers allocated once per call.
 
     Y is counted in logit space: Y = 1{U < expit(eta)} = 1{logit(U) < eta}.
-    Each block takes logit(U) once, each arm subtracts its S(2) and
-    curvature terms once, and a regime compares the remainder with its
-    branch constant; no regime evaluates an ``expit``.  The two tests can
-    disagree only where U lies within a few ulps of expit(eta)
-    (``tests/test_dgp.py`` states the bound), which a 53-bit uniform
-    essentially never hits.  Each regime's cost is built in place in one
-    buffer.  Every element's expression and every sum's order are those of
+    An arm's threshold is logit(U) - (S(2) + curvature), and Y = 1 where it
+    lies below the row's cell constant logit(y_k).  For each cell that the
+    arm's regimes use, Y is counted once, on that cell's branch rows; a
+    regime's count is its lapse cell's count plus its no-lapse cell's.
+    Counts are integers, so the sums are exact.  The logit-space and
+    probability-space tests can disagree only where U lies within a few
+    ulps of expit(eta) (``tests/test_dgp.py`` states the bound), which a
+    53-bit uniform essentially never hits.
+
+    A regime's cost rate is lapse * r_lapse + no_lapse * r_no_lapse, built
+    in one buffer.  A 0/1 factor times a finite rate is exactly the rate or
+    +0.0, so the sum is exactly one of the two rates: the select is exact
+    only because ``DgpConfig`` requires finite rates (0 * inf is NaN).
+    Every element's expression and every sum's order are then those of
     cost_scale * E / (rate + distance), so the cost sums keep their bits.
     """
     check_count("mc_draws", mc_draws, MIN_MC_DRAWS)
     regs = tuple(regimes) if regimes is not None else embedded_regimes()
     check_regime_ids(regs)
     check_reference(regs, reference_id)
-    arms = _regimes_by_arm(config, regs)
+    arms = _cells_by_arm(regs)
+    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
+    rate_k = np.asarray(config.c_constants, dtype=np.float64)
 
     sum_y = np.zeros(len(regs))
     sum_c = np.zeros(len(regs))
     sum_c2 = np.zeros(len(regs))
 
+    size = min(mc_draws, BLOCK)
+    work = np.empty((5, size))
+    masks = np.empty((3, size), dtype=bool)
+
     for b in range((mc_draws + BLOCK - 1) // BLOCK):
         rng = philox_stream(seed, PURPOSE_TRUTH, b)
-        # Fixed draw order; full blocks, as in simulate_smart.
-        x1 = rng.standard_normal(BLOCK)
-        u_l2 = rng.random(BLOCK)
-        eps_s2 = rng.standard_normal(BLOCK)
-        u_y = rng.random(BLOCK)
-        e_c = rng.standard_exponential(BLOCK)
-
         m = min(mc_draws - b * BLOCK, BLOCK)
-        x1, u_l2, eps_s2, u_y, e_c = (
-            arr[:m] for arr in (x1, u_l2, eps_s2, u_y, e_c)
-        )
-        # Built in place to hold fewer block-sized arrays at once; addition
-        # and multiplication commute, so the bits are those of
+        # Fixed draw order, each variable a full block on the stream.
+        x1 = rng.standard_normal(BLOCK)[:m]
+        u_l2 = _block_uniforms(rng, m)
+        eps_s2 = rng.standard_normal(BLOCK)[:m]
+        u_y = _block_uniforms(rng, m)
+        e_c = rng.standard_exponential(m)
+
+        curvature, y_threshold, s2, distance, c = work[:, :m]
+        lapse, no_lapse, hit = masks[:, :m]
+        # Addition and multiplication commute, so the bits are those of
         # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
-        curvature = np.log(np.abs(x1) + 0.01)
-        curvature += 0.5 * x1**2
+        np.abs(x1, out=curvature)
+        curvature += 0.01
+        np.log(curvature, out=curvature)
+        np.square(x1, out=c)
+        c *= 0.5
+        curvature += c
         scaled_e_c = np.multiply(config.cost_scale, e_c, out=e_c)
-        # logit(U) in u_y's own buffer; U = 0 gives -inf, below every eta.
+        # logit(U) in u_y's own buffer, log1p(-U) in the threshold's until the
+        # arms overwrite it; U = 0 gives -inf, below every eta.
+        np.negative(u_y, out=y_threshold)
+        np.log1p(y_threshold, out=y_threshold)
         with np.errstate(divide="ignore"):
-            log1m_u = np.log1p(-u_y)
             logit_u = np.log(u_y, out=u_y)
-        logit_u -= log1m_u
-        # log1m_u is spent; its buffer holds each arm's logit(U) - (S(2) + curvature).
-        y_threshold = log1m_u
+        logit_u -= y_threshold
 
         for d1, members in arms.items():
-            lapse = u_l2 < expit(x1 + d1)
-            s2 = x1 + 2.0 * d1 + eps_s2
-            distance = np.abs(s2 + x1 + lapse - 3.0 * d1)
+            np.less(u_l2, expit(np.add(x1, d1, out=c), out=c), out=lapse)
+            np.logical_not(lapse, out=no_lapse)
+            np.add(x1, 2.0 * d1, out=s2)
+            s2 += eps_s2
+            # |S(2) + X(1) + L(2) - 3 d1| and logit(U) - (S(2) + curvature).
+            np.add(s2, x1, out=distance)
+            distance += lapse
+            distance -= 3.0 * d1
+            np.abs(distance, out=distance)
             np.add(s2, curvature, out=y_threshold)
             np.subtract(logit_u, y_threshold, out=y_threshold)
-            for i, logits, rates in members:
-                sum_y[i] += np.count_nonzero(y_threshold < np.where(lapse, *logits))
-                c = np.where(lapse, *rates)
+
+            y_count = {}
+            for branch, cells in ((lapse, {k for _, k, _ in members}),
+                                  (no_lapse, {k for _, _, k in members})):
+                for k in cells:
+                    np.less(y_threshold, base_logit[k], out=hit)
+                    hit &= branch
+                    y_count[k] = np.count_nonzero(hit)
+            # S(2) is spent; its buffer holds each regime's no-lapse rate term.
+            no_lapse_rate = s2
+            for i, k_lapse, k_no_lapse in members:
+                sum_y[i] += y_count[k_lapse] + y_count[k_no_lapse]
+                np.multiply(lapse, rate_k[k_lapse], out=c)
+                np.multiply(no_lapse, rate_k[k_no_lapse], out=no_lapse_rate)
+                c += no_lapse_rate
                 c += distance
                 np.divide(scaled_e_c, c, out=c)
                 sum_c[i] += c.sum()

@@ -60,13 +60,23 @@ class RankDeficient(EstimationFailure):
     """The weighted normal equations are singular beyond the ridge guard."""
 
 
-def expit(x):
-    """Numerically stable inverse logit, elementwise."""
+def expit(x, out=None):
+    """Numerically stable inverse logit, elementwise; written into ``out``
+    (which may be ``x`` itself) when it is given."""
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(x)
+    up = x >= 0
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below.
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = 1.0 + out
+    # The numerator is 1 where x >= 0 and e below, selected exactly: e lies
+    # in [0, 1] or is NaN, which np.maximum keeps, so max(e, 1) is 1 and
+    # max(e, 0) is e.
+    np.maximum(out, up, out=out)
+    out /= den
     return out
 
 

@@ -64,6 +64,35 @@ def test_embedded_regimes_match_published_numbering():
     ]
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("c_constants", (_NAN,) * 8, "c_constants must be positive and finite"),
+        ("c_constants", (*C_CONSTANTS[:7], _INF), "c_constants must be positive and finite"),
+        ("c_constants", (-_INF, *C_CONSTANTS[1:]), "c_constants must be positive and finite"),
+        ("c_constants", (0.0, *C_CONSTANTS[1:]), "c_constants must be positive and finite"),
+        ("c_constants", (*C_CONSTANTS[:3], -0.5, *C_CONSTANTS[4:]),
+         "c_constants must be positive and finite"),
+        ("c_constants", C_CONSTANTS[:7], "must each have 8 entries"),
+        ("cost_scale", _NAN, "cost_scale must be positive and finite"),
+        ("cost_scale", _INF, "cost_scale must be positive and finite"),
+        ("cost_scale", -_INF, "cost_scale must be positive and finite"),
+        ("cost_scale", 0.0, "cost_scale must be positive and finite"),
+        ("cost_scale", -5.0, "cost_scale must be positive and finite"),
+    ],
+    ids=["c-nan", "c-inf", "c-minus-inf", "c-zero", "c-negative", "c-seven",
+         "scale-nan", "scale-inf", "scale-minus-inf", "scale-zero", "scale-negative"],
+)
+def test_config_refuses_costs_that_are_not_positive_and_finite(field, value, message):
+    # A NaN rate gave an all-NaN truth table without an error, and an
+    # infinite one all-zero costs; both are refused when the config is built.
+    with pytest.raises(ValueError, match=message):
+        DgpConfig(**{field: value})
+
+
 def test_simulate_is_deterministic():
     a = simulate_smart(DgpConfig(n=400, seed=9))
     b = simulate_smart(DgpConfig(n=400, seed=9))
@@ -196,6 +225,11 @@ _Y_7_8_SWAPPED = Y_CONSTANTS[:6] + (Y_CONSTANTS[7], Y_CONSTANTS[6])
 # expit(eta) rounds to exactly 1.0 on about 1,400 lapse rows per block of
 # the d1 = 1 arm, and falls below 1e-15 on the d1 = 0 arm.
 _Y_SATURATED = (1e-12, 1.0 - 1e-12) + Y_CONSTANTS[2:]
+# Rates of 1e300 beside rates of 2.0 within one arm: regime 3 pairs lapse
+# rate 2.0 with no-lapse rate 1e300, and regime 2 pairs 1e300 with 0.05.  A
+# select computed as r_no_lapse + lapse * (r_lapse - r_no_lapse), or the
+# other way round, gives rate 0 on the rows of the small rate.
+_C_EXTREME = (1e-300, 1e300, 2.0, 2.0, 1e300, *C_CONSTANTS[5:])
 
 
 @pytest.mark.parametrize(
@@ -206,9 +240,14 @@ _Y_SATURATED = (1e-12, 1.0 - 1e-12) + Y_CONSTANTS[2:]
         (DgpConfig(), (2, 4, 6), 262_144, 2),
         (DgpConfig(y_constants=_Y_7_8_SWAPPED), None, 300_001, 1),
         (DgpConfig(y_constants=_Y_SATURATED), None, 300_001, 1),
+        (DgpConfig(), None, 10_000, 1),
+        (DgpConfig(), (7, 2, 5, 1), 300_001, 5),
+        (DgpConfig(c_constants=_C_EXTREME), None, 300_001, 1),
+        (DgpConfig(y_constants=(0.7,) * 8, c_constants=(0.05,) * 8), None, 300_001, 1),
     ],
     ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped",
-         "y-saturated"],
+         "y-saturated", "min-draws", "shared-options", "extreme-rates",
+         "equal-constants"],
 )
 def test_truth_matches_per_regime_oracle_bit_for_bit(
     config, regime_ids, mc_draws, reference_id

@@ -1,8 +1,9 @@
 """The standard CLI output set matches the expected files in ``tests/expected/``.
 
 The pinned runs are ``output_set.PINNED``: the full set of
-``output_set.py`` without the 2M-draw ``truth`` run and the two bootstraps,
-which stay in the manual ``diff -r`` check to keep this test's cost small.
+``output_set.py``, the 2M-draw ``truth`` run included, without the two
+bootstraps, which stay in the manual ``diff -r`` check to keep this test's
+cost small.
 Comment lines and text must match exactly, numbers within 1e-12 relative:
 exact bytes are not portable, because numpy's SIMD ``exp``/``log`` may
 differ by one ulp between CPUs.  The trials and the influence-curve files
