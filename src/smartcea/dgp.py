@@ -137,9 +137,10 @@ def embedded_regimes() -> tuple[RegimeSpec, ...]:
     )
 
 
-def _block_uniforms(rng: np.random.Generator, m: int) -> np.ndarray:
-    """The first m of a block's BLOCK uniforms; the rest are skipped undrawn."""
-    u = rng.random(m)
+def _block_uniforms(rng: np.random.Generator, m: int, out=None) -> np.ndarray:
+    """The first m of a block's BLOCK uniforms, written into ``out`` when it
+    is given; the rest are skipped undrawn."""
+    u = rng.random(m, out=out)
     skip_raw(rng, BLOCK - m)
     return u
 
@@ -265,6 +266,51 @@ def _cells_by_arm(
     return arms
 
 
+# Rows of a truth block that one pass of its arithmetic covers: a piece's
+# work buffers and its rows of the draws take about 1.4 MB, which stays in
+# a core's L2 cache.
+_PIECE = 16_384
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n > 128 values: half of n,
+    rounded down to a multiple of 8.  It sums a run of at most 128 values
+    with 8 accumulators, unsplit."""
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_pieces(n: int) -> list[int]:
+    """Lengths of the nodes of numpy's pairwise-sum tree of n values that
+    are at most ``_PIECE`` long and whose parents are longer, in order.
+    numpy splits every longer node, since ``_PIECE`` is above 128."""
+    if n <= _PIECE:
+        return [n]
+    half = _pairwise_half(n)
+    return _pairwise_pieces(half) + _pairwise_pieces(n - half)
+
+
+def _pairwise_add(n: int, sums):
+    """Add the pieces' sums (numbers, or arrays added elementwise), an
+    iterator in the order of ``_pairwise_pieces(n)``, in the tree of numpy's
+    pairwise sum of n values.  The result is that sum, bit for bit."""
+    if n <= _PIECE:
+        return next(sums)
+    half = _pairwise_half(n)
+    left = _pairwise_add(half, sums)
+    return left + _pairwise_add(n - half, sums)
+
+
+def _logit_uniform(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """logit(u) = log(u) - log1p(-u), ``glm.logit``'s arithmetic, written
+    over u; u = 0 gives -inf."""
+    np.negative(u, out=scratch)
+    np.log1p(scratch, out=scratch)
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    u -= scratch
+    return u
+
+
 def true_values(
     config: DgpConfig,
     regimes: Sequence[RegimeSpec] | None = None,
@@ -283,22 +329,31 @@ def true_values(
     :data:`MIN_MC_DRAWS`, two different regimes with one id, or a
     ``reference_id`` that names no regime.
 
-    A block draws its variables as ``simulate_smart`` does, so a short last
-    block skips the uniforms and exponentials it does not read.  Each block
-    computes the curvature term and logit(U) once.  L(2), S(2) and the cost
-    rate's distance term depend only on the stage-1 arm, so each arm
-    computes its lapse mask and its complement, S(2), the distance and the
-    Y threshold once, into work buffers allocated once per call.
+    A block draws its variables as ``simulate_smart`` does, into buffers
+    allocated once per call, so a short last block skips the uniforms and
+    exponentials it does not read.  The arithmetic then runs on pieces of
+    at most ``_PIECE`` rows, whose work buffers stay in cache.  The pieces
+    are the nodes of numpy's pairwise summation tree of the block's rows
+    (a run is split at half its length rounded down to a multiple of 8):
+    a piece's ``.sum()`` is the sum of its node, and adding the pieces'
+    sums back in that tree (``_pairwise_add``) gives each regime's block
+    sums bit for bit as one ``.sum()`` over the block would.
 
-    Y is counted in logit space: Y = 1{U < expit(eta)} = 1{logit(U) < eta}.
-    An arm's threshold is logit(U) - (S(2) + curvature), and Y = 1 where it
-    lies below the row's cell constant logit(y_k).  For each cell that the
-    arm's regimes use, Y is counted once, on that cell's branch rows; a
-    regime's count is its lapse cell's count plus its no-lapse cell's.
-    Counts are integers, so the sums are exact.  The logit-space and
-    probability-space tests can disagree only where U lies within a few
-    ulps of expit(eta) (``tests/test_dgp.py`` states the bound), which a
-    53-bit uniform essentially never hits.
+    Each piece computes the curvature term, logit(U_y) and logit(U_l2)
+    once.  L(2), S(2) and the cost rate's distance term depend only on the
+    stage-1 arm, so each arm computes its lapse mask and its complement,
+    S(2), the distance and the Y threshold once per piece.
+
+    Both Bernoulli draws are tested in logit space: 1{U < expit(eta)} =
+    1{logit(U) < eta}.  The lapse is logit(U_l2) < X(1) + d1.  Y's
+    threshold is logit(U_y) - (S(2) + curvature), and Y = 1 where it lies
+    below the row's cell constant logit(y_k).  For each cell that the arm's
+    regimes use, Y is counted once, on that cell's branch rows; a regime's
+    count is its lapse cell's count plus its no-lapse cell's.  Counts are
+    integers, so the sums are exact.  The logit-space and probability-space
+    tests can disagree only where U lies within a few ulps of expit(eta)
+    (``tests/test_dgp.py`` states the bound), which a 53-bit uniform
+    essentially never hits.
 
     A regime's cost rate is lapse * r_lapse + no_lapse * r_no_lapse, built
     in one buffer.  A 0/1 factor times a finite rate is exactly the rate or
@@ -320,69 +375,85 @@ def true_values(
     sum_c2 = np.zeros(len(regs))
 
     size = min(mc_draws, BLOCK)
-    work = np.empty((5, size))
-    masks = np.empty((3, size), dtype=bool)
+    # The normals are drawn as full blocks (see ``simulate_smart``).
+    normals = np.empty((2, BLOCK))
+    uniforms = np.empty((3, size))
+    piece = min(size, _PIECE)
+    work = np.empty((5, piece))
+    masks = np.empty((3, piece), dtype=bool)
 
     for b in range((mc_draws + BLOCK - 1) // BLOCK):
         rng = philox_stream(seed, PURPOSE_TRUTH, b)
         m = min(mc_draws - b * BLOCK, BLOCK)
         # Fixed draw order, each variable a full block on the stream.
-        x1 = rng.standard_normal(BLOCK)[:m]
-        u_l2 = _block_uniforms(rng, m)
-        eps_s2 = rng.standard_normal(BLOCK)[:m]
-        u_y = _block_uniforms(rng, m)
-        e_c = rng.standard_exponential(m)
+        x1_block, eps_s2_block = normals
+        u_l2_block, u_y_block, e_c_block = uniforms[:, :m]
+        rng.standard_normal(out=x1_block)
+        _block_uniforms(rng, m, out=u_l2_block)
+        rng.standard_normal(out=eps_s2_block)
+        _block_uniforms(rng, m, out=u_y_block)
+        rng.standard_exponential(out=e_c_block)
 
-        curvature, y_threshold, s2, distance, c = work[:, :m]
-        lapse, no_lapse, hit = masks[:, :m]
-        # Addition and multiplication commute, so the bits are those of
-        # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
-        np.abs(x1, out=curvature)
-        curvature += 0.01
-        np.log(curvature, out=curvature)
-        np.square(x1, out=c)
-        c *= 0.5
-        curvature += c
-        scaled_e_c = np.multiply(config.cost_scale, e_c, out=e_c)
-        # logit(U) in u_y's own buffer, log1p(-U) in the threshold's until the
-        # arms overwrite it; U = 0 gives -inf, below every eta.
-        np.negative(u_y, out=y_threshold)
-        np.log1p(y_threshold, out=y_threshold)
-        with np.errstate(divide="ignore"):
-            logit_u = np.log(u_y, out=u_y)
-        logit_u -= y_threshold
+        # Each piece's sums of C and C^2, one column per regime.
+        piece_sums = []
+        lo = 0
+        for p in _pairwise_pieces(m):
+            rows = slice(lo, lo + p)
+            lo += p
+            x1, eps_s2 = x1_block[rows], eps_s2_block[rows]
+            curvature, y_threshold, s2, distance, c = work[:, :p]
+            lapse, no_lapse, hit = masks[:, :p]
+            # Addition and multiplication commute, so the bits are those of
+            # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
+            np.abs(x1, out=curvature)
+            curvature += 0.01
+            np.log(curvature, out=curvature)
+            np.square(x1, out=c)
+            c *= 0.5
+            curvature += c
+            scaled_e_c = np.multiply(config.cost_scale, e_c_block[rows], out=e_c_block[rows])
+            # logit(U) in each uniform's own buffer; U = 0 gives -inf, below
+            # every eta.
+            logit_u_l2 = _logit_uniform(u_l2_block[rows], c)
+            logit_u_y = _logit_uniform(u_y_block[rows], c)
+            sums = np.empty((2, len(regs)))
 
-        for d1, members in arms.items():
-            np.less(u_l2, expit(np.add(x1, d1, out=c), out=c), out=lapse)
-            np.logical_not(lapse, out=no_lapse)
-            np.add(x1, 2.0 * d1, out=s2)
-            s2 += eps_s2
-            # |S(2) + X(1) + L(2) - 3 d1| and logit(U) - (S(2) + curvature).
-            np.add(s2, x1, out=distance)
-            distance += lapse
-            distance -= 3.0 * d1
-            np.abs(distance, out=distance)
-            np.add(s2, curvature, out=y_threshold)
-            np.subtract(logit_u, y_threshold, out=y_threshold)
+            for d1, members in arms.items():
+                np.less(logit_u_l2, np.add(x1, d1, out=c), out=lapse)
+                np.logical_not(lapse, out=no_lapse)
+                np.add(x1, 2.0 * d1, out=s2)
+                s2 += eps_s2
+                # |S(2) + X(1) + L(2) - 3 d1| and logit(U) - (S(2) + curvature).
+                np.add(s2, x1, out=distance)
+                distance += lapse
+                distance -= 3.0 * d1
+                np.abs(distance, out=distance)
+                np.add(s2, curvature, out=y_threshold)
+                np.subtract(logit_u_y, y_threshold, out=y_threshold)
 
-            y_count = {}
-            for branch, cells in ((lapse, {k for _, k, _ in members}),
-                                  (no_lapse, {k for _, _, k in members})):
-                for k in cells:
-                    np.less(y_threshold, base_logit[k], out=hit)
-                    hit &= branch
-                    y_count[k] = np.count_nonzero(hit)
-            # S(2) is spent; its buffer holds each regime's no-lapse rate term.
-            no_lapse_rate = s2
-            for i, k_lapse, k_no_lapse in members:
-                sum_y[i] += y_count[k_lapse] + y_count[k_no_lapse]
-                np.multiply(lapse, rate_k[k_lapse], out=c)
-                np.multiply(no_lapse, rate_k[k_no_lapse], out=no_lapse_rate)
-                c += no_lapse_rate
-                c += distance
-                np.divide(scaled_e_c, c, out=c)
-                sum_c[i] += c.sum()
-                c *= c
-                sum_c2[i] += c.sum()
+                y_count = {}
+                for branch, cells in ((lapse, {k for _, k, _ in members}),
+                                      (no_lapse, {k for _, _, k in members})):
+                    for k in cells:
+                        np.less(y_threshold, base_logit[k], out=hit)
+                        hit &= branch
+                        y_count[k] = np.count_nonzero(hit)
+                # S(2) is spent; its buffer holds each regime's no-lapse rate term.
+                no_lapse_rate = s2
+                for i, k_lapse, k_no_lapse in members:
+                    sum_y[i] += y_count[k_lapse] + y_count[k_no_lapse]
+                    np.multiply(lapse, rate_k[k_lapse], out=c)
+                    np.multiply(no_lapse, rate_k[k_no_lapse], out=no_lapse_rate)
+                    c += no_lapse_rate
+                    c += distance
+                    np.divide(scaled_e_c, c, out=c)
+                    sums[0, i] = c.sum()
+                    c *= c
+                    sums[1, i] = c.sum()
+            piece_sums.append(sums)
+
+        block_c, block_c2 = _pairwise_add(m, iter(piece_sums))
+        sum_c += block_c
+        sum_c2 += block_c2
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)

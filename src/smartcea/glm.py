@@ -60,12 +60,10 @@ class RankDeficient(EstimationFailure):
     """The weighted normal equations are singular beyond the ridge guard."""
 
 
-def expit(x, out=None):
-    """Numerically stable inverse logit, elementwise; written into ``out``
-    (which may be ``x`` itself) when it is given."""
+def expit(x):
+    """Numerically stable inverse logit, elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     up = x >= 0
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below.
     np.abs(x, out=out)
@@ -214,12 +212,13 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
         # e = exp(-|eta|); softplus(eta) = max(eta, 0) + log1p(e), and the
         # max(eta, 0) - z eta term cancels exactly on saturated rows.
+        # The numerator of mu is 1 where eta >= 0 and e below, the select of
+        # ``expit``: e lies in [0, 1], so max(e, 1) is 1 and max(e, 0) is e.
         abs_eta = np.abs(eta)
         e = np.exp(-abs_eta)
-        up = eta >= 0.0
-        mu = np.where(up, 1.0, e)
+        mu = np.maximum(e, eta >= 0.0)
         mu /= 1.0 + e
-        loss = np.where(up, eta, 0.0)
+        loss = np.maximum(eta, 0.0)
         loss -= z * eta
         loss += np.log1p(e, out=e)
         return abs_eta, mu, -float(w @ loss)

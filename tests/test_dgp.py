@@ -3,6 +3,8 @@ and the finite-support test bed."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,10 +246,13 @@ _C_EXTREME = (1e-300, 1e300, 2.0, 2.0, 1e300, *C_CONSTANTS[5:])
         (DgpConfig(), (7, 2, 5, 1), 300_001, 5),
         (DgpConfig(c_constants=_C_EXTREME), None, 300_001, 1),
         (DgpConfig(y_constants=(0.7,) * 8, c_constants=(0.05,) * 8), None, 300_001, 1),
+        (DgpConfig(), None, BLOCK + dgp._PIECE + 1, 1),
+        (DgpConfig(), None, 2 * BLOCK, 1),
+        (DgpConfig(), None, BLOCK + 129, 1),
     ],
     ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped",
          "y-saturated", "min-draws", "shared-options", "extreme-rates",
-         "equal-constants"],
+         "equal-constants", "piece-plus-one", "two-full-blocks", "short-run-tail"],
 )
 def test_truth_matches_per_regime_oracle_bit_for_bit(
     config, regime_ids, mc_draws, reference_id
@@ -260,6 +265,48 @@ def test_truth_matches_per_regime_oracle_bit_for_bit(
     assert got.regimes == want.regimes
     for name in _TRUTH_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+_PIECE_CUT_LENGTHS = (
+    1, 7, 8, 9, 127, 128, 129,
+    dgp._PIECE - 1, dgp._PIECE, dgp._PIECE + 1, dgp._PIECE + 8,
+    # The last blocks of 300,001 and of 2M draws, and a full block.
+    300_001 - BLOCK, 2_000_000 - 7 * BLOCK, BLOCK,
+)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("n", _PIECE_CUT_LENGTHS)
+def test_piece_sums_added_in_the_pairwise_tree_are_ndarray_sum(n, scale):
+    # true_values sums each piece of a block and adds the piece sums back
+    # in the tree of numpy's pairwise summation.  Normal values of one scale
+    # round differently in almost any other order of the additions; values
+    # of widely mixed magnitudes would not show it, since the largest few
+    # decide their sum.
+    x = np.random.default_rng(n).standard_normal(n) * scale
+    lengths = dgp._pairwise_pieces(n)
+    assert sum(lengths) == n
+    assert max(lengths) <= dgp._PIECE
+    bounds = np.cumsum([0, *lengths])
+    sums = (x[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:]))
+    got = dgp._pairwise_add(n, sums)
+    assert got == x.sum(), (
+        "numpy's pairwise summation order changed: the piece sums, added in "
+        "the tree that dgp._pairwise_pieces assumes, no longer give ndarray.sum()"
+    )
+
+
+def test_truth_table_memory_peak_of_two_blocks():
+    # The draw buffers take 10.5 MB (BLOCK float64 values for each of five
+    # variables) and the work buffers of a piece 0.7 MB; the peak was 26.0 MB
+    # when the arithmetic ran on whole blocks.
+    tracemalloc.start()
+    try:
+        true_values(DgpConfig(), mc_draws=2 * BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, f"{peak / 1e6:.1f} MB"
 
 
 _U_STEP = 2.0**-53  # the grid of Generator.random: U = k * 2**-53

@@ -24,7 +24,7 @@ from smartcea.glm import SeparationDetected, expit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 from oracles import TARGET_EC, TARGET_EY, reference_tmle_mean
-from trials import trials
+from trials import trial as shaped_trial, trials
 
 
 def _request(regime, outcome, estimator, g, saturated=False):
@@ -86,6 +86,17 @@ def test_fitted_g_respects_truncation():
         assert np.all(probs >= G_TRUNCATION)
         assert np.all(probs <= 1.0 - G_TRUNCATION)
     assert g.p_a1[0] == G_TRUNCATION
+
+
+def test_fitted_g_truncates_at_one_percent_on_a_skewed_arm():
+    # 15 of these 300 records take the rare stage-1 arm.  The fitted
+    # P(A1 | X1) of the common arm passes 0.99 on 33 records, which are cut
+    # to 1 - 0.01, and the rare arm's lowest stays inside (0.01, 0.02).  The
+    # literal pins the truncation value; G_TRUNCATION pins only its use.
+    g = estimate_g(shaped_trial(300, 46, arms="skewed"), "fitted")
+    assert g.p_a1.max() == 1.0 - 0.01
+    assert np.count_nonzero(g.p_a1 == 1.0 - 0.01) == 33
+    assert 0.01 < g.p_a1.min() < 0.02
 
 
 def test_estimate_g_rejects_unknown_kind(trial):

@@ -1,9 +1,10 @@
 """The standard CLI output set matches the expected files in ``tests/expected/``.
 
 The pinned runs are ``output_set.PINNED``: the full set of
-``output_set.py``, the 2M-draw ``truth`` run included, without the two
-bootstraps, which stay in the manual ``diff -r`` check to keep this test's
-cost small.
+``output_set.py``, the 2M-draw ``truth`` run and the 100-replicate
+bootstrap of a 300-record trial included, without the two bootstraps of the
+1809-record trial, which stay in the manual ``diff -r`` check to keep this
+test's cost small.
 Comment lines and text must match exactly, numbers within 1e-12 relative:
 exact bytes are not portable, because numpy's SIMD ``exp``/``log`` may
 differ by one ulp between CPUs.  The trials and the influence-curve files
