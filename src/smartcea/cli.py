@@ -387,20 +387,11 @@ def write_csv(path: str, config: RunConfig, header: Sequence[str], rows) -> None
         raise CliError(f"cannot write {path}: {err}") from None
 
 
-def ingest_dataset(path: str) -> Dataset:
-    """Read a trajectory CSV into a ``Dataset``, with line-level diagnostics.
-
-    Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c, each header name
-    at most once; other columns are ignored.  The file is UTF-8 with an
-    optional byte-order mark.  Lines that start with ``#`` and blank lines
-    are skipped between records, but line numbers are physical: they count
-    them.  This function checks the text (field count, then each cell as a
-    number: malformed or non-finite) and leaves the value rules to
-    ``Dataset``, whose :class:`~smartcea.core.InvalidRecord` it rewords with
-    the raw token.  The error names the first
-    failing record's line and, within it, the first failing column, as
-    ``line L, column C: reason`` (column ``-`` for a wrong field count).
-    """
+def _read_table(path: str, required: Sequence[str]) -> tuple[list[str], list, list[int]]:
+    """Stripped header names, the records after the header and the physical
+    line each starts on, of a CSV file: UTF-8 with an optional byte-order mark,
+    blank lines and lines that start with ``#`` skipped between records.  A
+    repeated header name or a missing ``required`` one is refused."""
     rows: list[list[str]] = []
     # A quoted field may hold a newline, so a record can span several lines:
     # record k starts on physical line starts[k].
@@ -426,14 +417,36 @@ def ingest_dataset(path: str) -> Dataset:
     for k, name in enumerate(header):
         if name in header[:k]:
             raise CliError(f"{path}: duplicate column {name!r}")
-    x1_cols = [name for name in header if name == "x1" or name.startswith("x1_")]
-    for name in ("id", "a1", "l2", "s2", "a2", "y", "c"):
+    for name in required:
         if name not in header:
             raise CliError(f"{path}: missing column {name!r}")
+    return header, rows[1:], starts[1:]
+
+
+def _width_error(path: str, line: int, width: int, row: list[str]) -> CliError:
+    return CliError(f"{path} line {line}, column '-': expected {width} fields, got {len(row)}")
+
+
+def _duplicate_regime(path: str, line: int, rid: int) -> CliError:
+    return CliError(f"{path} line {line}: duplicate regime id {rid}")
+
+
+def ingest_dataset(path: str) -> Dataset:
+    """Read a trajectory CSV (``_read_table``'s rules) into a ``Dataset``.
+
+    Schema: id, x1 (or x1_1..x1_p), a1, l2, s2, a2, y, c; other columns are
+    ignored.  This function checks the text (field count, then each cell as
+    a number: malformed or non-finite) and leaves the value rules to
+    ``Dataset``, whose :class:`~smartcea.core.InvalidRecord` it rewords with
+    the raw token.  The error names the first failing record's line and,
+    within it, the first failing column, as ``line L, column C: reason``
+    (column ``-`` for a wrong field count).
+    """
+    header, data_rows, starts = _read_table(path, ("id", "a1", "l2", "s2", "a2", "y", "c"))
+    x1_cols = [name for name in header if name == "x1" or name.startswith("x1_")]
     if not x1_cols:
         raise CliError(f"{path}: missing column 'x1' (or x1_1..x1_p)")
 
-    data_rows = rows[1:]
     if not data_rows:
         raise CliError(f"{path}: no data rows")
     width = len(header)
@@ -471,11 +484,9 @@ def ingest_dataset(path: str) -> Dataset:
                 reason = f"non-finite value {raw!r}"
         except ValueError:
             reason = f"malformed number {raw!r}"
-        line = starts[err.row + 1]
-        raise CliError(f"{path} line {line}, column {err.column!r}: {reason}") from None
+        raise CliError(f"{path} line {starts[err.row]}, column {err.column!r}: {reason}") from None
     if m < len(data_rows):
-        reason = f"expected {width} fields, got {len(data_rows[m])}"
-        raise CliError(f"{path} line {starts[m + 1]}, column '-': {reason}")
+        raise _width_error(path, starts[m], width, data_rows[m])
     return dataset
 
 
@@ -509,7 +520,7 @@ def read_regime_file(path: str) -> tuple[RegimeSpec, ...]:
         except ValueError:
             raise CliError(f"{path} line {lineno}: malformed integer") from None
         if rid in seen:
-            raise CliError(f"{path} line {lineno}: duplicate regime id {rid}")
+            raise _duplicate_regime(path, lineno, rid)
         seen.add(rid)
         try:
             regimes.append(RegimeSpec(id=rid, d1=d1, d2_if_lapse=dl, d2_if_no_lapse=dn))
@@ -671,37 +682,30 @@ def _run_contrast(config: RunConfig) -> None:
 
 
 def _read_icer_table(path: str) -> list[PlanePoint]:
-    """Plane points of an icer-table file.  A row whose icer, rd_eff and
-    rd_cost are all NaN is a regime with an undefined ICER: it is left off
-    the plane, with a note on standard error.  A regime id may appear once."""
-    try:
-        lines = _content_lines(path)
-    except (OSError, UnicodeDecodeError) as err:
-        raise CliError(f"cannot read {path}: {err}") from None
-    points = []
-    undefined = []
-    seen: set[int] = set()
-    reader = csv.DictReader(text for _, text in lines)
-    for row in reader:
+    """Plane points of an icer-table file (``_read_table``'s rules); an error
+    names its row's line, and a regime id may appear once.  A row whose icer,
+    rd_eff and rd_cost are all NaN, an undefined ICER, is left off with a note."""
+    columns = ("regime", "icer", "rd_eff", "rd_cost", "reliable")
+    header, rows, starts = _read_table(path, columns)
+    points, undefined, seen = [], [], set()
+    for line, row in zip(starts, rows):
+        if len(row) != len(header):
+            raise _width_error(path, line, len(header), row)
+        rid, icer, rd_eff, rd_cost, reliable = (row[header.index(k)].strip() for k in columns)
         try:
-            rid = int(row["regime"])
+            rid = int(rid)
             if rid in seen:
-                lineno = lines[reader.line_num - 1][0]
-                raise CliError(f"{path} line {lineno}: duplicate regime id {rid}")
+                raise _duplicate_regime(path, line, rid)
             seen.add(rid)
-            icer, rd_eff, rd_cost = (float(row[k]) for k in ("icer", "rd_eff", "rd_cost"))
-            reliable = (row["reliable"] or "").strip().lower()
-            if reliable not in ("true", "false"):
-                raise ValueError(f"reliable must be true or false, got {row['reliable']!r}")
+            icer, rd_eff, rd_cost = float(icer), float(rd_eff), float(rd_cost)
+            if reliable.lower() not in ("true", "false"):
+                raise ValueError(f"reliable must be true or false, got {reliable!r}")
             if np.isnan([icer, rd_eff, rd_cost]).all():
                 undefined.append(rid)
                 continue
-            points.append(PlanePoint(
-                regime_id=rid, rd_eff=rd_eff, rd_cost=rd_cost, icer=icer,
-                reliable=reliable == "true",
-            ))
-        except (KeyError, TypeError, ValueError) as err:
-            raise CliError(f"{path}: not an icer-table file ({err})") from None
+            points.append(PlanePoint(rid, rd_eff, rd_cost, icer, reliable.lower() == "true"))
+        except ValueError as err:
+            raise CliError(f"{path} line {line}: not an icer-table file ({err})") from None
     if undefined:
         print(f"note: ICER undefined for regime {', '.join(map(str, undefined))}; "
               "left off the plane", file=sys.stderr)

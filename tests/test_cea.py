@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcea.cea import (
@@ -137,8 +137,18 @@ def _lower_hull_vertices(points):
     return sorted(vertices, key=lambda p: p.rd_eff)
 
 
-@settings(max_examples=300, deadline=None)
+# The shapes the grid aims at: a repeated point, a collinear triple (the
+# middle one off the hull) and no point right of the origin.
+_REPEATED = [_point(2, 3.0, 1.0), _point(3, 3.0, 1.0)]
+_COLLINEAR = [_point(4, 1.0, 1.0), _point(2, 2.0, 3.0), _point(3, 3.0, 5.0)]
+_NONE_RIGHT = [_point(2, 0.0, 1.0), _point(3, -2.0, -1.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_grid_points())
+@example(_REPEATED)
+@example(_COLLINEAR)
+@example(_NONE_RIGHT)
 def test_frontier_is_the_brute_force_lower_hull(points):
     expected = _lower_hull_vertices(points)
     if not expected:
@@ -165,8 +175,13 @@ _REPEATING_POINTS = st.lists(
 )
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_REPEATING_POINTS, st.sampled_from([(640, 480), (81, 65), (1000, 300)]))
+@example(_REPEATED, (640, 480))
+@example([_point(2, 3.0, 1.0), _point(2, 4.0, 5.0, reliable=False)], (1000, 300))
+@example(_COLLINEAR, (640, 480))
+@example(_NONE_RIGHT, (640, 480))
+@example([_point(2, 5.0, 6.0), _point(3, -3.0, -3.0, reliable=False)], (81, 65))
 def test_frontier_and_plane_match_the_pairwise_oracles(points, size):
     # The one-sweep dominance rule keeps the pairwise test's frontier, and the
     # element writers keep the hand-written SVG text, byte for byte.

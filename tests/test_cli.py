@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smartcea
 from smartcea import dgp, estimate, study
 from smartcea.cli import (
     SUBCOMMANDS,
@@ -707,6 +709,70 @@ def test_frontier_and_plot_refuse_a_repeated_regime_id(tmp_path, capsys, subcomm
     assert not out.exists()
 
 
+def _plane_outputs(tmp_path, subcommand):
+    return {
+        "frontier": ["--out-points", str(tmp_path / "p.csv"),
+                     "--out-frontier", str(tmp_path / "f.csv")],
+        "plot": ["--out", str(tmp_path / "plane.svg")],
+    }[subcommand]
+
+
+ROW_2 = "2,0.5,nan,nan,5.0,10.0,1.0,1.0,true\n"
+ROW_3 = "3,2.0,nan,nan,6.0,3.0,1.0,1.0,true\n"
+
+
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (PLANE_HEADER + ROW_2 + ROW_3.replace("true", "true,9"),
+         " line 4, column '-': expected 9 fields, got 10"),
+        (PLANE_HEADER + ROW_2 + "3,2.0,nan\n", " line 4, column '-': expected 9 fields, got 3"),
+        (PLANE_HEADER.replace("icer,", "regime,", 1) + ROW_2 + ROW_3,
+         ": duplicate column 'regime'"),
+        (PLANE_HEADER.replace("rd_eff,", "rd_effect,") + ROW_2 + ROW_3,
+         ": missing column 'rd_eff'"),
+        (PLANE_HEADER + ROW_2 + ROW_3.replace("6.0", "6.x"),
+         " line 4: not an icer-table file (could not convert string to float: '6.x')"),
+        (PLANE_HEADER + ROW_2 + ROW_3.replace("3,", "3.5,", 1),
+         " line 4: not an icer-table file (invalid literal for int() with base 10: '3.5')"),
+        (PLANE_HEADER + ROW_2.replace("true", "maybe") + ROW_3,
+         " line 3: not an icer-table file (reliable must be true or false, got 'maybe')"),
+        # Regime 2's quoted ci_lower spans lines 3-4 and line 5 is blank.
+        (PLANE_HEADER + ROW_2.replace(",nan,", ',"nan\n",', 1) + "\n" + ROW_3.replace("6.0", ""),
+         " line 6: not an icer-table file (could not convert string to float: '')"),
+    ],
+    ids=["extra-field", "short-row", "repeated-column", "missing-column",
+         "malformed-number", "malformed-id", "reliable-maybe", "multi-line-record"],
+)
+def test_a_malformed_icer_table_exits_1_naming_its_line(
+    tmp_path, capsys, subcommand, text, message
+):
+    table = tmp_path / "icers.csv"
+    table.write_text("# an icer-table file\n" + text)
+    code, _, err = run_cli(
+        subcommand, "--in", str(table), *_plane_outputs(tmp_path, subcommand), capsys=capsys
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == _error_line(subcommand, f"{table}{message}")
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "plane.svg").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["frontier", "plot"])
+def test_icer_table_header_names_are_stripped(tmp_path, capsys, subcommand):
+    # Header names are stripped, as in a trial file: " icer" is "icer".
+    table = tmp_path / "icers.csv"
+    written = []
+    for header in (PLANE_HEADER, PLANE_HEADER.replace(",", " , ")):
+        table.write_text(header + ROW_2 + ROW_3)
+        code, _, err = run_cli(
+            subcommand, "--in", str(table), *_plane_outputs(tmp_path, subcommand), capsys=capsys
+        )
+        assert (code, err) == (0, "")
+        written.append([path.read_bytes() for path in sorted(tmp_path.glob("[fp]*.*"))])
+    assert written[0] == written[1] != []
+
+
 def test_frontier_drop_unreliable_keeps_only_reliable_rows(tmp_path, capsys):
     points = tmp_path / "points.csv"
     outputs = ["--out-points", str(points), "--out-frontier", str(tmp_path / "f.csv")]
@@ -1213,16 +1279,20 @@ def test_contrast_names_the_reference_failure(tmp_path, capsys):
 
 
 def test_entry_point_subprocess():
+    # The child imports the package the tests import, installed or not.
+    src = os.path.dirname(os.path.dirname(smartcea.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     ok = subprocess.run(
         [sys.executable, "-m", "smartcea.cli", "--version"],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
     assert ok.returncode == 0
     assert "smartcea" in ok.stdout
     bad = subprocess.run(
         [sys.executable, "-m", "smartcea.cli", "mc-study", "--reps", "0",
          "--seed", "1", "--out", "/tmp/never.csv"],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
     assert bad.returncode == 2
 
