@@ -259,15 +259,17 @@ def _coerce(opt: Option, raw: str):
         ) from None
 
 
+def _skipped(line: str) -> bool:
+    """Every input file's line rule: blank and ``#`` lines, leading spaces allowed."""
+    return not (text := line.strip()) or text.startswith("#")
+
+
 def _content_lines(path: str) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each line that is neither blank nor a
-    ``#`` comment; UTF-8 with an optional byte-order mark.  Line numbers count
-    every line.  ``OSError`` and ``UnicodeDecodeError`` are left to the caller."""
+    """(line number, stripped text) of each line ``_skipped`` keeps; UTF-8
+    with an optional byte-order mark.  Line numbers count every line.
+    ``OSError`` and ``UnicodeDecodeError`` are left to the caller."""
     with open(path, encoding="utf-8-sig") as fh:
-        return [
-            (no, text) for no, line in enumerate(fh, 1)
-            if (text := line.strip()) and not text.startswith("#")
-        ]
+        return [(no, line.strip()) for no, line in enumerate(fh, 1) if not _skipped(line)]
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -390,8 +392,8 @@ def write_csv(path: str, config: RunConfig, header: Sequence[str], rows) -> None
 def _read_table(path: str, required: Sequence[str]) -> tuple[list[str], list, list[int]]:
     """Stripped header names, the records after the header and the physical
     line each starts on, of a CSV file: UTF-8 with an optional byte-order mark,
-    blank lines and lines that start with ``#`` skipped between records.  A
-    repeated header name or a missing ``required`` one is refused."""
+    ``_skipped`` lines skipped between records.  A repeated header name or a
+    missing ``required`` one is refused."""
     rows: list[list[str]] = []
     # A quoted field may hold a newline, so a record can span several lines:
     # record k starts on physical line starts[k].
@@ -400,7 +402,7 @@ def _read_table(path: str, required: Sequence[str]) -> tuple[list[str], list, li
     def record_lines(fh):
         for no, line in enumerate(fh, 1):
             if len(starts) == len(rows):  # between records
-                if not line.strip() or line.startswith("#"):
+                if _skipped(line):
                     continue
                 starts.append(no)
             yield line

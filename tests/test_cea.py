@@ -223,6 +223,12 @@ def test_svg_refuses_a_size_without_plot_area(width, height):
         render_plane_svg([_point(2, 20.0, 3.0)], width=width, height=height)
 
 
+def test_svg_refuses_an_empty_plane():
+    with pytest.raises(ValueError) as err:
+        render_plane_svg([])
+    assert str(err.value) == "nothing to plot"
+
+
 def test_svg_accepts_the_smallest_size_with_plot_area():
     svg = render_plane_svg([_point(2, 20.0, 3.0)], width=MIN_WIDTH, height=MIN_HEIGHT)
     assert f'width="{MIN_WIDTH}" height="{MIN_HEIGHT}"' in svg.splitlines()[0]

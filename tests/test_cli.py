@@ -22,9 +22,11 @@ from smartcea.cli import (
     SUBCOMMANDS,
     CliError,
     _flag_name,
+    _read_icer_table,
     ingest_dataset,
     main,
     parse_and_validate,
+    parse_config_file,
     read_regime_file,
 )
 from smartcea.core import Dataset, consistency_mask
@@ -407,6 +409,19 @@ def test_config_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, config, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
+@pytest.mark.parametrize("value", ["false", "0", "No"])
+def test_config_file_reads_a_false_bool_value(tmp_path, value):
+    table = _plane_table(tmp_path / "icers.csv", (True, False, True))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"drop_unreliable = {value}\n")
+    points = tmp_path / "points.csv"
+    assert main(["frontier", "--config", str(cfg), "--in", str(table), "--out-points",
+                 str(points), "--out-frontier", str(tmp_path / "f.csv")]) == 0
+    assert " drop_unreliable=False " in points.read_text().splitlines()[2]
+    _, rows = _rows(points)
+    assert [r["regime"] for r in rows] == ["2", "3", "4"]
+
+
 def test_config_file_reads_a_bool_value(tmp_path):
     table = _plane_table(tmp_path / "icers.csv", (True, False, True))
     cfg = tmp_path / "cfg.txt"
@@ -719,6 +734,34 @@ def _plane_outputs(tmp_path, subcommand):
 
 ROW_2 = "2,0.5,nan,nan,5.0,10.0,1.0,1.0,true\n"
 ROW_3 = "3,2.0,nan,nan,6.0,3.0,1.0,1.0,true\n"
+
+
+def _trial_columns(path):
+    ds = ingest_dataset(path)
+    return [getattr(ds, k).tolist() for k in ("x1", "a1", "l2", "s2", "a2", "y", "c")]
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (_trial_columns,
+         "id,x1,a1,l2,s2,a2,y,c\n1,0.1,0,1,0.5,1,1,2.0\n2,0.2,1,0,0.5,3,0,1.0\n"),
+        (_read_icer_table, PLANE_HEADER + ROW_2 + ROW_3),
+        (read_regime_file, "id,d1,d2_if_lapse,d2_if_no_lapse\n1,0,1,3\n2,1,1,3\n"),
+        (parse_config_file, "n = 5\nseed = 3\nout = a.csv\n"),
+    ],
+    ids=["trial", "icer-table", "regimes", "config"],
+)
+def test_every_input_file_skips_indented_comments_and_blank_lines(tmp_path, reader, text):
+    # One line rule for all four inputs: a line whose stripped text is empty
+    # or starts with "#" is skipped between records.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    plain = reader(str(path))
+    first, second, *rest = text.splitlines(keepends=True)
+    path.write_text(first + "  # an indented note\n" + second + " \t \n\t# a tabbed note\n"
+                    + "".join(rest))
+    assert reader(str(path)) == plain
 
 
 @pytest.mark.parametrize("subcommand", ["frontier", "plot"])
@@ -1366,7 +1409,11 @@ FRAGILE_EXAMPLES = [
     for k, (part, shape) in enumerate(
         (part, shape) for part, shapes in SHAPES.items() for shape in shapes[1:]
     )
-] + [(simulate_smart(DgpConfig(n=1, seed=3)), ["--estimator", "ipw"])]
+] + [(simulate_smart(DgpConfig(n=1, seed=3)), ["--estimator", "ipw"])] + [
+    # The fitted treatment model meets one arm or one branch only under tmle.
+    (trial(30, 0, **{part: shape}), METHODS[0])
+    for part in ("arms", "branches") for shape in ("zero", "one")
+]
 
 
 def _with_fragile_examples(test):

@@ -118,6 +118,23 @@ def test_dataset_validates_columns():
         Dataset(**{**base, "a1": [0, 1, 1]})
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"x1": np.zeros((2, 0))}, "x1 must have shape (n,) or (n, p) with p >= 1"),
+        ({"x1": np.zeros((2, 1, 1))}, "x1 must have shape (n,) or (n, p) with p >= 1"),
+        ({"x1_names": ("x1_1", "x1_2")}, "x1_names length does not match x1 width"),
+    ],
+    ids=["no-covariate", "three-dimensional", "names-width"],
+)
+def test_dataset_refuses_a_covariate_of_the_wrong_shape(change, message):
+    base = dict(x1=[0.0, 1.0], a1=[0, 1], l2=[0, 1], s2=[0.5, -0.5], a2=[3, 1], y=[0, 1],
+                c=[1.0, 2.0])
+    with pytest.raises(ValueError) as err:
+        Dataset(**{**base, **change})
+    assert str(err.value) == message
+
+
 def test_dataset_rejects_out_of_support_codes():
     with pytest.raises(ValueError):
         Dataset(

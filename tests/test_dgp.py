@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smartcea import dgp
@@ -93,6 +93,13 @@ def test_config_refuses_costs_that_are_not_positive_and_finite(field, value, mes
     # infinite one all-zero costs; both are refused when the config is built.
     with pytest.raises(ValueError, match=message):
         DgpConfig(**{field: value})
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, _NAN])
+def test_config_refuses_outcome_probabilities_outside_the_open_unit_interval(p):
+    with pytest.raises(ValueError) as err:
+        DgpConfig(y_constants=(*Y_CONSTANTS[:7], p))
+    assert str(err.value) == "y_constants must lie strictly inside (0, 1)"
 
 
 def test_simulate_is_deterministic():
@@ -317,6 +324,14 @@ _U_STEP = 2.0**-53  # the grid of Generator.random: U = k * 2**-53
     eta=st.floats(-40.0, 40.0),
     offset=st.integers(-64, 64) | st.integers(-(2**53), 2**53),
 )
+# The ends of the eta range, U clamped to the first and last grid point, and
+# U a few steps either side of expit(0).
+@example(eta=40.0, offset=-64)
+@example(eta=-40.0, offset=64)
+@example(eta=-20.0, offset=-(2**53))
+@example(eta=10.0, offset=2**53)
+@example(eta=0.0, offset=5)
+@example(eta=0.0, offset=-5)
 def test_logit_space_draw_matches_probability_space_draw(eta, offset):
     # true_values counts Y = 1{U < expit(eta)} as 1{logit(U) < eta}.  In
     # floating point the two can differ only where U lies within 4 grid

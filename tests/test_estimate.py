@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcea.core import Dataset, EstimationFailure, RegimeSpec, consistency_mask
@@ -122,6 +122,12 @@ def test_separated_stage2_branch_raises_with_context():
     data = _synthetic(n=400, a2_by_a1=True)
     with pytest.raises(SeparationDetected, match="stage 2, branch"):
         estimate_g(data, "fitted")
+
+
+def test_fitted_g_refuses_a_trial_with_an_empty_branch():
+    with pytest.raises(ZeroSupport) as err:
+        estimate_g(shaped_trial(60, 1, branches="zero"), "fitted")
+    assert str(err.value) == "no records observed on branch l2=1"
 
 
 def test_zero_support_raises():
@@ -318,6 +324,17 @@ def _tmle_outcome(tmle, data, request):
     g_kind=st.sampled_from(["known", "fitted", "saturated"]),
     saturated=st.booleans(),
 )
+# One fragile shape of each part; the fitted g fails on one branch and falls
+# back to the known one.
+@example(data=shaped_trial(20, 1, arms="skewed"), g_kind="fitted", saturated=False)
+@example(data=shaped_trial(300, 2, branches="skewed", effect="separated"), g_kind="fitted",
+         saturated=True)
+@example(data=shaped_trial(40, 3, branches="one", cost="huge"), g_kind="fitted",
+         saturated=False)
+@example(data=shaped_trial(60, 4, covariate="collinear", cost="zero"), g_kind="saturated",
+         saturated=True)
+@example(data=shaped_trial(30, 5, arms="one", effect="constant", cost="constant"),
+         g_kind="known", saturated=False)
 def test_tmle_equals_the_all_rows_oracle_bit_for_bit(data, g_kind, saturated):
     # Each stage reads only the rows its result reads; the oracle runs every
     # stage on all records and must give the same bytes or the same failure.

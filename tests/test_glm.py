@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import reference_fit_logistic
@@ -15,6 +15,7 @@ from smartcea import estimate
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.glm import (
     SCORE_TOL,
+    GlmFit,
     RankDeficient,
     SeparationDetected,
     expit,
@@ -244,6 +245,39 @@ def test_design_without_columns_is_rejected():
         fit_logistic(np.ones((5, 0)), np.zeros(5))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: logit([0.0]), "logit requires probabilities strictly inside (0, 1)"),
+        (lambda: fit_logistic(np.ones(4), np.zeros(4)), "design must be 2-dimensional"),
+        (lambda: fit_logistic(np.ones((4, 1)), np.zeros(3)),
+         "response length does not match design"),
+        (lambda: fit_logistic(np.ones((4, 1)), np.zeros(4), weights=np.ones(5)),
+         "weights length does not match design"),
+        (lambda: fit_logistic(np.ones((4, 1)), np.zeros(4), weights=[1.0, -1.0, 1.0, 1.0]),
+         "weights must be nonnegative"),
+        (lambda: fit_logistic(np.ones((4, 1)), np.zeros(4), offset=np.zeros(3)),
+         "offset length does not match design"),
+        (lambda: predict(GlmFit(np.zeros(2), True, 0, 0.0), np.ones((2, 3))),
+         "design has 3 columns, fit expects 2"),
+    ],
+    ids=["logit", "one-dimensional-design", "response-length", "weights-length",
+         "negative-weight", "offset-length", "predict-width"],
+)
+def test_input_checks_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_linear_predictors_past_the_divergence_bound_raise_separation():
+    # Offsets of +-40 put every row beyond |30| at the first step, with the
+    # score on the +40 rows (response 0.5, fitted 1) still far from zero.
+    with pytest.raises(SeparationDetected) as err:
+        fit_logistic(np.ones((4, 1)), [0.5] * 4, offset=[40, 40, 40, -40])
+    assert str(err.value).startswith("all weighted linear predictors exceed |30.0| at iteration 1 ")
+
+
 def test_fit_with_sub_rounding_gain_does_not_stall():
     # Fluctuation-like intercept-only fits: a quarter of the rows weighted,
     # an offset per row.  Near the optimum a Newton step raises the
@@ -375,6 +409,14 @@ def logistic_problems(draw, weights, response=st.floats(0.0, 1.0)):
     return X, z, w, offset
 
 
+def _problem(z, w, offset=None, p=2, seed=0):
+    """One ``logistic_problems`` draw built outside hypothesis."""
+    n = len(z)
+    X = np.column_stack([np.ones(n), np.random.default_rng(seed).normal(size=(n, p - 1))])
+    offset = None if offset is None else np.array(offset, float)
+    return X, np.array(z, float), np.array(w, float), offset
+
+
 def _rows(offset, rows):
     return None if offset is None else offset[rows]
 
@@ -389,6 +431,12 @@ def _outcome(X, z, w, offset):
 
 @PROPERTY_SETTINGS
 @given(problem=logistic_problems(weights=st.floats(0.1, 16.0)))
+# Three rows, intercept only, no offset; three columns with an offset and
+# weights at both ends of the range; a constant response, which separates.
+@example(problem=_problem([0.0, 1.0, 0.5], [1.0, 1.0, 16.0], p=1))
+@example(problem=_problem([0.2, 0.9, 0.4, 1.0, 0.0, 0.7], [0.1, 16.0, 1.0, 2.0, 3.0, 0.5],
+                          offset=[-3.0, 3.0, 0.0, 1.0, -1.0, 2.0], p=3))
+@example(problem=_problem([1.0] * 4, [1.0] * 4))
 def test_converged_fit_solves_the_score_equation(problem):
     X, z, w, offset = problem
     try:
@@ -414,6 +462,11 @@ def test_converged_fit_solves_the_score_equation(problem):
 @given(problem=logistic_problems(
     weights=st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.1, 16.0)
 ))
+# Zero weights on rows of either response, with and without an offset, and
+# as many weighted rows as columns.
+@example(problem=_problem([0.0, 1.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 1.0, 1.0]))
+@example(problem=_problem([1.0, 0.0, 0.3, 0.6], [0.0, 1.0, 1.0, 1.0],
+                          offset=[3.0, -3.0, 0.0, 1.0], p=3))
 def test_zero_weight_rows_are_exactly_dropped(problem):
     X, z, w, offset = problem
     keep = w > 0.0
@@ -426,6 +479,11 @@ def test_zero_weight_rows_are_exactly_dropped(problem):
 @given(problem=logistic_problems(
     weights=st.integers(1, 4).map(float), response=st.floats(0.01, 0.99)
 ))
+# Intercept only, and a covariate with an offset, responses at the ends of
+# their range and every weight from 1 to 4.
+@example(problem=_problem([0.2, 0.8, 0.5, 0.3], [1.0, 4.0, 2.0, 3.0], p=1))
+@example(problem=_problem([0.01, 0.99, 0.5, 0.25, 0.75], [4.0, 1.0, 1.0, 2.0, 3.0],
+                          offset=[-3.0, 3.0, 0.5, 0.0, -1.0]))
 def test_integer_weights_equal_replication(problem):
     X, z, w, offset = problem
     rep = np.repeat(np.arange(X.shape[0]), w.astype(int))
@@ -440,6 +498,9 @@ def test_integer_weights_equal_replication(problem):
 @given(problem=logistic_problems(
     weights=st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.1, 16.0)
 ))
+# A weighted mean near one end once the zero-weight rows are left out.
+@example(problem=_problem([1.0, 0.0, 1.0, 0.25], [0.0, 1.0, 1.0, 16.0]))
+@example(problem=_problem([0.0, 0.99, 0.0], [16.0, 0.1, 0.0], p=3))
 def test_intercept_only_fit_starts_at_its_mle(problem):
     X, z, w, _ = problem
     keep = w > 0.0
@@ -487,6 +548,14 @@ def nearly_collinear_designs(draw):
 
 @PROPERTY_SETTINGS
 @given(problem=nearly_collinear_designs())
+# Two equal columns, a last column zero on every weighted row, one row, and
+# fewer weighted rows than columns.
+@example(problem=(np.ones((3, 2)), np.array([0.2, 0.5, 0.9]), np.ones(3)))
+@example(problem=(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 5.0]]), np.array([0.2, 0.5, 0.9]),
+                  np.array([1.0, 2.0, 0.0])))
+@example(problem=(np.array([[2.0]]), np.array([0.3]), np.array([1.0])))
+@example(problem=(np.arange(12.0).reshape(3, 4) ** 2, np.array([0.1, 0.6, 0.3]),
+                  np.array([1.0, 0.0, 3.0])))
 def test_rank_deficient_exactly_when_matrix_rank_is_below_p(problem):
     X, z, w = problem
     deficient = np.linalg.matrix_rank(X[w > 0.0]) < X.shape[1]

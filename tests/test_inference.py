@@ -127,6 +127,12 @@ def test_delta_method_degenerate_denominator():
         delta_method_ic(rd_cost, rd_eff)
 
 
+def test_delta_method_refuses_differences_on_different_records():
+    with pytest.raises(ValueError) as err:
+        delta_method_ic(_estimate(1.0, 0.1, n=100), _estimate(0.5, 0.1, n=101))
+    assert str(err.value) == "cost and effect differences use different records"
+
+
 def test_zero_cost_difference_is_a_zero_icer():
     rd_cost = _estimate(0.0, 0.1)
     rd_eff = _estimate(10.0, 1.0)

@@ -8,7 +8,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_ingest_dataset
 
@@ -143,8 +143,20 @@ def corrupted_trials(draw):
     return "\n".join(lines) + "\n"
 
 
+ROW_1 = "1,0.5,0,1,0.3,1,1,2.0\n"
+
+
 @PROPERTY_SETTINGS
 @given(text=corrupted_trials())
+# A malformed cell after a comment line, a dropped field, a value fault
+# before a width fault, a stage-2 code off its branch, a quoted comma, and
+# tokens float reads in its own way.
+@example(text=HEADER + ROW_1 + "# comment, 1\n2,0.1,abc,0,0.2,3,0,1.0\n")
+@example(text="# comment, 1\n" + HEADER + ROW_1[:-5] + "\n")
+@example(text=HEADER + ROW_1.replace("2.0", "nan") + "2,0.1,1,0,0.2,3,0,1.0,5\n")
+@example(text=HEADER + ROW_1 + "2,0.1,1,0,0.2,2.0,0,1.0\n")
+@example(text=HEADER + ROW_1.replace("2.0", '"1,2"'))
+@example(text=HEADER + "1, 1 ,1_0,1,-0.0,1,1,1e-320\n")
 def test_corrupted_trial_matches_the_row_reader(tmp_path_factory, text):
     # Excluded on purpose, because ingest now differs from the row reader on
     # them: blank lines (skipped now) and codes too large for int64 (the row
@@ -284,8 +296,19 @@ def faulty_columns(draw):
     return columns
 
 
+_VALID = {"x1": [0.1, -0.2], "a1": [0.0, 1.0], "l2": [1.0, 0.0], "s2": [0.3, 0.4],
+          "a2": [1.0, 3.0], "y": [1.0, 0.0], "c": [2.0, 0.0]}
+
+
 @PROPERTY_SETTINGS
 @given(columns=faulty_columns())
+# A fractional code, a code off its branch's support, a negative cost, an
+# outcome of 2, and faults in two records, the first of which is named.
+@example(columns={**_VALID, "a1": [0.5, 1.0]})
+@example(columns={**_VALID, "a2": [1.0, 1.0]})
+@example(columns={**_VALID, "c": [2.0, -0.5]})
+@example(columns={**_VALID, "y": [2.0, 0.0]})
+@example(columns={**_VALID, "l2": [1.0, 7.0], "a2": [4.0, 3.0]})
 def test_dataset_and_ingest_refuse_the_same_record(tmp_path_factory, columns):
     # Ingest rewords Dataset's refusal; it reports line = record + 1.
     path = tmp_path_factory.mktemp("rules") / "trial.csv"

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcea.dgp import DgpConfig, simulate_smart, true_values
@@ -61,6 +61,12 @@ def _next_draws(rng):
     ),
     k=st.integers(0, 3000),
 )
+# No skip; a half raw output held in has_uint32; a buffer left at its last
+# slot; long prefixes and the largest skip.
+@example(seed=0, prefix=[], k=0)
+@example(seed=2**64 - 1, prefix=[("uint32", 1)], k=3)
+@example(seed=3, prefix=[("raw", 3), ("float32", 1)], k=1)
+@example(seed=7, prefix=[("normal", 9), ("exponential", 5), ("random", 9)], k=3000)
 def test_skip_raw_leaves_the_state_random_raw_would(seed, prefix, k):
     skipped = philox_stream(seed, PURPOSE_SIMULATE, 0)
     drawn = philox_stream(seed, PURPOSE_SIMULATE, 0)
@@ -95,6 +101,22 @@ BAD_SEEDS = [2**64, -1, 1.5]
 def test_philox_stream_refuses_seeds_outside_the_rule(seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
         philox_stream(seed, PURPOSE_SIMULATE, 0)
+
+
+@pytest.mark.parametrize(
+    "purpose, block, message",
+    [
+        (1 << 16, 0, "purpose must fit in 16 bits"),
+        (-1, 0, "purpose must fit in 16 bits"),
+        (PURPOSE_SIMULATE, 1 << 48, "block must fit in 48 bits"),
+        (PURPOSE_SIMULATE, -1, "block must fit in 48 bits"),
+    ],
+    ids=["purpose-2^16", "purpose-negative", "block-2^48", "block-negative"],
+)
+def test_philox_stream_refuses_a_cell_outside_the_lattice(purpose, block, message):
+    with pytest.raises(ValueError) as err:
+        philox_stream(3, purpose, block)
+    assert str(err.value) == message
 
 
 def test_numpy_integer_seeds_name_the_same_stream():
