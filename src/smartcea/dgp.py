@@ -33,6 +33,7 @@ The tests rerun the search to confirm both.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -137,10 +138,9 @@ def embedded_regimes() -> tuple[RegimeSpec, ...]:
     )
 
 
-def _block_uniforms(rng: np.random.Generator, m: int, out=None) -> np.ndarray:
-    """The first m of a block's BLOCK uniforms, written into ``out`` when it
-    is given; the rest are skipped undrawn."""
-    u = rng.random(m, out=out)
+def _block_uniforms(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The first m of a block's BLOCK uniforms; the rest are skipped undrawn."""
+    u = rng.random(m)
     skip_raw(rng, BLOCK - m)
     return u
 
@@ -311,6 +311,22 @@ def _logit_uniform(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return u
 
 
+def _truth_block_streams(seed: int, b: int, normals: np.ndarray) -> tuple:
+    """Draw truth block b's two normals into ``normals``; return generators
+    at the starts of its lapse uniforms, Y uniforms and exponentials.  A
+    uniform's generator is a second stream of the cell with the first's state
+    copied in; the first then skips the BLOCK raw outputs that uniform takes."""
+    rng = philox_stream(seed, PURPOSE_TRUTH, b)
+    starts = []
+    for out in normals:
+        rng.standard_normal(out=out)
+        start = philox_stream(seed, PURPOSE_TRUTH, b)
+        start.bit_generator.state = rng.bit_generator.state
+        starts.append(start)
+        skip_raw(rng, BLOCK)
+    return (*starts, rng)
+
+
 def true_values(
     config: DgpConfig,
     regimes: Sequence[RegimeSpec] | None = None,
@@ -329,10 +345,12 @@ def true_values(
     :data:`MIN_MC_DRAWS`, two different regimes with one id, or a
     ``reference_id`` that names no regime.
 
-    A block draws its variables as ``simulate_smart`` does, into buffers
-    allocated once per call, so a short last block skips the uniforms and
-    exponentials it does not read.  The arithmetic then runs on pieces of
-    at most ``_PIECE`` rows, whose work buffers stay in cache.  The pieces
+    One helper thread, joined before the call returns, draws block b + 1's
+    two full-block normals into the second of two buffers while block b is
+    summed (``_truth_block_streams``; numpy draws without the GIL).  The
+    arithmetic runs on pieces of at most ``_PIECE`` rows, whose work buffers
+    stay in cache; each piece draws its rows of the uniforms and
+    exponentials, so a short last block draws only what it reads.  The pieces
     are the nodes of numpy's pairwise summation tree of the block's rows
     (a run is split at half its length rounded down to a multiple of 8):
     a piece's ``.sum()`` is the sum of its node, and adding the pieces'
@@ -374,86 +392,87 @@ def true_values(
     sum_c = np.zeros(len(regs))
     sum_c2 = np.zeros(len(regs))
 
-    size = min(mc_draws, BLOCK)
-    # The normals are drawn as full blocks (see ``simulate_smart``).
-    normals = np.empty((2, BLOCK))
-    uniforms = np.empty((3, size))
-    piece = min(size, _PIECE)
+    blocks = (mc_draws + BLOCK - 1) // BLOCK
+    # Two blocks' full-block normals: the helper fills one while the pieces read the other.
+    normals = np.empty((min(blocks, 2), 2, BLOCK))
+    piece = min(mc_draws, _PIECE)
+    draws = np.empty((3, piece))
     work = np.empty((5, piece))
     masks = np.empty((3, piece), dtype=bool)
 
-    for b in range((mc_draws + BLOCK - 1) // BLOCK):
-        rng = philox_stream(seed, PURPOSE_TRUTH, b)
-        m = min(mc_draws - b * BLOCK, BLOCK)
-        # Fixed draw order, each variable a full block on the stream.
-        x1_block, eps_s2_block = normals
-        u_l2_block, u_y_block, e_c_block = uniforms[:, :m]
-        rng.standard_normal(out=x1_block)
-        _block_uniforms(rng, m, out=u_l2_block)
-        rng.standard_normal(out=eps_s2_block)
-        _block_uniforms(rng, m, out=u_y_block)
-        rng.standard_exponential(out=e_c_block)
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(_truth_block_streams, seed, 0, normals[0])
+        for b in range(blocks):
+            u_l2_rng, u_y_rng, e_c_rng = pending.result()
+            if b + 1 < blocks:
+                pending = helper.submit(_truth_block_streams, seed, b + 1, normals[(b + 1) % 2])
+            x1_block, eps_s2_block = normals[b % 2]
+            m = min(mc_draws - b * BLOCK, BLOCK)
 
-        # Each piece's sums of C and C^2, one column per regime.
-        piece_sums = []
-        lo = 0
-        for p in _pairwise_pieces(m):
-            rows = slice(lo, lo + p)
-            lo += p
-            x1, eps_s2 = x1_block[rows], eps_s2_block[rows]
-            curvature, y_threshold, s2, distance, c = work[:, :p]
-            lapse, no_lapse, hit = masks[:, :p]
-            # Addition and multiplication commute, so the bits are those of
-            # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
-            np.abs(x1, out=curvature)
-            curvature += 0.01
-            np.log(curvature, out=curvature)
-            np.square(x1, out=c)
-            c *= 0.5
-            curvature += c
-            scaled_e_c = np.multiply(config.cost_scale, e_c_block[rows], out=e_c_block[rows])
-            # logit(U) in each uniform's own buffer; U = 0 gives -inf, below
-            # every eta.
-            logit_u_l2 = _logit_uniform(u_l2_block[rows], c)
-            logit_u_y = _logit_uniform(u_y_block[rows], c)
-            sums = np.empty((2, len(regs)))
+            # Each piece's sums of C and C^2, one column per regime.
+            piece_sums = []
+            lo = 0
+            for p in _pairwise_pieces(m):
+                rows = slice(lo, lo + p)
+                lo += p
+                x1, eps_s2 = x1_block[rows], eps_s2_block[rows]
+                u_l2, u_y, e_c = draws[:, :p]
+                u_l2_rng.random(out=u_l2)
+                u_y_rng.random(out=u_y)
+                e_c_rng.standard_exponential(out=e_c)
+                curvature, y_threshold, s2, distance, c = work[:, :p]
+                lapse, no_lapse, hit = masks[:, :p]
+                # Addition and multiplication commute, so the bits are those of
+                # 0.5 * x1**2 + log(|x1| + 0.01) and cost_scale * e_c.
+                np.abs(x1, out=curvature)
+                curvature += 0.01
+                np.log(curvature, out=curvature)
+                np.square(x1, out=c)
+                c *= 0.5
+                curvature += c
+                scaled_e_c = np.multiply(config.cost_scale, e_c, out=e_c)
+                # logit(U) in each uniform's own buffer; U = 0 gives -inf, below
+                # every eta.
+                logit_u_l2 = _logit_uniform(u_l2, c)
+                logit_u_y = _logit_uniform(u_y, c)
+                sums = np.empty((2, len(regs)))
 
-            for d1, members in arms.items():
-                np.less(logit_u_l2, np.add(x1, d1, out=c), out=lapse)
-                np.logical_not(lapse, out=no_lapse)
-                np.add(x1, 2.0 * d1, out=s2)
-                s2 += eps_s2
-                # |S(2) + X(1) + L(2) - 3 d1| and logit(U) - (S(2) + curvature).
-                np.add(s2, x1, out=distance)
-                distance += lapse
-                distance -= 3.0 * d1
-                np.abs(distance, out=distance)
-                np.add(s2, curvature, out=y_threshold)
-                np.subtract(logit_u_y, y_threshold, out=y_threshold)
+                for d1, members in arms.items():
+                    np.less(logit_u_l2, np.add(x1, d1, out=c), out=lapse)
+                    np.logical_not(lapse, out=no_lapse)
+                    np.add(x1, 2.0 * d1, out=s2)
+                    s2 += eps_s2
+                    # |S(2) + X(1) + L(2) - 3 d1| and logit(U) - (S(2) + curvature).
+                    np.add(s2, x1, out=distance)
+                    distance += lapse
+                    distance -= 3.0 * d1
+                    np.abs(distance, out=distance)
+                    np.add(s2, curvature, out=y_threshold)
+                    np.subtract(logit_u_y, y_threshold, out=y_threshold)
 
-                y_count = {}
-                for branch, cells in ((lapse, {k for _, k, _ in members}),
-                                      (no_lapse, {k for _, _, k in members})):
-                    for k in cells:
-                        np.less(y_threshold, base_logit[k], out=hit)
-                        hit &= branch
-                        y_count[k] = np.count_nonzero(hit)
-                # S(2) is spent; its buffer holds each regime's no-lapse rate term.
-                no_lapse_rate = s2
-                for i, k_lapse, k_no_lapse in members:
-                    sum_y[i] += y_count[k_lapse] + y_count[k_no_lapse]
-                    np.multiply(lapse, rate_k[k_lapse], out=c)
-                    np.multiply(no_lapse, rate_k[k_no_lapse], out=no_lapse_rate)
-                    c += no_lapse_rate
-                    c += distance
-                    np.divide(scaled_e_c, c, out=c)
-                    sums[0, i] = c.sum()
-                    c *= c
-                    sums[1, i] = c.sum()
-            piece_sums.append(sums)
+                    y_count = {}
+                    for branch, cells in ((lapse, {k for _, k, _ in members}),
+                                          (no_lapse, {k for _, _, k in members})):
+                        for k in cells:
+                            np.less(y_threshold, base_logit[k], out=hit)
+                            hit &= branch
+                            y_count[k] = np.count_nonzero(hit)
+                    # S(2) is spent; its buffer holds each regime's no-lapse rate term.
+                    no_lapse_rate = s2
+                    for i, k_lapse, k_no_lapse in members:
+                        sum_y[i] += y_count[k_lapse] + y_count[k_no_lapse]
+                        np.multiply(lapse, rate_k[k_lapse], out=c)
+                        np.multiply(no_lapse, rate_k[k_no_lapse], out=no_lapse_rate)
+                        c += no_lapse_rate
+                        c += distance
+                        np.divide(scaled_e_c, c, out=c)
+                        sums[0, i] = c.sum()
+                        c *= c
+                        sums[1, i] = c.sum()
+                piece_sums.append(sums)
 
-        block_c, block_c2 = _pairwise_add(m, iter(piece_sums))
-        sum_c += block_c
-        sum_c2 += block_c2
+            block_c, block_c2 = _pairwise_add(m, iter(piece_sums))
+            sum_c += block_c
+            sum_c2 += block_c2
 
     return _finish_truth(regs, sum_y, sum_c, sum_c2, mc_draws, reference_id)

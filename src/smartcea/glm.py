@@ -254,8 +254,11 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
             hess.flat[:: p + 1] += RIDGE
             try:
                 step = np.linalg.solve(hess, score)
-            except np.linalg.LinAlgError as err:
-                raise RankDeficient(str(err)) from None
+            except np.linalg.LinAlgError:
+                raise RankDeficient(
+                    f"ridged Fisher information is singular at iteration {it} "
+                    f"on the {m} weighted rows"
+                ) from None
 
         floor = ll - LL_RTOL * abs(ll)
         for _ in range(MAX_HALVINGS + 1):

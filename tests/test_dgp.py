@@ -3,6 +3,8 @@ and the finite-support test bed."""
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -256,10 +258,13 @@ _C_EXTREME = (1e-300, 1e300, 2.0, 2.0, 1e300, *C_CONSTANTS[5:])
         (DgpConfig(), None, BLOCK + dgp._PIECE + 1, 1),
         (DgpConfig(), None, 2 * BLOCK, 1),
         (DgpConfig(), None, BLOCK + 129, 1),
+        # Each normals buffer is filled again while the other is read.
+        (DgpConfig(), None, 3 * BLOCK + 129, 1),
     ],
     ids=["partial-last-block", "reversed-reference-4", "one-arm", "y-7-8-swapped",
          "y-saturated", "min-draws", "shared-options", "extreme-rates",
-         "equal-constants", "piece-plus-one", "two-full-blocks", "short-run-tail"],
+         "equal-constants", "piece-plus-one", "two-full-blocks", "short-run-tail",
+         "four-blocks"],
 )
 def test_truth_matches_per_regime_oracle_bit_for_bit(
     config, regime_ids, mc_draws, reference_id
@@ -267,7 +272,17 @@ def test_truth_matches_per_regime_oracle_bit_for_bit(
     by_id = {r.id: r for r in embedded_regimes()}
     regimes = None if regime_ids is None else [by_id[i] for i in regime_ids]
     args = dict(regimes=regimes, mc_draws=mc_draws, seed=17, reference_id=reference_id)
-    got = true_values(config, **args)
+    # The helper thread fills one normals buffer while the pieces read the
+    # other; switching threads every microsecond would expose a block read
+    # before it is drawn, or drawn over while it is read.
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = true_values(config, **args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
     want = per_regime_true_values(config, **args)
     assert got.regimes == want.regimes
     for name in _TRUTH_FIELDS:
@@ -304,9 +319,10 @@ def test_piece_sums_added_in_the_pairwise_tree_are_ndarray_sum(n, scale):
 
 
 def test_truth_table_memory_peak_of_two_blocks():
-    # The draw buffers take 10.5 MB (BLOCK float64 values for each of five
-    # variables) and the work buffers of a piece 0.7 MB; the peak was 26.0 MB
-    # when the arithmetic ran on whole blocks.
+    # The two normals buffers take 8.4 MB (BLOCK float64 values for each of
+    # two normals of two blocks), and a piece's uniforms, exponentials and
+    # work buffers 1.1 MB.  The peak was 26.0 MB when the arithmetic ran on
+    # whole blocks, and 11.3 MB with five full-block draw buffers.
     tracemalloc.start()
     try:
         true_values(DgpConfig(), mc_draws=2 * BLOCK)
@@ -314,6 +330,24 @@ def test_truth_table_memory_peak_of_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_truth_raises_the_helper_threads_error_and_joins_it(monkeypatch):
+    # The helper thread opens block b + 1's streams while block b is summed.
+    error = RuntimeError("no stream for block 2")
+    stream = dgp.philox_stream
+
+    def fail_on_block_2(seed, purpose, block):
+        if block == 2:
+            raise error
+        return stream(seed, purpose, block)
+
+    monkeypatch.setattr(dgp, "philox_stream", fail_on_block_2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        true_values(DgpConfig(), mc_draws=3 * BLOCK)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 _U_STEP = 2.0**-53  # the grid of Generator.random: U = k * 2**-53

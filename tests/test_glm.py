@@ -166,6 +166,17 @@ def test_fewer_rows_than_columns_is_rank_deficient():
         fit_logistic(np.ones((0, 4)), np.zeros(0))
 
 
+def test_a_singular_ridged_hessian_is_rank_deficient():
+    # Full rank by the SVD rule, but at this scale the ridge is lost in
+    # rounding and the Hessian's LU pivot is exactly 0.
+    design = 1e10 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    with pytest.raises(RankDeficient) as raised:
+        fit_logistic(design, np.array([0.0, 1.0]))
+    assert str(raised.value) == (
+        "ridged Fisher information is singular at iteration 1 on the 2 weighted rows"
+    )
+
+
 def test_constant_response_raises_separation():
     design = _design({"intercept": np.ones(40)})
     with pytest.raises(SeparationDetected):
