@@ -30,6 +30,7 @@ from .dgp import (
     TruthTable,
     embedded_regimes,
     simulate_smart,
+    simulate_trials,
     true_values,
 )
 from .estimate import (
@@ -104,6 +105,7 @@ __all__ = [
     "risk_difference",
     "run_study",
     "simulate_smart",
+    "simulate_trials",
     "tmle_mean",
     "true_values",
     "wald_ci",

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +66,7 @@ __all__ = [
     "DgpConfig",
     "embedded_regimes",
     "simulate_smart",
+    "simulate_trials",
     "TruthTable",
     "true_values",
 ]
@@ -145,54 +147,64 @@ def _block_uniforms(rng: np.random.Generator, m: int) -> np.ndarray:
     return u
 
 
+def _trial_block_draws(seed: int, b: int, m: int, normals: np.ndarray) -> tuple:
+    """Trial block b's first m rows of its seven variables, drawn as
+    :func:`simulate_smart` says; each normal's m rows are copied out of ``normals``."""
+    rng = philox_stream(seed, PURPOSE_SIMULATE, b)
+    x1 = rng.standard_normal(out=normals)[:m].copy()
+    u_a1 = _block_uniforms(rng, m)
+    u_l2 = _block_uniforms(rng, m)
+    eps_s2 = rng.standard_normal(out=normals)[:m].copy()
+    u_a2 = _block_uniforms(rng, m)
+    u_y = _block_uniforms(rng, m)
+    return x1, u_a1, u_l2, eps_s2, u_a2, u_y, rng.standard_exponential(m)
+
+
+def simulate_trials(configs: Iterable[DgpConfig]) -> Iterator[Dataset]:
+    """Yield :func:`simulate_smart` of each config in turn.  One helper thread
+    draws each block after the first into one buffer of BLOCK normals (numpy
+    draws without the GIL) while the block before it is computed or, after a
+    trial's last block, used by the caller.  It is joined when the generator
+    ends or is closed; a lone one-block trial starts none."""
+    jobs = [(c, (c.seed, b, min(c.n - b * BLOCK, BLOCK)))
+            for c in configs for b in range((c.n + BLOCK - 1) // BLOCK)]
+    normals, blocks = np.empty(BLOCK), []
+    with ThreadPoolExecutor(1) if len(jobs) > 1 else nullcontext() as helper:
+        for j, (config, (_, b, m)) in enumerate(jobs):
+            x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c = (
+                pending.result() if j else _trial_block_draws(*jobs[0][1], normals))
+            if j + 1 < len(jobs):
+                pending = helper.submit(_trial_block_draws, *jobs[j + 1][1], normals)
+            base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
+            rate_k = np.asarray(config.c_constants, dtype=np.float64)
+            a1 = (u_a1 < 0.5).astype(np.int64)
+            l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
+            s2 = x1 + 2.0 * a1 + eps_s2
+            a2 = np.where(l2 == 1, np.where(u_a2 < 0.5, 1, 2), np.where(u_a2 < 0.5, 3, 4))
+            k = _cell_index(a1, l2, a2)
+            p_y = expit(base_logit[k] + s2 + 0.5 * x1**2 + np.log(np.abs(x1) + 0.01))
+            y = (u_y < p_y).astype(np.int64)
+            rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)
+            blocks.append((x1, a1, l2, s2, a2, y, config.cost_scale * e_c / rate))
+            if b * BLOCK + m == config.n:
+                yield Dataset(*(np.concatenate(col) for col in zip(*blocks)))
+                blocks = []
+
+
 def simulate_smart(config: DgpConfig) -> Dataset:
     """Draw ``config.n`` observed trajectories from the benchmark generator.
 
-    Draws are blocked: rows [b*BLOCK, (b+1)*BLOCK) come from the stream
-    (seed, simulate, b), which feeds seven variables in a fixed order, each
-    laid out as a full block of BLOCK values.  Datasets are therefore
-    prefix-stable: the first m rows do not depend on n.
-
-    A block of m < BLOCK rows computes only what those rows read, with the
-    stream left as if every full block had been drawn.  The two normals are
-    drawn as full blocks: the ziggurat takes a data-dependent number of raw
-    outputs per value, so where the next variable starts is known only by
-    drawing all BLOCK of them.  A uniform takes exactly one raw output, so
-    its m values are drawn and the other BLOCK - m outputs are skipped on
-    the counter (``rng.skip_raw``).  The exponential is drawn last, so only
-    its first m values are drawn.  The stream and every value are the same
-    as with seven full blocks.
+    Rows [b*BLOCK, (b+1)*BLOCK) come from the stream (seed, simulate, b), which
+    feeds seven variables in a fixed order, each laid out as a full block of
+    BLOCK values, so the first m rows do not depend on n.  A block of m < BLOCK
+    rows draws the two normals in full, as the ziggurat takes a data-dependent
+    number of raw outputs per value; of each uniform it draws m values and
+    skips the other BLOCK - m raw outputs (``rng.skip_raw``), and of the
+    exponential, drawn last, m values.  The stream and every value are those
+    of seven full blocks.  This is the one-trial case of :func:`simulate_trials`.
     """
-    n = config.n
-    base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
-    rate_k = np.asarray(config.c_constants, dtype=np.float64)
-
-    blocks = []
-    for b in range((n + BLOCK - 1) // BLOCK):
-        rng = philox_stream(config.seed, PURPOSE_SIMULATE, b)
-        m = min(n - b * BLOCK, BLOCK)
-        # Fixed draw order, each variable a full block on the stream so
-        # earlier rows never move (see the docstring).
-        x1 = rng.standard_normal(BLOCK)[:m]
-        u_a1 = _block_uniforms(rng, m)
-        u_l2 = _block_uniforms(rng, m)
-        eps_s2 = rng.standard_normal(BLOCK)[:m]
-        u_a2 = _block_uniforms(rng, m)
-        u_y = _block_uniforms(rng, m)
-        e_c = rng.standard_exponential(m)
-
-        a1 = (u_a1 < 0.5).astype(np.int64)
-        l2 = (u_l2 < expit(x1 + a1)).astype(np.int64)
-        s2 = x1 + 2.0 * a1 + eps_s2
-        a2 = np.where(l2 == 1, np.where(u_a2 < 0.5, 1, 2), np.where(u_a2 < 0.5, 3, 4))
-        k = _cell_index(a1, l2, a2)
-        p_y = expit(base_logit[k] + s2 + 0.5 * x1**2 + np.log(np.abs(x1) + 0.01))
-        y = (u_y < p_y).astype(np.int64)
-        rate = rate_k[k] + np.abs(s2 + x1 + l2 - 3.0 * a1)
-        c = config.cost_scale * e_c / rate
-        blocks.append((x1, a1, l2, s2, a2, y, c))
-
-    return Dataset(*(np.concatenate(col) for col in zip(*blocks)))
+    (dataset,) = simulate_trials([config])
+    return dataset
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +37,7 @@ from .dgp import (
     TruthTable,
     embedded_regimes,
     simulate_smart,
+    simulate_trials,
     true_values,
 )
 from .estimate import (
@@ -157,8 +158,9 @@ def _variance_ratio(num: np.ndarray, den: np.ndarray, aligned: np.ndarray) -> fl
     return float(np.var(num[aligned])) / v_den
 
 
-def _rep_seed(seed: int, rep: int) -> int:
-    return int(np.random.SeedSequence((seed, rep)).generate_state(1, np.uint64)[0])
+def _rep_config(config: StudyConfig, rep: int) -> DgpConfig:
+    seed = np.random.SeedSequence((config.seed, rep)).generate_state(1, np.uint64)[0]
+    return DgpConfig(n=config.n, seed=int(seed))
 
 
 def regime_means(
@@ -238,13 +240,14 @@ def icer_table(
 
 
 def _run_one_rep(config: StudyConfig, rep: int) -> np.ndarray:
-    """One repetition: simulate once, analyze under every estimator.
+    """Repetition ``rep``: simulate its trial, then :func:`_analyze` it."""
+    return _analyze(config, simulate_smart(_rep_config(config, rep)))
 
-    Returns one row per (estimator, regime) cell, estimators outermost: the
-    ``_FIELDS`` values and a 1/0 reliability flag, or all NaN when the
-    cell's statistic is undefined for this rep.
-    """
-    dataset = simulate_smart(DgpConfig(n=config.n, seed=_rep_seed(config.seed, rep)))
+
+def _analyze(config: StudyConfig, dataset: Dataset) -> np.ndarray:
+    """One repetition's trial under every estimator: a row per (estimator,
+    regime) cell, estimators outermost, of the ``_FIELDS`` values and a 1/0
+    reliability flag, or all NaN where the cell's statistic is undefined."""
     rows = []
     for est in config.estimators:
         try:
@@ -296,8 +299,9 @@ def run_study(
     unreliable-but-defined reps in the moments.  ``threads`` caps
     process-level parallelism, at most one worker process per rep; results
     are identical for any thread count because each rep is self-contained.
-    ``progress(rep)`` is called as each repetition's result arrives, in
-    repetition order.
+    With one process, a helper thread that ``threads`` does not count draws
+    each next rep's trial (:func:`~smartcea.dgp.simulate_trials`).  ``progress(rep)``
+    is called as each repetition's result arrives, in repetition order.
     """
     check_count("threads", threads, 1)
     if truth is None:
@@ -314,12 +318,12 @@ def run_study(
     cells = [(est, r.id) for est in config.estimators for r in _SCORED]
     workers = min(threads, config.reps)
     parallel = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    trials = simulate_trials(_rep_config(config, r) for r in range(config.reps) if workers == 1)
     per_rep = []
-    with parallel as pool:
-        rep_map = map if pool is None else pool.map
-        for rep, values in enumerate(
-            rep_map(_run_one_rep, [config] * config.reps, range(config.reps))
-        ):
+    with parallel as pool, closing(trials):
+        results = (_analyze(config, d) for d in trials) if pool is None else pool.map(
+            _run_one_rep, [config] * config.reps, range(config.reps))
+        for rep, values in enumerate(results):
             per_rep.append(values)
             if progress is not None:
                 progress(rep)

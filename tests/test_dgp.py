@@ -142,6 +142,64 @@ def test_simulate_is_byte_identical_to_full_block_draws(n, seed):
         assert got.tobytes() == want.tobytes(), name
 
 
+def _with_fast_thread_switching(fn):
+    """fn() with the interpreter switching threads every microsecond, which
+    would expose a draw buffer read before it is drawn or drawn over while it
+    is read; asserts that no thread is left behind, also on an error."""
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+
+def test_simulate_trials_match_full_block_draws_trial_by_trial():
+    # The helper draws each later block into the one normals buffer; the
+    # multi-block trial followed by another is where it is refilled across
+    # trials.
+    configs = [
+        DgpConfig(n=n, seed=seed)
+        for n, seed in ((1, 0), (1809, 7), (BLOCK, 2**64 - 1), (BLOCK + 1, 3),
+                        (3 * BLOCK + 129, 11), (5, 0))
+    ]
+    got = _with_fast_thread_switching(lambda: list(dgp.simulate_trials(configs)))
+    assert len(got) == len(configs)
+    for fast, config in zip(got, configs):
+        full = reference_simulate_smart(config)
+        for name in COLUMNS:
+            assert getattr(fast, name).dtype == getattr(full, name).dtype, name
+            assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+def test_simulate_raises_the_helper_threads_error_and_joins_it(monkeypatch):
+    # Blocks after the first are drawn on the helper thread.
+    error = RuntimeError("no stream for block 2")
+    stream = dgp.philox_stream
+
+    def fail_on_block_2(seed, purpose, block):
+        if block == 2:
+            raise error
+        return stream(seed, purpose, block)
+
+    monkeypatch.setattr(dgp, "philox_stream", fail_on_block_2)
+    with pytest.raises(RuntimeError) as raised:
+        _with_fast_thread_switching(lambda: simulate_smart(DgpConfig(n=3 * BLOCK + 129)))
+    assert raised.value is error
+
+
+def test_one_block_trial_or_none_starts_no_thread(monkeypatch):
+    def no_thread(*args):
+        raise AssertionError("started a helper thread")
+
+    monkeypatch.setattr(dgp, "ThreadPoolExecutor", no_thread)
+    assert _with_fast_thread_switching(lambda: list(dgp.simulate_trials([]))) == []
+    one_block = _with_fast_thread_switching(lambda: simulate_smart(DgpConfig(n=BLOCK, seed=3)))
+    assert one_block.n == BLOCK
+
+
 def test_simulate_randomization_probabilities():
     data = simulate_smart(DgpConfig(n=1_000_000, seed=17))
     assert abs(data.a1.mean() - 0.5) < 0.005
@@ -272,17 +330,8 @@ def test_truth_matches_per_regime_oracle_bit_for_bit(
     by_id = {r.id: r for r in embedded_regimes()}
     regimes = None if regime_ids is None else [by_id[i] for i in regime_ids]
     args = dict(regimes=regimes, mc_draws=mc_draws, seed=17, reference_id=reference_id)
-    # The helper thread fills one normals buffer while the pieces read the
-    # other; switching threads every microsecond would expose a block read
-    # before it is drawn, or drawn over while it is read.
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = true_values(config, **args)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
+    # The helper thread fills one normals buffer while the pieces read the other.
+    got = _with_fast_thread_switching(lambda: true_values(config, **args))
     want = per_regime_true_values(config, **args)
     assert got.regimes == want.regimes
     for name in _TRUTH_FIELDS:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,14 @@ def _no_reps(*args):
 def test_study_refuses_truth_against_another_reference(monkeypatch):
     # Scored against regime 1 with truths against regime 4, every ICER bias
     # was wrong, and regime 4's NaN truth fell back to the published value.
-    monkeypatch.setattr(study, "_run_one_rep", _no_reps)
+    monkeypatch.setattr(study, "_analyze", _no_reps)
     truth = true_values(DgpConfig(seed=2), mc_draws=20_000, seed=2, reference_id=4)
     with pytest.raises(ValueError, match=r"\(reference 4\) does not hold"):
         run_study(StudyConfig(reps=2, n=400, seed=3), truth=truth)
 
 
 def test_study_refuses_truth_without_its_regimes(monkeypatch):
-    monkeypatch.setattr(study, "_run_one_rep", _no_reps)
+    monkeypatch.setattr(study, "_analyze", _no_reps)
     truth = true_values(DgpConfig(seed=2), embedded_regimes()[:3], mc_draws=10_000, seed=2)
     with pytest.raises(ValueError, match="does not hold the study's regimes"):
         run_study(StudyConfig(reps=2, n=400, seed=3), truth=truth)
@@ -147,6 +149,23 @@ def test_results_independent_of_thread_count():
             serial.draws[key].icer, parallel.draws[key].icer, equal_nan=True
         )
     assert list(serial.rows.items()) == list(parallel.rows.items())
+
+
+def test_an_error_in_progress_leaves_no_helper_thread():
+    # The serial study draws the next rep's trial on a helper thread; the
+    # error must join it before it reaches the caller, not when the frame
+    # its traceback holds is collected.
+    error = RuntimeError("stop at rep 2")
+
+    def stop_at_rep_2(rep):
+        if rep == 2:
+            raise error
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        run_study(StudyConfig(reps=5, n=300, seed=9), truth=TRUTH, progress=stop_at_rep_2)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 class _InProcessPool:
