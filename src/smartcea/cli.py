@@ -685,8 +685,9 @@ def _run_contrast(config: RunConfig) -> None:
 
 def _read_icer_table(path: str) -> list[PlanePoint]:
     """Plane points of an icer-table file (``_read_table``'s rules); an error
-    names its row's line, and a regime id may appear once.  A row whose icer,
-    rd_eff and rd_cost are all NaN, an undefined ICER, is left off with a note."""
+    names its row's line, and a regime id, at least 1 as in ``RegimeSpec``, may
+    appear once.  A row whose icer, rd_eff and rd_cost are all NaN, an undefined
+    ICER, is left off with a note."""
     columns = ("regime", "icer", "rd_eff", "rd_cost", "reliable")
     header, rows, starts = _read_table(path, columns)
     points, undefined, seen = [], [], set()
@@ -696,6 +697,8 @@ def _read_icer_table(path: str) -> list[PlanePoint]:
         rid, icer, rd_eff, rd_cost, reliable = (row[header.index(k)].strip() for k in columns)
         try:
             rid = int(rid)
+            if rid < 1:
+                raise ValueError(f"regime {rid}: id must be at least 1")
             if rid in seen:
                 raise _duplicate_regime(path, line, rid)
             seen.add(rid)

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,6 +147,20 @@ def _block_uniforms(rng: np.random.Generator, m: int) -> np.ndarray:
     return u
 
 
+def _prefetched(draw: Callable[..., tuple], jobs: Sequence[tuple]) -> Iterator[tuple]:
+    """Yield ``draw(*job)`` for each job in order: job 0 on the calling thread,
+    job k + 1 on one helper thread (numpy draws without the GIL) from when
+    result k is back, so while the caller uses it; job k + 2 may then draw
+    into a buffer that result k reads.  Fewer than two jobs start no thread;
+    the helper is joined when the generator ends, raises or is closed."""
+    with ThreadPoolExecutor(1) if len(jobs) > 1 else nullcontext() as helper:
+        for k, job in enumerate(jobs):
+            result = pending.result() if k else draw(*job)
+            if k + 1 < len(jobs):
+                pending = helper.submit(draw, *jobs[k + 1])
+            yield result
+
+
 def _trial_block_draws(seed: int, b: int, m: int, normals: np.ndarray) -> tuple:
     """Trial block b's first m rows of its seven variables, drawn as
     :func:`simulate_smart` says; each normal's m rows are copied out of ``normals``."""
@@ -161,20 +175,15 @@ def _trial_block_draws(seed: int, b: int, m: int, normals: np.ndarray) -> tuple:
 
 
 def simulate_trials(configs: Iterable[DgpConfig]) -> Iterator[Dataset]:
-    """Yield :func:`simulate_smart` of each config in turn.  One helper thread
-    draws each block after the first into one buffer of BLOCK normals (numpy
-    draws without the GIL) while the block before it is computed or, after a
-    trial's last block, used by the caller.  It is joined when the generator
-    ends or is closed; a lone one-block trial starts none."""
-    jobs = [(c, (c.seed, b, min(c.n - b * BLOCK, BLOCK)))
+    """Yield :func:`simulate_smart` of each config in turn, each block drawn
+    (``_prefetched``) while the one before is computed or, after a trial's
+    last block, used; all share one buffer of BLOCK normals."""
+    jobs = [(c, b, min(c.n - b * BLOCK, BLOCK))
             for c in configs for b in range((c.n + BLOCK - 1) // BLOCK)]
     normals, blocks = np.empty(BLOCK), []
-    with ThreadPoolExecutor(1) if len(jobs) > 1 else nullcontext() as helper:
-        for j, (config, (_, b, m)) in enumerate(jobs):
-            x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c = (
-                pending.result() if j else _trial_block_draws(*jobs[0][1], normals))
-            if j + 1 < len(jobs):
-                pending = helper.submit(_trial_block_draws, *jobs[j + 1][1], normals)
+    draws = _prefetched(_trial_block_draws, [(c.seed, b, m, normals) for c, b, m in jobs])
+    with closing(draws):
+        for (config, b, m), (x1, u_a1, u_l2, eps_s2, u_a2, u_y, e_c) in zip(jobs, draws):
             base_logit = logit(np.asarray(config.y_constants, dtype=np.float64))
             rate_k = np.asarray(config.c_constants, dtype=np.float64)
             a1 = (u_a1 < 0.5).astype(np.int64)
@@ -324,9 +333,9 @@ def _logit_uniform(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _truth_block_streams(seed: int, b: int, normals: np.ndarray) -> tuple:
-    """Draw truth block b's two normals into ``normals``; return generators
-    at the starts of its lapse uniforms, Y uniforms and exponentials.  A
-    uniform's generator is a second stream of the cell with the first's state
+    """Draw truth block b's two normals into ``normals``; return them and
+    generators at the starts of its lapse uniforms, Y uniforms and exponentials.
+    A uniform's generator is a second stream of the cell with the first's state
     copied in; the first then skips the BLOCK raw outputs that uniform takes."""
     rng = philox_stream(seed, PURPOSE_TRUTH, b)
     starts = []
@@ -336,7 +345,7 @@ def _truth_block_streams(seed: int, b: int, normals: np.ndarray) -> tuple:
         start.bit_generator.state = rng.bit_generator.state
         starts.append(start)
         skip_raw(rng, BLOCK)
-    return (*starts, rng)
+    return (*normals, *starts, rng)
 
 
 def true_values(
@@ -357,12 +366,11 @@ def true_values(
     :data:`MIN_MC_DRAWS`, two different regimes with one id, or a
     ``reference_id`` that names no regime.
 
-    One helper thread, joined before the call returns, draws block b + 1's
-    two full-block normals into the second of two buffers while block b is
-    summed (``_truth_block_streams``; numpy draws without the GIL).  The
-    arithmetic runs on pieces of at most ``_PIECE`` rows, whose work buffers
-    stay in cache; each piece draws its rows of the uniforms and
-    exponentials, so a short last block draws only what it reads.  The pieces
+    Block b + 1's two full-block normals are drawn into one of two buffers
+    while block b is summed (``_prefetched``).  The arithmetic runs on
+    pieces of at most ``_PIECE`` rows, whose work buffers stay in cache; each
+    piece draws its rows of the uniforms and exponentials, so a short last
+    block draws only what it reads.  The pieces
     are the nodes of numpy's pairwise summation tree of the block's rows
     (a run is split at half its length rounded down to a multiple of 8):
     a piece's ``.sum()`` is the sum of its node, and adding the pieces'
@@ -405,20 +413,16 @@ def true_values(
     sum_c2 = np.zeros(len(regs))
 
     blocks = (mc_draws + BLOCK - 1) // BLOCK
-    # Two blocks' full-block normals: the helper fills one while the pieces read the other.
+    # Two blocks' full-block normals: block b + 1 fills one while block b reads the other.
     normals = np.empty((min(blocks, 2), 2, BLOCK))
     piece = min(mc_draws, _PIECE)
     draws = np.empty((3, piece))
     work = np.empty((5, piece))
     masks = np.empty((3, piece), dtype=bool)
 
-    with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(_truth_block_streams, seed, 0, normals[0])
-        for b in range(blocks):
-            u_l2_rng, u_y_rng, e_c_rng = pending.result()
-            if b + 1 < blocks:
-                pending = helper.submit(_truth_block_streams, seed, b + 1, normals[(b + 1) % 2])
-            x1_block, eps_s2_block = normals[b % 2]
+    jobs = [(seed, b, normals[b % 2]) for b in range(blocks)]
+    with closing(_prefetched(_truth_block_streams, jobs)) as streams:
+        for b, (x1_block, eps_s2_block, u_l2_rng, u_y_rng, e_c_rng) in enumerate(streams):
             m = min(mc_draws - b * BLOCK, BLOCK)
 
             # Each piece's sums of C and C^2, one column per regime.

@@ -1,6 +1,6 @@
 """Public API: every exported name resolves, every public name is exported,
-every exported name is loaded by library code outside type annotations, and
-the package runs without scipy."""
+every exported name is loaded by library code outside type annotations, one
+library function starts threads, and the package runs without scipy."""
 
 from __future__ import annotations
 
@@ -105,6 +105,35 @@ def test_every_exported_name_is_loaded_by_library_code():
         if origin(stem, name) not in loaded
     )
     assert unused == sorted(UNUSED_EXPORTS)
+
+
+def _calls_by_function(node: ast.AST, where: str, callee: str):
+    """``where`` (or ``where.f`` inside function f) once for each call of
+    ``callee`` by name or attribute in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, f"{where}.{child.name}", callee)
+            continue
+        if isinstance(child, ast.Call) and callee in (
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        ):
+            yield where
+        yield from _calls_by_function(child, where, callee)
+
+
+def test_one_library_function_starts_threads():
+    # dgp._prefetched is the one draw-ahead pipeline, and the rule that keeps
+    # the shared draw buffers safe (no job starts before the caller is done
+    # with the result two back) is stated there.  study's ProcessPoolExecutor
+    # starts processes and is not counted.
+    calls = [
+        call
+        for path in sorted(Path(smartcea.__file__).parent.glob("*.py"))
+        for call in _calls_by_function(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem, "ThreadPoolExecutor"
+        )
+    ]
+    assert calls == ["dgp._prefetched"]
 
 
 def test_every_domain_exception_is_an_estimation_failure():

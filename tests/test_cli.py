@@ -779,6 +779,10 @@ def test_every_input_file_skips_indented_comments_and_blank_lines(tmp_path, read
          " line 4: not an icer-table file (could not convert string to float: '6.x')"),
         (PLANE_HEADER + ROW_2 + ROW_3.replace("3,", "3.5,", 1),
          " line 4: not an icer-table file (invalid literal for int() with base 10: '3.5')"),
+        (PLANE_HEADER + ROW_2 + ROW_3.replace("3,", "0,", 1),
+         " line 4: not an icer-table file (regime 0: id must be at least 1)"),
+        (PLANE_HEADER + ROW_2.replace("2,", "-3,", 1) + ROW_3,
+         " line 3: not an icer-table file (regime -3: id must be at least 1)"),
         (PLANE_HEADER + ROW_2.replace("true", "maybe") + ROW_3,
          " line 3: not an icer-table file (reliable must be true or false, got 'maybe')"),
         # Regime 2's quoted ci_lower spans lines 3-4 and line 5 is blank.
@@ -786,7 +790,8 @@ def test_every_input_file_skips_indented_comments_and_blank_lines(tmp_path, read
          " line 6: not an icer-table file (could not convert string to float: '')"),
     ],
     ids=["extra-field", "short-row", "repeated-column", "missing-column",
-         "malformed-number", "malformed-id", "reliable-maybe", "multi-line-record"],
+         "malformed-number", "malformed-id", "id-0", "id-minus-3", "reliable-maybe",
+         "multi-line-record"],
 )
 def test_a_malformed_icer_table_exits_1_naming_its_line(
     tmp_path, capsys, subcommand, text, message

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,7 +175,13 @@ def test_simulate_trials_match_full_block_draws_trial_by_trial():
             assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
 
 
-def test_simulate_raises_the_helper_threads_error_and_joins_it(monkeypatch):
+@pytest.mark.parametrize(
+    "run",
+    [lambda: simulate_smart(DgpConfig(n=3 * BLOCK + 129)),
+     lambda: true_values(DgpConfig(), mc_draws=3 * BLOCK)],
+    ids=["trials", "truth"],
+)
+def test_a_pipeline_raises_the_helper_threads_error_and_joins_it(monkeypatch, run):
     # Blocks after the first are drawn on the helper thread.
     error = RuntimeError("no stream for block 2")
     stream = dgp.philox_stream
@@ -186,18 +193,92 @@ def test_simulate_raises_the_helper_threads_error_and_joins_it(monkeypatch):
 
     monkeypatch.setattr(dgp, "philox_stream", fail_on_block_2)
     with pytest.raises(RuntimeError) as raised:
-        _with_fast_thread_switching(lambda: simulate_smart(DgpConfig(n=3 * BLOCK + 129)))
+        _with_fast_thread_switching(run)
     assert raised.value is error
 
 
-def test_one_block_trial_or_none_starts_no_thread(monkeypatch):
-    def no_thread(*args):
-        raise AssertionError("started a helper thread")
+def _no_thread(*args):
+    raise AssertionError("started a helper thread")
 
-    monkeypatch.setattr(dgp, "ThreadPoolExecutor", no_thread)
+
+def test_one_block_trial_or_none_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(dgp, "ThreadPoolExecutor", _no_thread)
     assert _with_fast_thread_switching(lambda: list(dgp.simulate_trials([]))) == []
     one_block = _with_fast_thread_switching(lambda: simulate_smart(DgpConfig(n=BLOCK, seed=3)))
     assert one_block.n == BLOCK
+    table = _with_fast_thread_switching(lambda: true_values(DgpConfig(), mc_draws=BLOCK))
+    assert table.mc_draws == BLOCK
+
+
+def _logged_draw(log, fail_at=None):
+    """A toy draw for ``dgp._prefetched``: job k logs ("start", k, thread)
+    and ("end", k), sleeping between them so that the other thread runs,
+    and returns (k,), or raises ``fail_at[1]`` when k is ``fail_at[0]``."""
+    def draw(k):
+        log.append(("start", k, threading.get_ident()))
+        time.sleep(0.002)
+        if fail_at is not None and k == fail_at[0]:
+            raise fail_at[1]
+        log.append(("end", k))
+        return (k,)
+    return draw
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_prefetched_draws_in_order_one_job_at_a_time_one_ahead(monkeypatch, count):
+    # The trial's one normals buffer needs no two jobs at once; the truth
+    # table's two alternating buffers need job k + 2 to wait until the
+    # caller is done with result k, that is, asks for result k + 1.
+    if count < 2:
+        monkeypatch.setattr(dgp, "ThreadPoolExecutor", _no_thread)
+    log, got = [], []
+
+    def consume():
+        results = dgp._prefetched(_logged_draw(log), [(k,) for k in range(count)])
+        while True:
+            log.append(("ask", len(got)))
+            try:
+                got.append(next(results))
+            except StopIteration:
+                return
+
+    _with_fast_thread_switching(consume)
+    assert got == [(k,) for k in range(count)]
+    jobs = [event[:2] for event in log if event[0] != "ask"]
+    assert jobs == [(edge, k) for k in range(count) for edge in ("start", "end")]
+    position = {event[:2]: i for i, event in enumerate(log)}
+    for k in range(count - 2):
+        assert position[("ask", k + 1)] < position[("start", k + 2)], k
+    # Job 0 runs on the calling thread, every later job on one helper.
+    main = threading.get_ident()
+    threads = [event[2] for event in log if event[0] == "start"]
+    helpers = set(threads[1:])
+    assert threads[:1] == [main][:count] and main not in helpers and len(helpers) == (count > 1)
+
+
+def test_prefetched_raises_the_helper_threads_error_and_joins_it():
+    error = RuntimeError("job 2 failed")
+    log = []
+    results = dgp._prefetched(_logged_draw(log, fail_at=(2, error)), [(k,) for k in range(4)])
+    with pytest.raises(RuntimeError) as raised:
+        _with_fast_thread_switching(lambda: list(results))
+    assert raised.value is error
+    assert [event[:2] for event in log][-1] == ("start", 2)
+
+
+def test_prefetched_closed_after_its_first_result_joins_the_helper():
+    log = []
+
+    def first_then_close():
+        results = dgp._prefetched(_logged_draw(log), [(k,) for k in range(3)])
+        first = next(results)
+        results.close()
+        return first
+
+    assert _with_fast_thread_switching(first_then_close) == (0,)
+    # Job 1, drawn ahead when the caller closed, ends before close returns;
+    # job 2 never starts.
+    assert [event[:2] for event in log] == [("start", 0), ("end", 0), ("start", 1), ("end", 1)]
 
 
 def test_simulate_randomization_probabilities():
@@ -379,24 +460,6 @@ def test_truth_table_memory_peak_of_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6, f"{peak / 1e6:.1f} MB"
-
-
-def test_truth_raises_the_helper_threads_error_and_joins_it(monkeypatch):
-    # The helper thread opens block b + 1's streams while block b is summed.
-    error = RuntimeError("no stream for block 2")
-    stream = dgp.philox_stream
-
-    def fail_on_block_2(seed, purpose, block):
-        if block == 2:
-            raise error
-        return stream(seed, purpose, block)
-
-    monkeypatch.setattr(dgp, "philox_stream", fail_on_block_2)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as raised:
-        true_values(DgpConfig(), mc_draws=3 * BLOCK)
-    assert raised.value is error
-    assert threading.active_count() == before
 
 
 _U_STEP = 2.0**-53  # the grid of Generator.random: U = k * 2**-53
