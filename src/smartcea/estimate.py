@@ -63,6 +63,11 @@ DEFAULT_G_MODES: Mapping[str, str] = {"ipw": "known", "tmle": "fitted"}
 # Fitted treatment probabilities are truncated to [G_TRUNCATION, 1 - G_TRUNCATION].
 G_TRUNCATION = 0.01
 
+# A fluctuation's offset is the initial fit's linear predictor, clipped to the
+# logits of 1e-10 and 1 - 1e-10.  The two bounds are not symmetric, since
+# 1 - 1e-10 rounds.
+_OFFSET_MIN, _OFFSET_MAX = logit(np.array([1e-10, 1.0 - 1e-10])).tolist()
+
 
 def check_estimators(estimators: Sequence[str]) -> tuple[str, ...]:
     """``estimators`` as a tuple; ``ValueError`` unless it names at least one
@@ -202,14 +207,17 @@ def ipw_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
 
 
 def _fluctuate(
-    z: np.ndarray, q: np.ndarray, weights: np.ndarray, rows: np.ndarray
+    z: np.ndarray, eta: np.ndarray, weights: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Intercept-only logistic update of q toward z along weighted residuals.
+    """Intercept-only logistic update of expit(eta) toward z along weighted
+    residuals.
 
-    The fit reads only ``rows``, the rows of q with positive weight, on
-    which ``z`` and ``weights`` are given; the update covers every row of q.
+    ``eta`` is the initial fit's linear predictor; clipped to the logits of
+    [1e-10, 1 - 1e-10], it is the fluctuation's offset.  The fit reads only
+    ``rows``, the rows of eta with positive weight, on which ``z`` and
+    ``weights`` are given; the update covers every row of eta.
     """
-    offset = logit(np.clip(q, 1e-10, 1.0 - 1e-10))
+    offset = np.clip(eta, _OFFSET_MIN, _OFFSET_MAX)
     ones = np.ones((rows.size, 1))
     try:
         fit = fit_logistic(ones, z, weights=weights, offset=offset[rows])
@@ -227,13 +235,16 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     A constant outcome column short-circuits to that constant with a zero
     influence curve.
 
-    Stage 2 reads only the records whose first treatment is the regime's
-    (a1 = d1), where the stage-1 weights are positive: its initial fit runs
-    on the regime-consistent records among them, and its prediction and
-    fluctuation cover them all.  Stage 1 fits on those records too, but
-    predicts and fluctuates on every record, since psi is the mean of the
-    fluctuated stage-1 prediction over all of them.  The two weighted
-    residual terms of the influence curve vanish off the stage-1 records.
+    Each stage fluctuates its initial fit on the fit's linear predictor,
+    clipped, as the offset (see ``_fluctuate``); no stage maps it to a
+    probability first.  Stage 2 reads only the records whose first treatment
+    is the regime's (a1 = d1), where the stage-1 weights are positive: its
+    initial fit runs on the regime-consistent records among them, and its
+    linear predictor and fluctuation cover them all.  Stage 1 fits on those
+    records too, but its linear predictor and fluctuation cover every
+    record, since psi is the mean of the fluctuated stage-1 prediction over
+    all of them.  The two weighted residual terms of the influence curve
+    vanish off the stage-1 records.
     """
     regime = request.regime
     mask, h2 = _cumulative_weights(dataset, regime, request.g)
@@ -254,11 +265,11 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     # with no consistent record leaves a zero column and the fit refuses it.
     X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)[s1]
     fit2 = fit_logistic(X2[consistent], z[consistent])
-    q2_star = _fluctuate(z[consistent], predict(fit2, X2), h2[consistent], consistent)
+    q2_star = _fluctuate(z[consistent], X2 @ fit2.coefficients, h2[consistent], consistent)
 
     X1 = _design((dataset.x1,), request.saturated)
     fit1 = fit_logistic(X1[s1], q2_star)
-    q1_star = _fluctuate(q2_star, predict(fit1, X1), h1, s1)
+    q1_star = _fluctuate(q2_star, X1 @ fit1.coefficients, h1, s1)
 
     psi_scaled = float(q1_star.mean())
     ic_scaled = q1_star - psi_scaled

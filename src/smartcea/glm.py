@@ -81,7 +81,8 @@ def expit(x):
 def logit(p):
     """Log odds, elementwise; requires p strictly inside (0, 1)."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    # NaN fails both comparisons, so it is refused too.
+    if not (np.all(p > 0.0) and np.all(p < 1.0)):
         raise ValueError("logit requires probabilities strictly inside (0, 1)")
     return np.log(p) - np.log1p(-p)
 
@@ -159,6 +160,12 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     The start's score may already be below 1e-8, as it is for an
     intercept-only design, and the fit then returns with iterations == 0.
     Every other fit, and every fit with an offset, starts at beta = 0.
+
+    A fit without weights is the fit with unit weights, bit for bit, since
+    1.0 * x is x: it skips the weight checks, the scan for positive weights
+    and the products by w in the Fisher weights and the score.  zbar and
+    the log-likelihood still read a vector of ones, since a dot product
+    need not round as the plain sum does.
     """
     X = _as_matrix(design)
     n, p = X.shape
@@ -172,13 +179,17 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     # min and max propagate NaN, which therefore fails these tests too.
     if not (z.min() >= 0.0 and z.max() <= 1.0):
         raise ValueError("responses must lie in [0, 1]")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("weights length does not match design")
-    if w.min() < 0.0:
-        raise ValueError("weights must be nonnegative")
-    if not np.isfinite(w.max()):
-        raise ValueError("weights must be finite")
+    unit = weights is None
+    if unit:
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError("weights length does not match design")
+        if w.min() < 0.0:
+            raise ValueError("weights must be nonnegative")
+        if not np.isfinite(w.max()):
+            raise ValueError("weights must be finite")
     off = None if offset is None else np.asarray(offset, dtype=np.float64)
     if off is not None:
         if off.shape != (n,):
@@ -188,14 +199,16 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     if not np.isfinite(X).all():
         raise ValueError("design must be finite")
 
-    rows = np.flatnonzero(w > 0.0)
-    m = rows.size
-    if m == 0:
-        raise ValueError("weights must not be all zero")
-    if m < n:
-        X, z, w = X.take(rows, axis=0), z.take(rows), w.take(rows)
-        if off is not None:
-            off = off.take(rows)
+    m = n
+    if not unit:
+        rows = np.flatnonzero(w > 0.0)
+        m = rows.size
+        if m == 0:
+            raise ValueError("weights must not be all zero")
+        if m < n:
+            X, z, w = X.take(rows, axis=0), z.take(rows), w.take(rows)
+            if off is not None:
+                off = off.take(rows)
     if p == 1:
         x = X[:, 0]
         if not x.any():
@@ -207,6 +220,10 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         if np.count_nonzero(s > s.max() * max(m, p) * np.finfo(np.float64).eps) < p:
             raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
     XT = X.T
+
+    def weigh(v):
+        # w * v; unit weights leave v as it is, as 1.0 * v would, bit for bit.
+        return v if unit else w * v
 
     def state(eta):
         # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
@@ -239,14 +256,14 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
     else:
         eta = off
     _, mu, ll = state(eta)
-    score = XT @ (w * (z - mu))
+    score = XT @ weigh(z - mu)
     max_abs_score = float(np.abs(score).max())
     converged = max_abs_score < SCORE_TOL
     it = 0
     while not converged and it < MAX_ITER:
         it += 1
         # Fisher information with a ridge on the diagonal for rank safety.
-        wfisher = w * mu * (1.0 - mu)
+        wfisher = weigh(mu) * (1.0 - mu)
         if p == 1:
             step = score / (wfisher @ xx + RIDGE)
         else:
@@ -270,7 +287,7 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
             step = 0.5 * step
         beta, eta, mu, ll = cand, cand_eta, cand_mu, cand_ll
 
-        score = XT @ (w * (z - mu))
+        score = XT @ weigh(z - mu)
         max_abs_score = float(np.abs(score).max())
         # A vanishing score proves nothing when every weighted row sits at
         # its matching boundary: the likelihood is degenerate and the MLE

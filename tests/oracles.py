@@ -37,9 +37,11 @@ fail in the same way.
 ``reference_tmle_mean`` is ``smartcea.estimate.tmle_mean`` as it was before
 each stage read only the rows its result reads: every stage runs over all n
 records, and ``reference_fluctuate`` hands ``fit_logistic`` every row with
-its weight, zero included, for the kernel to gather.  The library must agree
-with it bit for bit, in psi and in every influence-curve entry, and fail
-with the same class and message.
+its weight, zero included, for the kernel to gather.  It shares the
+library's offset rule: each fluctuation's offset is the initial fit's linear
+predictor, clipped to the logits of [1e-10, 1 - 1e-10], not the logit of its
+clipped prediction.  The library must agree with it bit for bit, in psi and
+in every influence-curve entry, and fail with the same class and message.
 
 ``relative_variance`` is the paired TMLE/IPW variance ratio per regime, in
 both orientations, with the checks that both estimators kept the same
@@ -114,7 +116,6 @@ from smartcea.glm import (
     expit,
     fit_logistic,
     logit,
-    predict,
 )
 from smartcea.inference import IcerResult
 from smartcea.rng import (
@@ -595,9 +596,11 @@ def reference_fit_logistic(design, response, weights=None, offset=None) -> GlmFi
     )
 
 
-def reference_fluctuate(z: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Intercept-only logistic update of q toward z along weighted residuals."""
-    offset = logit(np.clip(q, 1e-10, 1.0 - 1e-10))
+def reference_fluctuate(z: np.ndarray, eta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Intercept-only logistic update of expit(eta) toward z along weighted
+    residuals, with eta clipped to the logits of [1e-10, 1 - 1e-10] as the
+    offset."""
+    offset = np.clip(eta, float(logit(1e-10)), float(logit(1.0 - 1e-10)))
     ones = np.ones((z.shape[0], 1))
     try:
         fit = fit_logistic(ones, z, weights=weights, offset=offset)
@@ -629,13 +632,11 @@ def reference_tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> Estimat
 
     X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)
     fit2 = fit_logistic(X2[mask], z[mask])
-    q2 = predict(fit2, X2)
-    q2_star = reference_fluctuate(z, q2, h2)
+    q2_star = reference_fluctuate(z, X2 @ fit2.coefficients, h2)
 
     X1 = _design((dataset.x1,), request.saturated)
     fit1 = fit_logistic(X1[stage1_mask], q2_star[stage1_mask])
-    q1 = predict(fit1, X1)
-    q1_star = reference_fluctuate(q2_star, q1, h1)
+    q1_star = reference_fluctuate(q2_star, X1 @ fit1.coefficients, h1)
 
     psi_scaled = float(q1_star.mean())
     ic_scaled = h2 * (z - q2_star) + h1 * (q2_star - q1_star) + (q1_star - psi_scaled)

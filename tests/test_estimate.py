@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smartcea import estimate
 from smartcea.core import Dataset, EstimationFailure, RegimeSpec, consistency_mask
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.estimate import (
@@ -15,12 +16,13 @@ from smartcea.estimate import (
     GModel,
     RegimeMeanRequest,
     ZeroSupport,
+    _design,
     estimate_g,
     ipw_mean,
     regime_mean,
     tmle_mean,
 )
-from smartcea.glm import SeparationDetected, expit
+from smartcea.glm import SeparationDetected, expit, fit_logistic, logit
 
 from discrete_bed import empirical_discrete, gcomp_discrete, make_discrete_dgp, sample_discrete
 from oracles import TARGET_EC, TARGET_EY, reference_tmle_mean
@@ -348,3 +350,39 @@ def test_tmle_equals_the_all_rows_oracle_bit_for_bit(data, g_kind, saturated):
             assert _tmle_outcome(tmle_mean, data, request) == _tmle_outcome(
                 reference_tmle_mean, data, request
             ), (regime.id, outcome)
+
+
+def test_fluctuation_offset_is_the_clipped_linear_predictor(monkeypatch):
+    # An outcome that rises with x1, and two regime-consistent records far out
+    # on x1 with the outcome the trend predicts: their linear predictors lie
+    # beyond the logits of 1e-10 and 1 - 1e-10 at both stages.
+    rng = np.random.default_rng(5)
+    n = 400
+    data = _synthetic(n=n, seed=5)
+    regime = embedded_regimes()[0]
+    x1 = data.x1[:, 0].copy()
+    y = (x1 + rng.logistic(size=n) > 0.0).astype(np.int64)
+    far = np.flatnonzero(consistency_mask(data, regime))[:2]
+    x1[far], y[far] = (-100.0, 100.0), (0, 1)
+    data = Dataset(x1=x1, a1=data.a1, l2=data.l2, s2=data.s2, a2=data.a2, y=y, c=data.c)
+    calls = []
+
+    def recording_fit(design, response, weights=None, offset=None):
+        fit = fit_logistic(design, response, weights=weights, offset=offset)
+        calls.append((offset, fit))
+        return fit
+
+    monkeypatch.setattr(estimate, "fit_logistic", recording_fit)
+    tmle_mean(data, _request(regime, "y", "tmle", estimate_g(data, "known")))
+    (none2, fit2), (offset2, _), (none1, fit1), (offset1, _) = calls
+    assert none2 is None and none1 is None
+
+    s1 = np.flatnonzero(data.a1 == regime.d1)
+    consistent = np.flatnonzero(consistency_mask(data, regime)[s1])
+    eta2 = (_design((data.x1, data.l2, data.s2), False)[s1] @ fit2.coefficients)[consistent]
+    eta1 = (_design((data.x1,), False) @ fit1.coefficients)[s1]
+    lo, hi = float(logit(1e-10)), float(logit(1.0 - 1e-10))
+    for eta, offset in ((eta2, offset2), (eta1, offset1)):
+        assert offset.tobytes() == np.clip(eta, lo, hi).tobytes()
+        assert (eta < lo).any() and (eta > hi).any()
+        assert np.all(offset[eta < lo] == lo) and np.all(offset[eta > hi] == hi)

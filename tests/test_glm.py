@@ -34,6 +34,7 @@ def _design(columns: dict[str, np.ndarray]) -> np.ndarray:
 def test_expit_logit_inverse():
     x = np.linspace(-20, 20, 401)
     assert np.allclose(logit(expit(x)), x, atol=1e-8)
+    assert logit(np.empty(0)).shape == (0,)
 
 
 def _masked_expit(x):
@@ -260,6 +261,8 @@ def test_design_without_columns_is_rejected():
     "call, message",
     [
         (lambda: logit([0.0]), "logit requires probabilities strictly inside (0, 1)"),
+        (lambda: logit([np.nan]), "logit requires probabilities strictly inside (0, 1)"),
+        (lambda: logit([0.5, np.nan]), "logit requires probabilities strictly inside (0, 1)"),
         (lambda: fit_logistic(np.ones(4), np.zeros(4)), "design must be 2-dimensional"),
         (lambda: fit_logistic(np.ones((4, 1)), np.zeros(3)),
          "response length does not match design"),
@@ -272,8 +275,8 @@ def test_design_without_columns_is_rejected():
         (lambda: predict(GlmFit(np.zeros(2), True, 0, 0.0), np.ones((2, 3))),
          "design has 3 columns, fit expects 2"),
     ],
-    ids=["logit", "one-dimensional-design", "response-length", "weights-length",
-         "negative-weight", "offset-length", "predict-width"],
+    ids=["logit", "logit-nan", "logit-half-nan", "one-dimensional-design", "response-length",
+         "weights-length", "negative-weight", "offset-length", "predict-width"],
 )
 def test_input_checks_refuse_with_their_message(call, message):
     with pytest.raises(ValueError) as err:
@@ -436,7 +439,7 @@ def _outcome(X, z, w, offset):
     try:
         fit = fit_logistic(X, z, weights=w, offset=offset)
     except (ValueError, SeparationDetected, RankDeficient) as err:
-        return type(err)
+        return type(err), str(err)
     return (fit.coefficients.tobytes(), fit.converged, fit.iterations, fit.max_abs_score)
 
 
@@ -478,8 +481,13 @@ def test_converged_fit_solves_the_score_equation(problem):
 @example(problem=_problem([0.0, 1.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 1.0, 1.0]))
 @example(problem=_problem([1.0, 0.0, 0.3, 0.6], [0.0, 1.0, 1.0, 1.0],
                           offset=[3.0, -3.0, 0.0, 1.0], p=3))
+# A constant response, which separates with and without weights.
+@example(problem=_problem([1.0] * 4, [1.0] * 4))
 def test_zero_weight_rows_are_exactly_dropped(problem):
     X, z, w, offset = problem
+    # No weights are unit weights, bit for bit, in every field of the fit or
+    # in the class and message of its failure.
+    assert _outcome(X, z, None, offset) == _outcome(X, z, np.ones(X.shape[0]), offset)
     keep = w > 0.0
     assume(keep.sum() >= X.shape[1])
     dropped = _outcome(X[keep], z[keep], w[keep], _rows(offset, keep))
