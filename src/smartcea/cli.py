@@ -9,7 +9,8 @@ wall-clock seeding anywhere, so a config rerun is byte-identical.
 
 Every output file begins with comment lines recording the tool version, the
 subcommand, the fully resolved configuration, and the master seed.  No
-timestamps are written by design.
+timestamps are written by design.  The configuration takes one line, so a
+string setting that holds a line break (``\\n`` or ``\\r``) is a usage error.
 
 Exit codes: 0 success; 2 usage error (bad flag, bad config key, value out
 of range); 1 runtime failure, reported as a single machine-readable line
@@ -346,6 +347,8 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
                 )
             raise UsageError(f"{opt.name}: required")
         if value is not None:
+            if opt.type is str and ("\n" in value or "\r" in value):
+                raise UsageError(f"{opt.name}: must not contain a line break")
             if opt.choices and value not in opt.choices:
                 raise UsageError(
                     f"{opt.name}: expected one of {', '.join(map(str, opt.choices))}"

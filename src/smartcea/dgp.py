@@ -259,7 +259,6 @@ def _finish_truth(
     rd_cost = ec - ec[ref_pos]
     with np.errstate(divide="ignore", invalid="ignore"):
         icer = np.where(np.abs(rd_eff) < MIN_DENOMINATOR, np.nan, rd_cost / rd_eff)
-    icer[ref_pos] = np.nan
 
     return TruthTable(
         regimes=regs,

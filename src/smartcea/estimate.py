@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import STAGE1_SUPPORT, STAGE2_SUPPORT, check_outcome
 from .core import Dataset, EstimateWithIC, EstimationFailure, RegimeSpec, consistency_mask
-from .glm import SeparationDetected, expit, fit_logistic, logit, predict
+from .glm import SeparationDetected, expit, fit_logistic, logit
 
 __all__ = [
     "ZeroSupport",
@@ -135,7 +135,7 @@ def _received_probs(X: np.ndarray, a: np.ndarray, hi: int, context: str) -> np.n
         fit = fit_logistic(X, (a == hi).astype(np.float64))
     except SeparationDetected as err:
         raise SeparationDetected(f"{context}: {err}") from None
-    p_hi = np.clip(predict(fit, X), G_TRUNCATION, 1.0 - G_TRUNCATION)
+    p_hi = np.clip(expit(X @ fit.coefficients), G_TRUNCATION, 1.0 - G_TRUNCATION)
     return np.where(a == hi, p_hi, 1.0 - p_hi)
 
 

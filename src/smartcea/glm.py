@@ -37,7 +37,6 @@ __all__ = [
     "expit",
     "logit",
     "fit_logistic",
-    "predict",
 ]
 
 SCORE_TOL = 1e-8
@@ -48,7 +47,6 @@ MAX_ITER = 100
 RIDGE = 1e-10
 MAX_HALVINGS = 10
 ETA_DIVERGED = 30.0
-PROB_CLAMP = 1e-12
 
 
 class SeparationDetected(EstimationFailure):
@@ -318,16 +316,3 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         max_abs_score=max_abs_score,
     )
 
-
-def predict(fit: GlmFit, design) -> np.ndarray:
-    """expit(design @ coefficients), clamped to [1e-12, 1 - 1e-12].
-
-    A fit with an offset is evaluated by its caller, which holds the offset.
-    """
-    X = _as_matrix(design)
-    if X.shape[1] != fit.coefficients.shape[0]:
-        raise ValueError(
-            f"design has {X.shape[1]} columns, fit expects "
-            f"{fit.coefficients.shape[0]}"
-        )
-    return np.clip(expit(X @ fit.coefficients), PROB_CLAMP, 1.0 - PROB_CLAMP)

@@ -105,7 +105,9 @@ class StudyConfig:
         check_count("reps", self.reps, 1)
         check_count("n", self.n, 2)
         check_seed(self.seed)
-        check_estimators(self.estimators)
+        # Stored as the tuple the rule returns, so a list given here still
+        # leaves the frozen config hashable.
+        object.__setattr__(self, "estimators", check_estimators(self.estimators))
         check_alpha(self.alpha)
         check_cv_threshold(self.cv_threshold)
 

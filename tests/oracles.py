@@ -106,7 +106,6 @@ from smartcea.glm import (
     ETA_DIVERGED,
     MAX_HALVINGS,
     MAX_ITER,
-    PROB_CLAMP,
     RIDGE,
     SCORE_TOL,
     GlmFit,
@@ -464,6 +463,11 @@ def reference_simulate_smart(config: DgpConfig) -> Dataset:
     return Dataset(
         **cols,
     )
+
+
+# The textbook IRLS clips fitted probabilities to [PROB_CLAMP, 1 - PROB_CLAMP]
+# before taking their logs.
+PROB_CLAMP = 1e-12
 
 
 def _log_likelihood(z, mu, w) -> float:

@@ -1,6 +1,7 @@
 """Public API: every exported name resolves, every public name is exported,
-every exported name is loaded by library code outside type annotations, one
-library function starts threads, and the package runs without scipy."""
+every exported name and every module-level constant is loaded by library code
+outside type annotations, one library function starts threads, and the
+package runs without scipy."""
 
 from __future__ import annotations
 
@@ -9,14 +10,15 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import smartcea
 
-# Exported names that no library code loads, each with the reason it stays.
-UNUSED_EXPORTS = {
+# Library names that no library code loads, each with the reason it stays.
+UNLOADED_NAMES = {
     "rng.PURPOSE_CALIBRATE": "reserves stream tag 4 for the calibration search in the tests",
 }
 
@@ -62,11 +64,15 @@ def _loads_outside_annotations(tree: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_every_exported_name_is_loaded_by_library_code():
-    # A name that only the tests read belongs with them, in tests/oracles.py.
-    # A load counts for the module that defines the name: a bare name where
-    # the loading module defines it or imports it from a library module, or
-    # an attribute of a name bound to a library module.
+def _library_loads():
+    """The library's parsed modules by stem, the (module, name) a name bound
+    in a module was imported from, and the set of (module, name) pairs that
+    library code loads outside type annotations.
+
+    A load counts for the module that defines the name: a bare name where
+    the loading module defines it or imports it from a library module, or
+    an attribute of a name bound to a library module.
+    """
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(smartcea.__file__).parent.glob("*.py"))
@@ -97,6 +103,12 @@ def test_every_exported_name_is_loaded_by_library_code():
                 module, name = origin(stem, node.value.id)
                 if name is None:
                     loaded.add(origin(module, node.attr))
+    return trees, origin, loaded
+
+
+def test_every_exported_name_is_loaded_by_library_code():
+    # A name that only the tests read belongs with them, in tests/oracles.py.
+    trees, origin, loaded = _library_loads()
     unused = sorted(
         f"{stem}.{name}"
         for stem in trees
@@ -104,7 +116,29 @@ def test_every_exported_name_is_loaded_by_library_code():
                      else importlib.import_module(f"smartcea.{stem}")).__all__
         if origin(stem, name) not in loaded
     )
-    assert unused == sorted(UNUSED_EXPORTS)
+    assert unused == sorted(UNLOADED_NAMES)
+
+
+def test_every_module_constant_is_loaded_by_library_code():
+    # The export rule above sees only __all__; a constant left behind when its
+    # last reader goes is caught here, exported or not.
+    trees, _, loaded = _library_loads()
+    assigned = set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                        assigned.add((stem, name.id))
+    assert len(assigned) > 40  # the scan sees the library's constants
+    unused = sorted(f"{stem}.{name}" for stem, name in assigned - loaded)
+    assert unused == sorted(UNLOADED_NAMES)
 
 
 def _calls_by_function(node: ast.AST, where: str, callee: str):

@@ -327,6 +327,26 @@ def test_a_value_outside_its_rule_exits_2_with_the_library_message(
     assert settings[option.name] == option.type(boundary)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize(
+    "argv, flag, value, name",
+    [
+        (SIMULATE, "--out", "a{}b.csv", "out"),
+        (ICER_TABLE, "--data", "a{}b.csv", "data"),
+        (MC_STUDY, "--estimators", "ipw,{}tmle", "estimators"),
+    ],
+    ids=["simulate-out", "icer-table-data", "mc-study-estimators"],
+)
+def test_a_string_setting_with_a_line_break_exits_2(
+    tmp_path, monkeypatch, capsys, argv, flag, value, name, brk
+):
+    # Every output header writes the settings on one "# config:" line.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv, flag, value.format(brk), capsys=capsys)
+    assert (code, out, err) == (2, "", f"usage error: {name}: must not contain a line break\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

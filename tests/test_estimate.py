@@ -386,3 +386,36 @@ def test_fluctuation_offset_is_the_clipped_linear_predictor(monkeypatch):
         assert offset.tobytes() == np.clip(eta, lo, hi).tobytes()
         assert (eta < lo).any() and (eta > hi).any()
         assert np.all(offset[eta < lo] == lo) and np.all(offset[eta > hi] == hi)
+
+
+def test_each_fluctuation_solves_its_weighted_score_equation(monkeypatch):
+    # The targeting identity, from outside tmle_mean: with weights derived
+    # here from the fitted g, stage 2's fluctuation solves
+    # sum h2 (z - q2*) = 0 over the consistent records, h2 = 1 / (g1 g2), and
+    # stage 1's solves sum h1 (q2* - q1*) = 0 over the a1 = d1 records,
+    # h1 = 1 / g1.  Under the known g, 1 / g1 is 2 on every record, so only a
+    # fitted g tells a stage-1 weight of 1 / g1 from the constant 2.
+    data = simulate_smart(DgpConfig(n=1809, seed=5))
+    g = estimate_g(data, "fitted")
+    calls = []
+
+    def recording_fit(design, response, weights=None, offset=None):
+        fit = fit_logistic(design, response, weights=weights, offset=offset)
+        calls.append((response, offset, fit))
+        return fit
+
+    monkeypatch.setattr(estimate, "fit_logistic", recording_fit)
+    for regime in embedded_regimes():
+        mask = consistency_mask(data, regime)
+        s1 = data.a1 == regime.d1
+        h2 = 1.0 / (g.p_a1[mask] * g.p_a2[mask])
+        h1 = 1.0 / g.p_a1[s1]
+        for outcome in ("y", "c"):
+            calls.clear()
+            tmle_mean(data, _request(regime, outcome, "tmle", g))
+            _, (z, offset2, fluct2), (q2_star, _, _), (_, offset1, fluct1) = calls
+            z_raw = data.outcome(outcome)
+            assert np.array_equal(z, (z_raw[mask] - z_raw.min()) / (z_raw.max() - z_raw.min()))
+            score2 = float(h2 @ (z - expit(offset2 + fluct2.coefficients[0])))
+            score1 = float(h1 @ (q2_star - expit(offset1 + fluct1.coefficients[0])))
+            assert abs(score2) < 1e-6 and abs(score1) < 1e-6, (regime.id, outcome)

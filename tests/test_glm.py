@@ -15,13 +15,11 @@ from smartcea import estimate
 from smartcea.dgp import DgpConfig, embedded_regimes, simulate_smart
 from smartcea.glm import (
     SCORE_TOL,
-    GlmFit,
     RankDeficient,
     SeparationDetected,
     expit,
     fit_logistic,
     logit,
-    predict,
 )
 from smartcea.rng import PURPOSE_BOOTSTRAP, philox_stream
 from smartcea.study import StudyConfig, _run_one_rep, icer_table
@@ -220,17 +218,6 @@ def test_fit_is_bit_reproducible():
     assert fit_a.iterations == fit_b.iterations
 
 
-def test_predict_clamps_probabilities():
-    z = np.array([0.0, 1.0, 1.0])
-    design = _design({"intercept": np.ones(3)})
-    fit = fit_logistic(design, z)
-    # Linear predictors of about -100, 0 and 100.
-    extreme = _design({"intercept": np.array([-150.0, 0.0, 150.0])})
-    probs = predict(fit, extreme)
-    assert np.all(probs > 0.0)
-    assert np.all(probs < 1.0)
-
-
 @pytest.mark.parametrize("case", ["nan_response", "inf_weight", "nan_design", "inf_offset"])
 def test_non_finite_inputs_are_rejected(case):
     rng = np.random.default_rng(5)
@@ -272,11 +259,9 @@ def test_design_without_columns_is_rejected():
          "weights must be nonnegative"),
         (lambda: fit_logistic(np.ones((4, 1)), np.zeros(4), offset=np.zeros(3)),
          "offset length does not match design"),
-        (lambda: predict(GlmFit(np.zeros(2), True, 0, 0.0), np.ones((2, 3))),
-         "design has 3 columns, fit expects 2"),
     ],
     ids=["logit", "logit-nan", "logit-half-nan", "one-dimensional-design", "response-length",
-         "weights-length", "negative-weight", "offset-length", "predict-width"],
+         "weights-length", "negative-weight", "offset-length"],
 )
 def test_input_checks_refuse_with_their_message(call, message):
     with pytest.raises(ValueError) as err:

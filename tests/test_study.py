@@ -90,6 +90,13 @@ def test_config_rejects_repeated_estimators(estimators):
         StudyConfig(estimators=estimators)
 
 
+def test_config_stores_estimators_as_a_tuple():
+    # A list kept as given would make the frozen config unhashable.
+    config = StudyConfig(estimators=["ipw"])
+    assert config.estimators == ("ipw",)
+    assert hash(config) == hash(StudyConfig(estimators=("ipw",)))
+
+
 def _no_reps(*args):
     raise AssertionError("ran a repetition before checking the truth table")
 
