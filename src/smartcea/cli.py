@@ -10,7 +10,10 @@ wall-clock seeding anywhere, so a config rerun is byte-identical.
 Every output file begins with comment lines recording the tool version, the
 subcommand, the fully resolved configuration, and the master seed.  No
 timestamps are written by design.  The configuration takes one line, so a
-string setting that holds a line break (``\\n`` or ``\\r``) is a usage error.
+string setting that holds a line break (``\\n`` or ``\\r``) is a usage error;
+so is one that holds any other character XML 1.0 forbids (a control
+character other than tab, a surrogate, U+FFFE or U+FFFF), since ``plot``
+writes the settings into its SVG and UTF-8 cannot encode a surrogate.
 
 Exit codes: 0 success; 2 usage error (bad flag, bad config key, value out
 of range); 1 runtime failure, reported as a single machine-readable line
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -291,6 +295,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# The characters XML 1.0 forbids, line breaks aside: C0 controls other than
+# tab, surrogates (an undecodable byte of a path arrives as one), U+FFFE and
+# U+FFFF.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def parse_and_validate(argv: Sequence[str]) -> RunConfig:
     """argv (without the program name) to a validated RunConfig."""
     parser = argparse.ArgumentParser(
@@ -349,6 +359,10 @@ def parse_and_validate(argv: Sequence[str]) -> RunConfig:
         if value is not None:
             if opt.type is str and ("\n" in value or "\r" in value):
                 raise UsageError(f"{opt.name}: must not contain a line break")
+            if opt.type is str and (bad := _NOT_XML_CHAR.search(value)):
+                raise UsageError(
+                    f"{opt.name}: must not contain character U+{ord(bad.group()):04X}"
+                )
             if opt.choices and value not in opt.choices:
                 raise UsageError(
                     f"{opt.name}: expected one of {', '.join(map(str, opt.choices))}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -202,7 +202,10 @@ class Dataset:
     (a failure raises :class:`InvalidRecord`, worded ``record R, column 'C':
     reason`` with R from 1); only then are the codes and y cast to int64.
     Columns are frozen (read-only views).  ``x1`` always has shape (n, p);
-    the common scalar-baseline case is p = 1.
+    the common scalar-baseline case is p = 1.  Since the columns never
+    change, a value computed from them alone holds for the dataset's life:
+    :meth:`derived` computes each such value once and keeps it with the
+    dataset.
 
     Parameters
     ----------
@@ -259,6 +262,7 @@ class Dataset:
         self.c = c
         for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
+        self._derived: dict = {}
 
     @property
     def n(self) -> int:
@@ -276,12 +280,32 @@ class Dataset:
             column = getattr(self, name)[idx]
             column.setflags(write=False)
             setattr(subset, name, column)
+        subset._derived = {}
         return subset
 
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed on the first call with ``key`` and kept with
+        the dataset for every later one.
+
+        ``build`` may read only the columns and what ``key`` names, so one
+        key always stands for one value.  The value is an array or a tuple;
+        each array in it is made read-only, as the columns are, so no caller
+        can change what another reads.
+        """
+        if key not in self._derived:
+            value = build()
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
+            self._derived[key] = value
+        return self._derived[key]
+
     def outcome(self, name: str) -> np.ndarray:
-        """Outcome column by tag, one of :data:`OUTCOMES`."""
+        """Outcome column by tag, one of :data:`OUTCOMES`, as floats (read-only)."""
         check_outcome(name)
-        return self.y.astype(np.float64) if name == "y" else self.c
+        if name == "c":
+            return self.c
+        return self.derived(("outcome", name), lambda: self.y.astype(np.float64))
 
 
 def consistency_mask(dataset: Dataset, regime: RegimeSpec) -> np.ndarray:

@@ -20,6 +20,13 @@ record received: a record enters the weights I(A = d) / (g1 g2) only when
 those treatments are the regime's.  A :class:`RegimeMeanRequest` bundles one
 estimation task: the regime, the outcome column, the estimator, the
 treatment model, and a flag for saturated outcome regressions.
+
+Everything an estimate reads that does not depend on g (consistency masks,
+stage-1 rows, designs, scaled outcomes) is computed once per dataset
+through ``Dataset.derived``, so the many estimates made on one trial share
+it.  Each key names what its value reads besides the columns: the regime,
+the stage-1 arm, the outcome and, for every value that holds a design, the
+coding.  The weights read g, so every call computes them afresh.
 """
 
 from __future__ import annotations
@@ -164,7 +171,7 @@ def estimate_g(dataset: Dataset, kind: str = "known") -> GModel:
         raise ValueError(
             f"unknown g kind {kind!r}, expected 'known', 'fitted' or 'saturated'"
         )
-    X1 = _design((dataset.x1,), kind == "saturated")
+    X1 = _stage1_design(dataset, kind == "saturated")
     p_a1 = _received_probs(X1, dataset.a1, max(STAGE1_SUPPORT), "stage 1")
 
     p_a2 = np.empty(n)
@@ -178,13 +185,46 @@ def estimate_g(dataset: Dataset, kind: str = "known") -> GModel:
     return GModel(p_a1=p_a1, p_a2=p_a2)
 
 
+def _stage1_design(dataset: Dataset, saturated: bool) -> np.ndarray:
+    """The stage-1 design on x1 over all records, for g and for Q alike."""
+    return dataset.derived(("X1", saturated), lambda: _design((dataset.x1,), saturated))
+
+
+def _stage1_rows(dataset: Dataset, d1: int) -> np.ndarray:
+    """The records whose first treatment is d1."""
+    return dataset.derived(("s1", d1), lambda: np.flatnonzero(dataset.a1 == d1))
+
+
+def _arm(dataset: Dataset, d1: int, saturated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-1 and stage-2 outcome designs on the records of arm d1."""
+
+    def build():
+        s1 = _stage1_rows(dataset, d1)
+        if saturated:
+            # The saturated coding's strata are those of all records, so a
+            # stratum with no consistent record leaves a zero column and the
+            # fit refuses it.
+            X2 = _design((dataset.x1, dataset.l2, dataset.s2), True)[s1]
+        else:
+            X2 = _design((dataset.x1[s1], dataset.l2[s1], dataset.s2[s1]), False)
+        return _stage1_design(dataset, saturated)[s1], X2
+
+    return dataset.derived(("arm", d1, saturated), build)
+
+
+def _consistent(dataset: Dataset, regime: RegimeSpec) -> np.ndarray:
+    """The regime's consistency mask; raises on empty support."""
+    mask = dataset.derived(("mask", regime), lambda: consistency_mask(dataset, regime))
+    if not mask.any():
+        raise ZeroSupport(f"no records consistent with regime {regime.id}")
+    return mask
+
+
 def _cumulative_weights(
     dataset: Dataset, regime: RegimeSpec, g: GModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(consistency mask, I[consistent] / (g1 g2)); raises on empty support."""
-    mask = consistency_mask(dataset, regime)
-    if not mask.any():
-        raise ZeroSupport(f"no records consistent with regime {regime.id}")
+    mask = _consistent(dataset, regime)
     return mask, np.where(mask, 1.0 / (g.p_a1 * g.p_a2), 0.0)
 
 
@@ -246,29 +286,43 @@ def tmle_mean(dataset: Dataset, request: RegimeMeanRequest) -> EstimateWithIC:
     all of them.  The two weighted residual terms of the influence curve
     vanish off the stage-1 records.
     """
-    regime = request.regime
-    mask, h2 = _cumulative_weights(dataset, regime, request.g)
+    regime, outcome, saturated, g = request.regime, request.outcome, request.saturated, request.g
+    mask = _consistent(dataset, regime)
 
-    z_raw = dataset.outcome(request.outcome)
-    lo = float(z_raw.min())
-    hi = float(z_raw.max())
+    def outcome_range():
+        z_raw = dataset.outcome(outcome)
+        return float(z_raw.min()), float(z_raw.max())
+
+    lo, hi = dataset.derived(("range", outcome), outcome_range)
     if hi == lo:
         return EstimateWithIC(psi=lo, ic=np.zeros(dataset.n))
 
-    s1 = np.flatnonzero(dataset.a1 == regime.d1)
-    z = (z_raw[s1] - lo) / (hi - lo)
-    h1 = 1.0 / request.g.p_a1[s1]
-    h2 = h2[s1]
-    consistent = np.flatnonzero(mask[s1])
+    s1 = _stage1_rows(dataset, regime.d1)
+    X1_s1, X2 = _arm(dataset, regime.d1, saturated)
 
-    # The saturated coding's strata are those of all records, so a stratum
-    # with no consistent record leaves a zero column and the fit refuses it.
-    X2 = _design((dataset.x1, dataset.l2, dataset.s2), request.saturated)[s1]
-    fit2 = fit_logistic(X2[consistent], z[consistent])
-    q2_star = _fluctuate(z[consistent], X2 @ fit2.coefficients, h2[consistent], consistent)
+    def consistent_rows():
+        consistent = np.flatnonzero(mask[s1])
+        return consistent, X2[consistent]
 
-    X1 = _design((dataset.x1,), request.saturated)
-    fit1 = fit_logistic(X1[s1], q2_star)
+    consistent, X2_consistent = dataset.derived(
+        ("consistent", regime, saturated), consistent_rows
+    )
+    z = dataset.derived(
+        ("scaled", outcome, regime.d1),
+        lambda: (dataset.outcome(outcome)[s1] - lo) / (hi - lo),
+    )
+    p_a1 = g.p_a1[s1]
+    h1 = 1.0 / p_a1
+    h2_consistent = 1.0 / (p_a1[consistent] * g.p_a2[s1[consistent]])
+    h2 = np.zeros(s1.size)
+    h2[consistent] = h2_consistent
+
+    z_consistent = z[consistent]
+    fit2 = fit_logistic(X2_consistent, z_consistent)
+    q2_star = _fluctuate(z_consistent, X2 @ fit2.coefficients, h2_consistent, consistent)
+
+    X1 = _stage1_design(dataset, saturated)
+    fit1 = fit_logistic(X1_s1, q2_star)
     q1_star = _fluctuate(q2_star, X1 @ fit1.coefficients, h1, s1)
 
     psi_scaled = float(q1_star.mean())

@@ -218,10 +218,25 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         if np.count_nonzero(s > s.max() * max(m, p) * np.finfo(np.float64).eps) < p:
             raise RankDeficient(f"design has rank < {p} on the {m} weighted rows")
     XT = X.T
+    # The m-vectors of the iterations, allocated once per fit.  state()
+    # writes |eta|, mu and the loss of the state it is given, using e and r
+    # as scratch; the score and the Fisher weights write r.  The step-halving
+    # search reads only the log-likelihood of the state it starts from, so
+    # each candidate overwrites that state's vectors.
+    abs_eta, mu, loss, e, r = (np.empty(m) for _ in range(5))
+    nonneg = np.empty(m, dtype=bool)
+    cand_eta = np.empty(m)
 
-    def weigh(v):
-        # w * v; unit weights leave v as it is, as 1.0 * v would, bit for bit.
-        return v if unit else w * v
+    def linear(beta):
+        # X @ beta (+ off) into cand_eta; for p = 1 the product x * beta,
+        # which is the same bits.
+        if p == 1:
+            np.multiply(x, beta, out=cand_eta)
+        else:
+            np.matmul(X, beta, out=cand_eta)
+        if off is not None:
+            np.add(cand_eta, off, out=cand_eta)
+        return cand_eta
 
     def state(eta):
         # mu = expit(eta) and ll = sum w (z eta - softplus(eta)) from one
@@ -229,14 +244,23 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         # max(eta, 0) - z eta term cancels exactly on saturated rows.
         # The numerator of mu is 1 where eta >= 0 and e below, the select of
         # ``expit``: e lies in [0, 1], so max(e, 1) is 1 and max(e, 0) is e.
-        abs_eta = np.abs(eta)
-        e = np.exp(-abs_eta)
-        mu = np.maximum(e, eta >= 0.0)
-        mu /= 1.0 + e
-        loss = np.maximum(eta, 0.0)
-        loss -= z * eta
-        loss += np.log1p(e, out=e)
-        return abs_eta, mu, -float(w @ loss)
+        np.abs(eta, out=abs_eta)
+        np.negative(abs_eta, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(eta, 0.0, out=nonneg)
+        np.maximum(e, nonneg, out=mu)
+        np.divide(mu, np.add(1.0, e, out=r), out=mu)
+        np.maximum(eta, 0.0, out=loss)
+        np.subtract(loss, np.multiply(z, eta, out=r), out=loss)
+        np.add(loss, np.log1p(e, out=e), out=loss)
+        return -float(w @ loss)
+
+    def score_at_mu():
+        # X' w (z - mu); unit weights skip the product, as 1.0 * v is v.
+        np.subtract(z, mu, out=r)
+        if not unit:
+            np.multiply(w, r, out=r)
+        return x @ r if p == 1 else XT @ r
 
     beta = np.zeros(p)
     if off is None:
@@ -250,22 +274,24 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
                 if (X[:, j] == 1.0).all():
                     beta[j] = math.log(zbar) - math.log1p(-zbar)
                     break
-        eta = X @ beta
+        eta = linear(beta)
     else:
         eta = off
-    _, mu, ll = state(eta)
-    score = XT @ weigh(z - mu)
+    ll = state(eta)
+    score = score_at_mu()
     max_abs_score = float(np.abs(score).max())
     converged = max_abs_score < SCORE_TOL
     it = 0
     while not converged and it < MAX_ITER:
         it += 1
-        # Fisher information with a ridge on the diagonal for rank safety.
-        wfisher = weigh(mu) * (1.0 - mu)
+        # Fisher information with a ridge on the diagonal for rank safety;
+        # the Fisher weights w mu (1 - mu) go to r.
+        np.subtract(1.0, mu, out=r)
+        r *= mu if unit else np.multiply(w, mu, out=e)
         if p == 1:
-            step = score / (wfisher @ xx + RIDGE)
+            step = score / (r @ xx + RIDGE)
         else:
-            hess = (XT * wfisher) @ X
+            hess = (XT * r) @ X
             hess.flat[:: p + 1] += RIDGE
             try:
                 step = np.linalg.solve(hess, score)
@@ -278,14 +304,13 @@ def fit_logistic(design, response, weights=None, offset=None) -> GlmFit:
         floor = ll - LL_RTOL * abs(ll)
         for _ in range(MAX_HALVINGS + 1):
             cand = beta + step
-            cand_eta = X @ cand if off is None else X @ cand + off
-            abs_eta, cand_mu, cand_ll = state(cand_eta)
+            cand_ll = state(linear(cand))
             if not cand_ll < floor:  # a NaN likelihood ends the search too
                 break
             step = 0.5 * step
-        beta, eta, mu, ll = cand, cand_eta, cand_mu, cand_ll
+        beta, ll = cand, cand_ll
 
-        score = XT @ weigh(z - mu)
+        score = score_at_mu()
         max_abs_score = float(np.abs(score).max())
         # A vanishing score proves nothing when every weighted row sits at
         # its matching boundary: the likelihood is degenerate and the MLE

@@ -1,7 +1,8 @@
 """Public API: every exported name resolves, every public name is exported,
 every exported name and every module-level constant is loaded by library code
-outside type annotations, one library function starts threads, and the
-package runs without scipy."""
+outside type annotations, one library function starts threads, the dataset
+memo is the one cache kept across calls, and the package runs without
+scipy."""
 
 from __future__ import annotations
 
@@ -168,6 +169,59 @@ def test_one_library_function_starts_threads():
         )
     ]
     assert calls == ["dgp._prefetched"]
+
+
+_FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cross_call_caches(stem: str, tree: ast.AST):
+    """Where module ``stem`` calls ``id()``, uses a functools cache or sets
+    the dataset memo ``_derived`` outside ``core.Dataset``."""
+    owner = set()
+    if stem == "core":
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "Dataset":
+                owner = {id(inner) for inner in ast.walk(node)}
+    for node in ast.walk(tree):
+        where = f"{stem}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "id":
+                yield f"{where} id()"
+            elif node.func.id in ("setattr", "delattr") and any(
+                isinstance(arg, ast.Constant) and arg.value == "_derived" for arg in node.args
+            ):
+                yield f"{where} {node.func.id}(..., '_derived')"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in _FUNCTOOLS_CACHES:
+                    yield f"{where} functools.{alias.name}"
+        elif isinstance(node, ast.Attribute):
+            if (isinstance(node.value, ast.Name) and node.value.id == "functools"
+                    and node.attr in _FUNCTOOLS_CACHES):
+                yield f"{where} functools.{node.attr}"
+            elif (node.attr == "_derived" and not isinstance(node.ctx, ast.Load)
+                    and id(node) not in owner):
+                yield f"{where} sets ._derived"
+
+
+def test_the_dataset_memo_is_the_one_cross_call_cache():
+    # core.Dataset.derived keeps a value with the dataset it was computed
+    # from, and it goes when the dataset does.  A dict keyed by id() outlives
+    # its object, so a later dataset at the freed address would read the old
+    # one's values; a functools cache keeps its arguments alive and hands one
+    # mutable result to every caller.
+    found = [
+        where
+        for path in sorted(Path(smartcea.__file__).parent.glob("*.py"))
+        for where in _cross_call_caches(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    probe = ast.parse(
+        "import functools\nfrom functools import lru_cache\n_SEEN = {}\n"
+        "def f(d):\n    _SEEN[id(d)] = d\n    d._derived = {}\n"
+        "@functools.cache\ndef g():\n    pass\n"
+    )
+    assert len(list(_cross_call_caches("probe", probe))) == 4
 
 
 def test_every_domain_exception_is_an_estimation_failure():

@@ -327,7 +327,12 @@ def test_a_value_outside_its_rule_exits_2_with_the_library_message(
     assert settings[option.name] == option.type(boundary)
 
 
-@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize(
+    "brk",
+    ["\n", "\r", "\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udcff", "\ufffe", "\uffff"],
+    ids=["lf", "cr", "nul", "soh", "vt", "us", "surrogate-high", "surrogate-byte", "fffe",
+         "ffff"],
+)
 @pytest.mark.parametrize(
     "argv, flag, value, name",
     [
@@ -340,11 +345,22 @@ def test_a_value_outside_its_rule_exits_2_with_the_library_message(
 def test_a_string_setting_with_a_line_break_exits_2(
     tmp_path, monkeypatch, capsys, argv, flag, value, name, brk
 ):
-    # Every output header writes the settings on one "# config:" line.
+    # Every output header writes the settings on one "# config:" line, and
+    # plot writes them into an SVG comment, where XML 1.0 allows no control
+    # character but tab and no surrogate, U+FFFE or U+FFFF.  An undecodable
+    # byte in a path arrives as a surrogate (U+DCFF for 0xff), which UTF-8
+    # output cannot encode.
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(*argv, flag, value.format(brk), capsys=capsys)
-    assert (code, out, err) == (2, "", f"usage error: {name}: must not contain a line break\n")
+    what = "a line break" if brk in "\n\r" else f"character U+{ord(brk):04X}"
+    assert (code, out, err) == (2, "", f"usage error: {name}: must not contain {what}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_string_setting_may_hold_a_tab_del_and_a_c1_control():
+    # XML 1.0 allows all three.
+    out = "a\t\x7f\x85b.csv"
+    assert parse_and_validate([*SIMULATE, "--out", out]).settings["out"] == out
 
 
 @pytest.mark.parametrize(

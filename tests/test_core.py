@@ -185,6 +185,22 @@ def test_outcome_accessor(trial):
         trial.outcome("z")
 
 
+def test_derived_builds_once_and_freezes_every_array_it_holds(trial):
+    data = trial.take(np.arange(trial.n))
+    builds = []
+
+    def build():
+        builds.append(None)
+        return np.arange(3.0), 2.5
+
+    value = data.derived("key", build)
+    assert data.derived("key", build) is value and len(builds) == 1
+    assert value[1] == 2.5 and not value[0].flags.writeable
+    assert data.outcome("y") is data.outcome("y")
+    assert not data.outcome("y").flags.writeable
+    assert data.take([0, 1]).derived("key", lambda: None) is None
+
+
 def test_take_preserves_supports_and_allows_replacement(trial):
     sub = trial.take([0, 0, 3, 2])
     assert sub.n == 4

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from smartcea import study
+from smartcea import estimate, study
 from smartcea.core import EstimateWithIC, RegimeSpec, consistency_mask
 from smartcea.dgp import TARGET_ICER, DgpConfig, embedded_regimes, simulate_smart, true_values
 from smartcea.estimate import (
@@ -419,6 +419,32 @@ def test_icer_table_marks_regimes_without_support_undefined():
     for res in without_reference.values():
         assert isinstance(res, ZeroSupport)
         assert str(res).startswith("reference regime 1: ")
+
+
+def test_one_analysis_builds_each_mask_once_and_few_designs(monkeypatch):
+    # A repetition makes 32 mean estimates on one trial; they share the
+    # set-up that does not read g through the dataset's memo, where each
+    # estimate once built its own (32 masks, 34 designs).
+    data = simulate_smart(DgpConfig(n=1809, seed=5))
+    calls = dict.fromkeys(("consistency_mask", "_design"), 0)
+    for name in calls:
+        def counting(*args, _real=getattr(estimate, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(estimate, name, counting)
+    study._analyze(StudyConfig(), data)
+    assert calls["consistency_mask"] == 8 and calls["_design"] <= 6, calls
+    # Every array the memo hands out is read-only, and a row subset starts
+    # with an empty memo.
+    held = [
+        item
+        for value in data._derived.values()
+        for item in (value if isinstance(value, tuple) else (value,))
+        if isinstance(item, np.ndarray)
+    ]
+    assert held and not any(array.flags.writeable for array in held)
+    assert data.take(np.arange(data.n))._derived == {}
 
 
 def test_icer_table_undefines_a_regime_with_too_few_records_for_its_design():
